@@ -6,8 +6,9 @@ Modes: simulate, verify, sweep, montecarlo, metrics, export-transfer,
 readout.  Exit codes: 0 success, 1 validation error, 2 verification
 failure, 3 I/O error.  Every run writes a manifest.json carrying the
 fully-resolved configuration, so artifacts are reproducible byte for byte
-from the manifest alone.  CTIA_IPC_THREADS caps worker parallelism
-(0 or unset = auto).
+from the manifest alone.  CTIA_IPC_THREADS caps the worker threads of
+the layer tap kernels (simulator and golden model) and of Monte Carlo
+(0 or unset = one per CPU); the count is also capped at the CPU count.
 """
 
 from __future__ import annotations

@@ -22,7 +22,8 @@ from .adc import AdcConfig, maxpool, relu_requantize
 from .errors import DimensionError, ValidationError
 from .mapper import ConvSpec, FusedLayer, output_dims
 from .pixel import PixelParams
-from .pixel_array import ArrayConfig, N_CHANNELS, bayer_channel_view
+from .parallel import map_row_blocks
+from .pixel_array import ArrayConfig, N_CHANNELS, bayer_phase_stacks, tap_grid
 from .wtc import CounterConfig
 
 RAW_MAX = 65535
@@ -78,29 +79,34 @@ def offset_codes(fused: FusedLayer, cal: CalibrationMap, adc_cfg: AdcConfig) -> 
     return np.rint(volts / adc_cfg.lsb).astype(np.int64)
 
 
-def _polarity_codes(channels_raw: np.ndarray, mags: np.ndarray, spec: ConvSpec, code_scale: float, code_max: int) -> np.ndarray:
+def _polarity_codes(phases, mags: np.ndarray, spec: ConvSpec, code_scale: float, code_max: int) -> np.ndarray:
     """Quantized codes for one polarity: exact integer tap accumulation,
     then a single scale to codes.  Tap products magnitude*raw fit easily
-    in int64."""
+    in int64.  phases are the bayer_phase_stacks of the int64 frame; taps
+    accumulate in (column, row, channel) order over row blocks."""
     k, s = spec.k, spec.s
-    rows, cols = channels_raw.shape[1:]
-    out_r = (rows - k) // s + 1
-    out_c = (cols - k) // s + 1
-    acc = np.zeros((out_r, out_c), dtype=np.int64)
-    for j in range(k):
-        for i in range(k):
-            for ch in range(N_CHANNELS):
-                m = int(mags[ch, i, j])
-                if m == 0:
-                    continue
-                patch = channels_raw[
-                    ch,
-                    i : i + s * (out_r - 1) + 1 : s,
-                    j : j + s * (out_c - 1) + 1 : s,
-                ]
-                acc += m * patch
-    codes = np.floor(acc * code_scale + _BOUNDARY_GUARD).astype(np.int64)
-    return np.minimum(codes, code_max)
+    out_r, out_c = tap_grid(phases, k, s)
+    taps = [
+        (phases[i % s][j % s][ch], i // s, j // s, int(mags[ch, i, j]))
+        for j in range(k)
+        for i in range(k)
+        for ch in range(N_CHANNELS)
+        if mags[ch, i, j] != 0
+    ]
+    codes = np.empty((out_r, out_c), dtype=np.int64)
+
+    def accumulate_block(r0: int, r1: int) -> None:
+        acc = codes[r0:r1]
+        acc.fill(0)
+        product = np.empty_like(acc)
+        for plane, di, dj, m in taps:
+            np.multiply(plane[di + r0 : di + r1, dj : dj + out_c], m, out=product)
+            np.add(acc, product, out=acc)
+        scaled = np.floor(acc * code_scale + _BOUNDARY_GUARD).astype(np.int64)
+        np.minimum(scaled, code_max, out=acc)
+
+    map_row_blocks(accumulate_block, out_r, out_c)
+    return codes
 
 
 def golden_layer(
@@ -129,15 +135,15 @@ def golden_layer(
         )
     if spec.p:
         raw = np.pad(raw, spec.p)
-    channels = bayer_channel_view(raw).astype(np.int64)
+    phases = bayer_phase_stacks(raw.astype(np.int64), spec.s)
     # One unit product is mag_max * RAW_MAX in integer tap units.
     code_scale = cal.lsb_per_unit / (fused.mag_max * RAW_MAX)
     bn_codes = offset_codes(fused, cal, adc_cfg)
     (out_r, out_c), (pool_r, pool_c) = output_dims(spec, *np.asarray(frame_raw).shape)
     result = np.empty((spec.c_o, pool_r, pool_c), dtype=np.int64)
     for ch_out in range(spec.c_o):
-        pos = _polarity_codes(channels, fused.pos_mags[ch_out], spec, code_scale, adc_cfg.code_max)
-        neg = _polarity_codes(channels, fused.neg_mags[ch_out], spec, code_scale, adc_cfg.code_max)
+        pos = _polarity_codes(phases, fused.pos_mags[ch_out], spec, code_scale, adc_cfg.code_max)
+        neg = _polarity_codes(phases, fused.neg_mags[ch_out], spec, code_scale, adc_cfg.code_max)
         signed = pos - neg + int(bn_codes[ch_out])
         per_node = relu_requantize(adc_cfg, signed)
         result[ch_out] = maxpool(per_node, spec.p_s)

@@ -21,7 +21,6 @@ targets.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -29,6 +28,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .mapper import ConvSpec, Schedule, output_dims
+from .parallel import worker_count
 from .pipeline import ChainConfig, sweep_window_chain
 from .pixel_array import N_CHANNELS, accumulate_column
 
@@ -192,18 +192,6 @@ class McResult:
     hist_edges: np.ndarray
 
 
-def worker_count() -> int:
-    """Worker cap from CTIA_IPC_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("CTIA_IPC_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"CTIA_IPC_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ValidationError("CTIA_IPC_THREADS must be >= 0")
-    return n if n > 0 else (os.cpu_count() or 1)
-
-
 def _mc_trial(
     chain: ChainConfig,
     k: int,
@@ -252,9 +240,9 @@ def monte_carlo(
     photocurrent.  Deterministic given mm.seed at any worker count."""
     # All-zero sigmas turn every perturbation off, so this is the nominal run.
     nominal = _mc_trial(chain, k, magnitude, x_norm, MismatchSpec(trials=1, seed=mm.seed), 0)
-    workers = worker_count()
+    workers = worker_count(mm.trials)
     trials = range(mm.trials)
-    if workers > 1 and mm.trials > 1:
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             samples = np.fromiter(
                 pool.map(lambda t: _mc_trial(chain, k, magnitude, x_norm, mm, t), trials),

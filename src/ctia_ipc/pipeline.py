@@ -20,7 +20,7 @@ from .formats import frame_to_photocurrents
 from .golden import RAW_MAX, CalibrationMap, offset_codes
 from .mapper import ConvSpec, FusedLayer, output_dims
 from .pixel import PixelParams
-from .pixel_array import ArrayConfig, bayer_channel_view, mac_node_voltages, run_mac_cycle
+from .pixel_array import ArrayConfig, bayer_phase_stacks, mac_node_voltages, run_mac_cycle
 from .wtc import CounterConfig
 
 
@@ -37,8 +37,9 @@ class ChainConfig:
         return CalibrationMap.derive(self.pixel, self.wtc, self.array, self.adc, mag_max)
 
 
-def photocurrent_channels(frame_raw: np.ndarray, pixel: PixelParams, padding: int = 0) -> np.ndarray:
-    """(4, rows, cols) photocurrent stack from raw mosaic samples."""
+def photocurrent_channels(frame_raw: np.ndarray, pixel: PixelParams, padding: int = 0, stride: int = 1) -> tuple:
+    """Photocurrent bayer_phase_stacks of raw mosaic samples; at stride 1,
+    [0][0] is the (4, rows, cols) channel stack."""
     raw = np.asarray(frame_raw)
     if raw.ndim != 2:
         raise DimensionError("frame must be 2-D")
@@ -46,7 +47,7 @@ def photocurrent_channels(frame_raw: np.ndarray, pixel: PixelParams, padding: in
         raise ValidationError(f"raw samples must be in [0, {RAW_MAX}]")
     if padding:
         raw = np.pad(raw, padding)
-    return bayer_channel_view(frame_to_photocurrents(raw, pixel.i_max))
+    return bayer_phase_stacks(frame_to_photocurrents(raw, pixel.i_max), stride)
 
 
 def simulate_layer(
@@ -66,7 +67,7 @@ def simulate_layer(
         raise DimensionError(
             f"fused planes shape {fused.pos_mags.shape} != {(spec.c_o, 4, spec.k, spec.k)}"
         )
-    channels = photocurrent_channels(frame_raw, chain.pixel, spec.p)
+    phases = photocurrent_channels(frame_raw, chain.pixel, spec.p, spec.s)
     cal = chain.calibration(fused.mag_max)
     bn_codes = offset_codes(fused, cal, chain.adc)
     (out_r, out_c), (pool_r, pool_c) = output_dims(spec, *np.asarray(frame_raw).shape)
@@ -79,10 +80,10 @@ def simulate_layer(
             out_bits=chain.adc.out_bits,
         )
         v_pos = mac_node_voltages(
-            chain.array, chain.pixel, chain.wtc, channels, fused.pos_mags[ch_out], spec.k, spec.s
+            chain.array, chain.pixel, chain.wtc, phases, fused.pos_mags[ch_out], spec.k, spec.s
         )
         v_neg = mac_node_voltages(
-            chain.array, chain.pixel, chain.wtc, channels, fused.neg_mags[ch_out], spec.k, spec.s
+            chain.array, chain.pixel, chain.wtc, phases, fused.neg_mags[ch_out], spec.k, spec.s
         )
         signed = cds_signed(adc_cfg, v_pos, v_neg)
         if return_codes:

@@ -12,14 +12,18 @@ counter.
 
 Summation order is fixed (column index, then row, then channel) so that
 results are bit-reproducible regardless of how column evaluations are
-scheduled.
+scheduled.  The layer kernel splits its output grid into row blocks that
+run on separate threads; every node still sums its taps in that order,
+so the result is the same at any thread count.
 
 Bayer geometry: the mosaic is interpreted as four channels (R, G1, G2, B
 at even/even, even/odd, odd/even, odd/odd parities) held constant over
 each 2x2 quad.  A kernel window anchored at raw pixel (r0, c0) reads, for
 every channel, the k x k quad-sampled values at (r0+i, c0+j), giving the
 k*k*4 contributions per output node that the accumulation network sums.
-MAC mode therefore requires even frame dimensions.
+MAC mode therefore requires even frame dimensions.  For a stride s the
+layer kernel reads the channel stack split into s x s phases, so that each
+tap reads one contiguous slice instead of a strided one.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScheduleError, StateError, ValidationError
+from .parallel import map_row_blocks
 from .pixel import PixelParams, integrate
 from .wtc import CounterConfig, match_ticks
 
@@ -105,11 +110,16 @@ def combine_columns(cfg: ArrayConfig, column_voltages) -> float:
     return total / cfg.divider
 
 
-def bayer_channel_view(frame: np.ndarray) -> np.ndarray:
-    """Expand an RGGB mosaic to a (4, rows, cols) channel stack.
+def bayer_phase_stacks(frame: np.ndarray, stride: int) -> tuple:
+    """Expand an RGGB mosaic into stride x stride phase stacks.
 
+    phases[a][b][ch, q, u] == bayer_channel_view(frame)[ch, a + stride*q,
+    b + stride*u], held contiguous, so a kernel tap at row offset i and
+    column offset j reads phases[i % stride][j % stride] as one slice.
     Channel ch at (r, c) is the mosaic sample of that color inside the 2x2
-    quad containing (r, c).  Requires even dimensions.
+    quad containing (r, c); for an even stride (a + stride*q) & ~1 does
+    not depend on the low bit of a, so phases a and a ^ 1 (and likewise
+    b and b ^ 1) are one shared array.  Requires even dimensions.
     """
     arr = np.asarray(frame)
     if arr.ndim != 2:
@@ -119,12 +129,42 @@ def bayer_channel_view(frame: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"MAC mode needs even frame dimensions (RGGB quads), got {rows}x{cols}"
         )
-    row_base = np.arange(rows) & ~1
-    col_base = np.arange(cols) & ~1
-    channels = np.empty((N_CHANNELS,) + arr.shape, dtype=arr.dtype)
-    for ch, (dr, dc) in enumerate(BAYER_OFFSETS):
-        channels[ch] = arr[np.ix_(row_base + dr, col_base + dc)]
-    return channels
+    if stride < 1:
+        raise ValidationError(f"stride must be >= 1, got {stride}")
+    shared = ~1 if stride % 2 == 0 else ~0
+    stacks = {}
+    for a in range(stride):
+        for b in range(stride):
+            key = (a & shared, b & shared)
+            if key in stacks:
+                continue
+            row_base = np.arange(a, rows, stride) & ~1
+            col_base = np.arange(b, cols, stride) & ~1
+            stack = np.empty((N_CHANNELS, row_base.size, col_base.size), dtype=arr.dtype)
+            for ch, (dr, dc) in enumerate(BAYER_OFFSETS):
+                stack[ch] = arr[np.ix_(row_base + dr, col_base + dc)]
+            stacks[key] = stack
+    return tuple(
+        tuple(stacks[a & shared, b & shared] for b in range(stride)) for a in range(stride)
+    )
+
+
+def bayer_channel_view(frame: np.ndarray) -> np.ndarray:
+    """Expand an RGGB mosaic to a (4, rows, cols) channel stack: the
+    stride-1 phase stack."""
+    return bayer_phase_stacks(frame, 1)[0][0]
+
+
+def tap_grid(phases, k: int, stride: int) -> tuple:
+    """(out_r, out_c) output grid of a k x k, stride-spaced kernel over
+    phase stacks: the nodes at which every tap's slice fits its phase."""
+    if len(phases) != stride or any(len(row) != stride for row in phases):
+        raise ScheduleError(f"expected {stride} x {stride} phase stacks")
+    out_r = min(phases[i % stride][0].shape[1] - i // stride for i in range(k))
+    out_c = min(phases[0][j % stride].shape[2] - j // stride for j in range(k))
+    if out_r < 1 or out_c < 1:
+        raise ScheduleError(f"frame smaller than kernel {k}")
+    return out_r, out_c
 
 
 def extract_window(channels: np.ndarray, r0: int, c0: int, k: int) -> np.ndarray:
@@ -214,7 +254,7 @@ def mac_node_voltages(
     cfg: ArrayConfig,
     params: PixelParams,
     wtc_cfg: CounterConfig,
-    channels: np.ndarray,
+    phases,
     magnitudes,
     k: int,
     stride: int,
@@ -222,35 +262,41 @@ def mac_node_voltages(
     """All output nodes' ADC-input voltages for one polarity cycle set.
 
     Vectorized equivalent of run_mac_cycle over every stride-spaced window
-    of the frame: for each kernel tap, a strided slice of the channel stack
-    is integrated and accumulated.  Tap order is fixed (column, row,
-    channel) to keep results reproducible.
+    of the frame, given its bayer_phase_stacks: for each kernel tap, one
+    slice of a phase stack is integrated and accumulated.  Tap order is
+    fixed (column, row, channel) to keep results reproducible; row blocks
+    of the grid run on parallel.map_row_blocks threads.
     """
     if cfg.mode != MODE_MAC:
         raise ValidationError("mac_node_voltages requires mac mode")
     mags = np.asarray(magnitudes)
     if mags.shape != (N_CHANNELS, k, k):
         raise ScheduleError(f"weight plane must be (4, {k}, {k}), got {mags.shape}")
-    rows, cols = channels.shape[1:]
-    if rows < k or cols < k:
-        raise ScheduleError(f"frame {rows}x{cols} smaller than kernel {k}")
-    out_r = (rows - k) // stride + 1
-    out_c = (cols - k) // stride + 1
+    out_r, out_c = tap_grid(phases, k, stride)
     ticks = np.asarray(match_ticks(wtc_cfg, mags), dtype=np.int64)
-    acc = np.zeros((out_r, out_c))
+    taps = []
     for j in range(k):
         for i in range(k):
             for ch in range(N_CHANNELS):
                 t = float(ticks[ch, i, j]) * wtc_cfg.t_step
-                if t == 0.0:
-                    continue
-                patch = channels[
-                    ch,
-                    i : i + stride * (out_r - 1) + 1 : stride,
-                    j : j + stride * (out_c - 1) + 1 : stride,
-                ]
-                acc += np.minimum(patch * t / params.c_f, params.headroom)
-    return acc / cfg.divider
+                if t != 0.0:
+                    plane = phases[i % stride][j % stride][ch]
+                    taps.append((plane, i // stride, j // stride, t))
+    volts = np.empty((out_r, out_c))
+
+    def accumulate_block(r0: int, r1: int) -> None:
+        acc = volts[r0:r1]
+        acc.fill(0.0)
+        dv = np.empty_like(acc)
+        for plane, di, dj, t in taps:
+            np.multiply(plane[di + r0 : di + r1, dj : dj + out_c], t, out=dv)
+            np.divide(dv, params.c_f, out=dv)
+            np.minimum(dv, params.headroom, out=dv)
+            np.add(acc, dv, out=acc)
+        np.divide(acc, cfg.divider, out=acc)
+
+    map_row_blocks(accumulate_block, out_r, out_c)
+    return volts
 
 
 def readout_frame(cfg: ArrayConfig, params: PixelParams, frame, exposure: float) -> np.ndarray:

@@ -14,6 +14,7 @@ from ctia_ipc.pixel_array import (
     MODE_READOUT,
     accumulate_column,
     bayer_channel_view,
+    bayer_phase_stacks,
     combine_columns,
     extract_window,
     mac_node_voltages,
@@ -103,6 +104,24 @@ class TestBayerView:
     def test_odd_dims_rejected(self):
         with pytest.raises(ValidationError):
             bayer_channel_view(np.zeros((3, 4)))
+        for stride in (1, 2, 3):
+            with pytest.raises(ValidationError):
+                bayer_phase_stacks(np.zeros((4, 5)), stride)
+
+    @pytest.mark.parametrize("stride", [1, 2, 3, 4])
+    def test_phase_stacks_are_strided_channel_view(self, stride):
+        frame = np.random.default_rng(stride).integers(0, 65536, (14, 18))
+        channels = bayer_channel_view(frame)
+        phases = bayer_phase_stacks(frame, stride)
+        assert len(phases) == stride
+        for a in range(stride):
+            assert len(phases[a]) == stride
+            for b in range(stride):
+                assert phases[a][b].flags.c_contiguous
+                assert np.array_equal(phases[a][b], channels[:, a::stride, b::stride])
+                if stride % 2 == 0:
+                    assert phases[a][b] is phases[a ^ 1][b]
+                    assert phases[a][b] is phases[a][b ^ 1]
 
     def test_window_bounds(self):
         channels = bayer_channel_view(np.zeros((8, 8)))
@@ -206,12 +225,21 @@ class TestVectorizedPath:
         channels = bayer_channel_view(frame)
         mags = rng.integers(0, 16, (4, 5, 5))
         k, s = 5, 2
-        grid = mac_node_voltages(cfg, pixel, wtc, channels, mags, k, s)
+        grid = mac_node_voltages(cfg, pixel, wtc, bayer_phase_stacks(frame, s), mags, k, s)
         for r_out in range(grid.shape[0]):
             for c_out in range(grid.shape[1]):
                 region = extract_window(channels, r_out * s, c_out * s, k)
                 v = run_mac_cycle(cfg, pixel, wtc, region, mags)
                 assert grid[r_out, c_out] == pytest.approx(v, rel=1e-9)
+
+    def test_geometry_rejected(self):
+        pixel, wtc, cfg = PixelParams(), CounterConfig(), ArrayConfig(rows=4, cols=8)
+        mags = np.ones((4, 5, 5), dtype=np.int64)
+        frame = np.zeros((4, 8))
+        with pytest.raises(ScheduleError):  # kernel taller than the frame
+            mac_node_voltages(cfg, pixel, wtc, bayer_phase_stacks(frame, 1), mags, 5, 1)
+        with pytest.raises(ScheduleError):  # phases built for another stride
+            mac_node_voltages(cfg, pixel, wtc, bayer_phase_stacks(frame, 2), mags[:, :1, :1], 1, 1)
 
 
 class TestReadout:
