@@ -35,15 +35,12 @@ from .pixel import (
 )
 from .pixel_array import (
     ArrayConfig,
-    CblState,
     MacCycleResult,
-    accumulate_column,
     bayer_channel_view,
-    combine_columns,
     readout_frame,
     run_mac_cycle,
     run_signed_mac,
 )
-from .wtc import CounterConfig, TimedPulse, WeightPlane, match_ticks, match_time, pulse
+from .wtc import CounterConfig, match_ticks, match_time
 
 __version__ = "0.1.0"

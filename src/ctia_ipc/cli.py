@@ -7,13 +7,14 @@ readout.  Exit codes: 0 success, 1 validation error, 2 verification
 failure, 3 I/O error.  Every run writes a manifest.json carrying the
 fully-resolved configuration, so artifacts are reproducible byte for byte
 from the manifest alone.  CTIA_IPC_THREADS caps the worker threads of
-the layer tap kernels (simulator and golden model) and of Monte Carlo
-(0 or unset = one per CPU); the count is also capped at the CPU count.
+the layer tap kernels, simulator and golden model (0 or unset = one per
+CPU); the count is also capped at the CPU count.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -32,7 +33,7 @@ from .mapper import build_schedule, fuse_and_quantize
 from .metrics import linearity_sweep, metrics_report, monte_carlo
 from .pipeline import simulate_layer, sweep_window_chain
 from .pixel import fit_transfer, fit_transfer_model
-from .pixel_array import ArrayConfig, MODE_READOUT, readout_frame
+from .pixel_array import readout_frame
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -193,7 +194,8 @@ def _run_export_transfer(cfg: RunConfig, out_dir: str) -> int:
         "slope": model.slope,
         "intercept": model.intercept,
         "clamp_lo": model.clamp_lo,
-        "clamp_hi": model.clamp_hi,
+        # An unbounded clamp has no JSON number; null stands for it.
+        "clamp_hi": model.clamp_hi if math.isfinite(model.clamp_hi) else None,
         "coeffs": list(model.coeffs),
         "fit": {
             "slope": fit.slope,
@@ -210,15 +212,7 @@ def _run_export_transfer(cfg: RunConfig, out_dir: str) -> int:
 def _run_readout(cfg: RunConfig, out_dir: str) -> int:
     raw = _load_sensor_frame(cfg)
     photocurrents = formats.frame_to_photocurrents(raw, cfg.pixel.i_max)
-    array_cfg = ArrayConfig(
-        rows=cfg.array.rows,
-        cols=cfg.array.cols,
-        c1=cfg.array.c1,
-        c2=cfg.array.c2,
-        c_f_acc=cfg.array.c_f_acc,
-        mode=MODE_READOUT,
-    )
-    volts = readout_frame(array_cfg, cfg.pixel, photocurrents, cfg.readout_exposure())
+    volts = readout_frame(cfg.pixel, photocurrents, cfg.readout_exposure())
     # Voltages are clamped at headroom, so headroom spans the full code range.
     codes = np.rint(volts / cfg.pixel.headroom * 65535).astype(np.uint16)
     formats.save_pgm16(os.path.join(out_dir, "readout.pgm"), codes)

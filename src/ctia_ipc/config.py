@@ -8,6 +8,7 @@ artifact is exactly reproducible.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -100,6 +101,12 @@ class RunConfig:
         return out
 
 
+def _not_a_setting(value) -> bool:
+    """JSON true/false would pass as 1/0, and NaN/Infinity slip past range
+    checks; neither is a valid setting."""
+    return isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value))
+
+
 def _build_section(cls, doc: dict, section: str, problems: list, extra: dict | None = None):
     raw = doc.get(section, {})
     if not isinstance(raw, dict):
@@ -109,7 +116,12 @@ def _build_section(cls, doc: dict, section: str, problems: list, extra: dict | N
     unknown = set(raw) - allowed
     for key in sorted(unknown):
         problems.append(f"unknown key '{section}.{key}'")
-    kwargs = {k: v for k, v in raw.items() if k in allowed}
+    kwargs = {}
+    for key in sorted(allowed & set(raw)):
+        if _not_a_setting(raw[key]):
+            problems.append(f"'{section}.{key}' must be a finite number, got {raw[key]!r}")
+        else:
+            kwargs[key] = raw[key]
     if extra:
         kwargs.update(extra)
     try:
@@ -166,8 +178,8 @@ def load_config(path: str | None, seed_override: int | None = None, out_override
     for name in ("power_per_pixel_w", "cycle_time_s", "readout_exposure_s"):
         if name in doc:
             value = doc[name]
-            if not isinstance(value, (int, float)) or value < 0:
-                problems.append(f"{name} must be a nonnegative number, got {value!r}")
+            if _not_a_setting(value) or not isinstance(value, (int, float)) or value < 0:
+                problems.append(f"{name} must be a finite nonnegative number, got {value!r}")
             else:
                 setattr(cfg, name, float(value))
 

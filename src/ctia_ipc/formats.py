@@ -122,11 +122,6 @@ def frame_to_photocurrents(raw, i_max: float) -> np.ndarray:
     return (np.asarray(raw).astype(float) / PGM_MAXVAL) * i_max
 
 
-def load_frame(path, i_max: float) -> np.ndarray:
-    """Bayer frame as per-pixel photocurrents."""
-    return frame_to_photocurrents(load_pgm16(path), i_max)
-
-
 # ---------------------------------------------------------------------------
 # Weight + BN document (JSON)
 # ---------------------------------------------------------------------------
@@ -279,4 +274,6 @@ def read_csv(path, expected_header):
 
 
 def write_json(path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write obj as JSON; NaN and Infinity, which JSON lacks, raise
+    ValueError instead of reaching the file."""
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")

@@ -21,16 +21,16 @@ targets.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
 from .mapper import ConvSpec, Schedule, output_dims
-from .parallel import worker_count
+from .parallel import row_blocks
 from .pipeline import ChainConfig, sweep_window_chain
-from .pixel_array import N_CHANNELS, accumulate_column
+from .pixel_array import N_CHANNELS, charge_share_divider
 
 INPUT_SAMPLE_BITS = 12
 
@@ -176,8 +176,9 @@ class MismatchSpec:
 
     def __post_init__(self):
         for name in ("sigma_cap", "sigma_vrst", "sigma_gain"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"mismatch {name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValidationError(f"mismatch {name} must be finite and >= 0, got {value!r}")
         if self.trials < 1:
             raise ValidationError("mismatch trials must be >= 1")
 
@@ -192,39 +193,48 @@ class McResult:
     hist_edges: np.ndarray
 
 
-def _mc_trial(
+def _mc_trials(
     chain: ChainConfig,
     k: int,
     magnitude: int,
     x_norm: float,
     mm: MismatchSpec,
-    trial: int,
-) -> float:
-    """One perturbed run of the single-window analog chain.
+    t0: int,
+    t1: int,
+) -> np.ndarray:
+    """Trials t0..t1-1 of the perturbed single-window analog chain.
 
-    The random stream derives from (seed, trial), so trials are
-    order-independent and reproducible at any worker count.  Draw order is
+    Each trial's random stream derives from (seed, trial), so a trial's
+    value does not depend on which chunk computes it.  Draw order is
     fixed: global caps (c1, c2, c_f_acc), then per-pixel gain, feedback
-    cap, and reset-level offset.
+    cap, and reset-level offset, all from one standard_normal fill.
     """
-    rng = np.random.default_rng([mm.seed, trial])
-    g_c1, g_c2, g_cf = 1.0 + mm.sigma_cap * rng.standard_normal(3)
-    n_pix = (N_CHANNELS, k, k)
-    gain = 1.0 + mm.sigma_gain * rng.standard_normal(n_pix)
-    cap = 1.0 + mm.sigma_cap * rng.standard_normal(n_pix)
-    vrst_off = mm.sigma_vrst * rng.standard_normal(n_pix)
+    n_pix = N_CHANNELS * k * k
+    z = np.empty((t1 - t0, 3 + 3 * n_pix))
+    for row, trial in zip(z, range(t0, t1)):
+        np.random.default_rng([mm.seed, trial]).standard_normal(out=row)
+    g_c1, g_c2, g_cf = (1.0 + mm.sigma_cap * z[:, :3]).T
+    pixel_draws = z[:, 3:].reshape(-1, 3, N_CHANNELS, k, k)
+    gain = 1.0 + mm.sigma_gain * pixel_draws[:, 0]
+    cap = 1.0 + mm.sigma_cap * pixel_draws[:, 1]
+    vrst_off = mm.sigma_vrst * pixel_draws[:, 2]
 
     pixel = chain.pixel
     exposure = magnitude * chain.wtc.exposure_multiplier * chain.wtc.t_step
     current = pixel.i_max * x_norm * gain
     dv = np.minimum(current * exposure / (pixel.c_f * cap), pixel.headroom) + vrst_off
     dv = np.maximum(dv, 0.0)
-    divider = 4.0 + 2.0 * (chain.array.c2 * g_c2) / (chain.array.c1 * g_c1) \
-        + (chain.array.c_f_acc * g_cf) / (chain.array.c1 * g_c1)
-    columns = [accumulate_column(dv[:, :, j].T.ravel()) for j in range(k)]
-    total = 0.0
-    for v in columns:
-        total += v
+    array = chain.array
+    divider = charge_share_divider(array.c1 * g_c1, array.c2 * g_c2, array.c_f_acc * g_cf)
+    # The MAC kernel's order: a CBL per column in (row, channel) order,
+    # then the columns in order.
+    total = np.zeros(t1 - t0)
+    for j in range(k):
+        cbl = np.zeros(t1 - t0)
+        for i in range(k):
+            for ch in range(N_CHANNELS):
+                cbl += dv[:, ch, i, j]
+        total += cbl
     return total / divider
 
 
@@ -237,24 +247,17 @@ def monte_carlo(
     hist_bins: int = 30,
 ) -> McResult:
     """Mismatch distribution of the ADC-input voltage at a fixed weight and
-    photocurrent.  Deterministic given mm.seed at any worker count."""
+    photocurrent.  Deterministic given mm.seed.  Trials run vectorized in
+    chunks of parallel.ROW_BLOCK_NODES pixel instances."""
     # All-zero sigmas turn every perturbation off, so this is the nominal run.
-    nominal = _mc_trial(chain, k, magnitude, x_norm, MismatchSpec(trials=1, seed=mm.seed), 0)
-    workers = worker_count(mm.trials)
-    trials = range(mm.trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = np.fromiter(
-                pool.map(lambda t: _mc_trial(chain, k, magnitude, x_norm, mm, t), trials),
-                dtype=float,
-                count=mm.trials,
-            )
-    else:
-        samples = np.fromiter(
-            (_mc_trial(chain, k, magnitude, x_norm, mm, t) for t in trials),
-            dtype=float,
-            count=mm.trials,
-        )
+    nominal_spec = MismatchSpec(trials=1, seed=mm.seed)
+    nominal = float(_mc_trials(chain, k, magnitude, x_norm, nominal_spec, 0, 1)[0])
+    samples = np.concatenate(
+        [
+            _mc_trials(chain, k, magnitude, x_norm, mm, t0, t1)
+            for t0, t1 in row_blocks(mm.trials, N_CHANNELS * k * k)
+        ]
+    )
     mean = float(samples.mean())
     std = float(samples.std())
     scale = max(abs(mean), 1e-12)

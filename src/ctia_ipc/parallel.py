@@ -1,13 +1,15 @@
-"""Worker threads for the layer kernels and Monte Carlo.
+"""Worker threads for the layer kernels, and the block size they and Monte
+Carlo share.
 
 CTIA_IPC_THREADS caps the worker count (0 or unset = one per CPU).  The
-count is further capped at the CPU count and at the number of tasks, so
-no setting starts more threads than there is hardware or work for.
+count is further capped at the CPU count and at the number of row blocks,
+so no setting starts more threads than there is hardware or work for.
 
-The layer kernels split their output grid into row blocks.  Each block is
-computed whole by one thread and written only to its own rows, and every
-node keeps its summation order, so results are bit-identical at any
-worker count.
+The layer kernels (the simulator's MAC and the golden model) split their
+output grid into row blocks.  Each block is computed whole by one thread
+and written only to its own rows, and every node keeps its summation
+order, so results are bit-identical at any worker count.  Monte Carlo
+runs on the calling thread, in chunks of trials cut by row_blocks.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .errors import ValidationError
 
-# Output nodes per row block.  A float64 block and its scratch buffer
-# (512 KB together) stay in one core's L2 cache across all the taps.
+# Output nodes per row block.  A float64 block, its column (CBL) buffer
+# and its tap scratch buffer (768 KB together) stay in one core's L2
+# cache across all the taps.
 ROW_BLOCK_NODES = 1 << 15
 
 

@@ -1,4 +1,4 @@
-"""Pixel array core: charge-bitline accumulation and column combining.
+"""Pixel array core: the charge-domain MAC.
 
 Every pixel in a column dumps its exposure charge onto a shared charge
 bitline (CBL); a switching matrix then charge-shares k adjacent column
@@ -10,11 +10,15 @@ Sign handling never touches the CBL: positive- and negative-weight
 magnitudes run in separate cycles and meet again only in the ADC's up/down
 counter.
 
-Summation order is fixed (column index, then row, then channel) so that
-results are bit-reproducible regardless of how column evaluations are
-scheduled.  The layer kernel splits its output grid into row blocks that
-run on separate threads; every node still sums its taps in that order,
-so the result is the same at any thread count.
+mac_node_voltages is the one MAC, and every path uses it: the layer runs
+it over the whole frame, run_mac_cycle over one receptive field.  It sums
+in the hardware's order.  Each kernel column's taps add into one column
+buffer in (row, channel) order: that buffer is the column's CBL.  The
+column buffers then add in column order before the single divide: that
+is the switching matrix.  Monte Carlo sums its perturbed taps in the same
+order.  The layer kernel splits its output grid into row blocks that run
+on separate threads; every node still sums its taps in that order, so the
+result is the same at any thread count.
 
 Bayer geometry: the mosaic is interpreted as four channels (R, G1, G2, B
 at even/even, even/odd, odd/even, odd/odd parities) held constant over
@@ -38,9 +42,6 @@ from .parallel import map_row_blocks
 from .pixel import PixelParams, integrate
 from .wtc import CounterConfig, match_ticks
 
-MODE_READOUT = "readout"
-MODE_MAC = "mac"
-
 # (row parity, col parity) per channel, in channel order R, G1, G2, B.
 BAYER_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 N_CHANNELS = 4
@@ -53,7 +54,6 @@ class ArrayConfig:
     c1: float = 10e-15
     c2: float = 10e-15
     c_f_acc: float = 10e-15
-    mode: str = MODE_MAC
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -62,52 +62,15 @@ class ArrayConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValidationError(f"array.{name} must be finite and > 0, got {value!r}")
-        if self.mode not in (MODE_READOUT, MODE_MAC):
-            raise ValidationError(f"array mode must be readout or mac, got {self.mode!r}")
 
     @property
     def divider(self) -> float:
-        return 4.0 + 2.0 * self.c2 / self.c1 + self.c_f_acc / self.c1
+        return charge_share_divider(self.c1, self.c2, self.c_f_acc)
 
 
-@dataclass
-class CblState:
-    """One charge bitline: accumulated volts plus contributor count."""
-
-    volts: float = 0.0
-    contributors: int = 0
-
-    def add(self, dv: float) -> None:
-        v = float(dv)
-        if not math.isfinite(v):
-            raise StateError("CBL contribution must be finite")
-        if v < 0:
-            raise StateError("negative contribution on a charge bitline")
-        self.volts += v
-        self.contributors += 1
-
-
-def accumulate_column(contributions) -> float:
-    """Charge-share one column's pixel contributions onto its CBL.
-
-    Contributions are discharge magnitudes and must be nonnegative; the
-    two-cycle sign split guarantees this upstream.
-    """
-    cbl = CblState()
-    for value in contributions:
-        cbl.add(value)
-    return cbl.volts
-
-
-def combine_columns(cfg: ArrayConfig, column_voltages) -> float:
-    """Switching-matrix charge sharing of k column voltages into V_adc_in."""
-    volts = list(column_voltages)
-    if not volts:
-        raise ValidationError("combine_columns needs at least one column voltage")
-    total = 0.0
-    for v in volts:
-        total += float(v)
-    return total / cfg.divider
+def charge_share_divider(c1, c2, c_f_acc):
+    """Switching-matrix divider 4 + 2*C2/C1 + CF/C1; scalars or arrays."""
+    return 4.0 + 2.0 * c2 / c1 + c_f_acc / c1
 
 
 def bayer_phase_stacks(frame: np.ndarray, stride: int) -> tuple:
@@ -158,6 +121,8 @@ def bayer_channel_view(frame: np.ndarray) -> np.ndarray:
 def tap_grid(phases, k: int, stride: int) -> tuple:
     """(out_r, out_c) output grid of a k x k, stride-spaced kernel over
     phase stacks: the nodes at which every tap's slice fits its phase."""
+    if k < 1:
+        raise ScheduleError(f"kernel size must be >= 1, got {k}")
     if len(phases) != stride or any(len(row) != stride for row in phases):
         raise ScheduleError(f"expected {stride} x {stride} phase stacks")
     out_r = min(phases[i % stride][0].shape[1] - i // stride for i in range(k))
@@ -165,16 +130,6 @@ def tap_grid(phases, k: int, stride: int) -> tuple:
     if out_r < 1 or out_c < 1:
         raise ScheduleError(f"frame smaller than kernel {k}")
     return out_r, out_c
-
-
-def extract_window(channels: np.ndarray, r0: int, c0: int, k: int) -> np.ndarray:
-    """One output node's (4, k, k) receptive field from a channel stack."""
-    if channels.ndim != 3 or channels.shape[0] != N_CHANNELS:
-        raise ValidationError("expected a (4, rows, cols) channel stack")
-    rows, cols = channels.shape[1:]
-    if r0 < 0 or c0 < 0 or r0 + k > rows or c0 + k > cols:
-        raise ScheduleError(f"window ({r0}, {c0}) size {k} exceeds {rows}x{cols} frame")
-    return channels[:, r0 : r0 + k, c0 : c0 + k]
 
 
 def run_mac_cycle(
@@ -191,12 +146,9 @@ def run_mac_cycle(
     magnitudes: (4, k, k) unsigned weight magnitudes for this polarity
         (cells belonging to the other polarity hold 0).
 
-    Each active pixel contributes integrate(photocurrent, match_time(w));
-    contributions accumulate per column (rows, then channels) and the
-    switching matrix combines the k columns.
+    Validates one receptive field and runs mac_node_voltages on it as the
+    one-node, stride-1 phase stack ((region,),).
     """
-    if cfg.mode != MODE_MAC:
-        raise ValidationError("run_mac_cycle requires mac mode")
     if polarity not in ("positive", "negative"):
         raise ValidationError(f"polarity must be positive or negative, got {polarity!r}")
     x = np.asarray(region, dtype=float)
@@ -205,17 +157,9 @@ def run_mac_cycle(
         raise ScheduleError(f"region must be (4, k, k), got {x.shape}")
     if mags.shape != x.shape:
         raise ScheduleError(f"weight plane shape {mags.shape} != region shape {x.shape}")
-    k = x.shape[1]
-    exposures = np.asarray(match_ticks(wtc_cfg, mags), dtype=float) * wtc_cfg.t_step
-    column_voltages = []
-    for j in range(k):
-        contributions = [
-            integrate(params, x[ch, i, j], exposures[ch, i, j])
-            for i in range(k)
-            for ch in range(N_CHANNELS)
-        ]
-        column_voltages.append(accumulate_column(contributions))
-    return combine_columns(cfg, column_voltages)
+    if not np.all(np.isfinite(x)) or np.any(x < 0):
+        raise ValidationError("photocurrents must be finite and >= 0")
+    return float(mac_node_voltages(cfg, params, wtc_cfg, ((x,),), mags, x.shape[1], 1)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -261,48 +205,60 @@ def mac_node_voltages(
 ) -> np.ndarray:
     """All output nodes' ADC-input voltages for one polarity cycle set.
 
-    Vectorized equivalent of run_mac_cycle over every stride-spaced window
-    of the frame, given its bayer_phase_stacks: for each kernel tap, one
-    slice of a phase stack is integrated and accumulated.  Tap order is
-    fixed (column, row, channel) to keep results reproducible; row blocks
-    of the grid run on parallel.map_row_blocks threads.
+    phases: bayer_phase_stacks of the frame's photocurrents for this
+    stride.  Each kernel tap integrates one slice of a phase stack.  The
+    taps of kernel column j add into that column's CBL buffer in (row,
+    channel) order; the CBL buffers add in column order and are divided
+    once by the switching-matrix divider.  Row blocks of the grid run on
+    parallel.map_row_blocks threads.
     """
-    if cfg.mode != MODE_MAC:
-        raise ValidationError("mac_node_voltages requires mac mode")
     mags = np.asarray(magnitudes)
     if mags.shape != (N_CHANNELS, k, k):
         raise ScheduleError(f"weight plane must be (4, {k}, {k}), got {mags.shape}")
     out_r, out_c = tap_grid(phases, k, stride)
     ticks = np.asarray(match_ticks(wtc_cfg, mags), dtype=np.int64)
-    taps = []
+    # Per kernel column, its nonzero taps; all-zero columns add nothing.
+    columns = []
     for j in range(k):
+        taps = []
         for i in range(k):
             for ch in range(N_CHANNELS):
                 t = float(ticks[ch, i, j]) * wtc_cfg.t_step
                 if t != 0.0:
                     plane = phases[i % stride][j % stride][ch]
                     taps.append((plane, i // stride, j // stride, t))
+        if taps:
+            columns.append(taps)
     volts = np.empty((out_r, out_c))
 
     def accumulate_block(r0: int, r1: int) -> None:
         acc = volts[r0:r1]
         acc.fill(0.0)
+        cbl = np.empty_like(acc)
         dv = np.empty_like(acc)
-        for plane, di, dj, t in taps:
-            np.multiply(plane[di + r0 : di + r1, dj : dj + out_c], t, out=dv)
-            np.divide(dv, params.c_f, out=dv)
-            np.minimum(dv, params.headroom, out=dv)
-            np.add(acc, dv, out=acc)
+
+        def integrate_tap(tap, out):
+            plane, di, dj, t = tap
+            np.multiply(plane[di + r0 : di + r1, dj : dj + out_c], t, out=out)
+            np.divide(out, params.c_f, out=out)
+            np.minimum(out, params.headroom, out=out)
+
+        # A column's first tap starts its CBL instead of adding to 0.0; that
+        # can differ only in the sign of a zero, which acc's +0.0 absorbs.
+        for first, *rest in columns:
+            integrate_tap(first, cbl)
+            for tap in rest:
+                integrate_tap(tap, dv)
+                np.add(cbl, dv, out=cbl)
+            np.add(acc, cbl, out=acc)
         np.divide(acc, cfg.divider, out=acc)
 
     map_row_blocks(accumulate_block, out_r, out_c)
     return volts
 
 
-def readout_frame(cfg: ArrayConfig, params: PixelParams, frame, exposure: float) -> np.ndarray:
+def readout_frame(params: PixelParams, frame, exposure: float) -> np.ndarray:
     """Conventional per-pixel voltage readout: no accumulation, no WTC."""
-    if cfg.mode != MODE_READOUT:
-        raise ValidationError("readout_frame requires readout mode")
     arr = np.asarray(frame, dtype=float)
     if arr.ndim != 2:
         raise ValidationError("frame must be 2-D")

@@ -80,69 +80,3 @@ def match_time(cfg: CounterConfig, magnitude):
     if t.ndim == 0:
         return float(t)
     return t
-
-
-@dataclass(frozen=True)
-class TimedPulse:
-    """Exposure pulse: asserted at t=0, deasserted at the match time."""
-
-    assert_time: float
-    deassert_time: float
-
-    @property
-    def width(self) -> float:
-        return self.deassert_time - self.assert_time
-
-
-def pulse(cfg: CounterConfig, magnitude: int, reset: bool = False) -> TimedPulse:
-    """Exposure pulse for one stored weight.
-
-    Reset dominates: an asserted reset forces the pulse deasserted
-    immediately (zero width), regardless of the stored weight.
-    """
-    if reset:
-        return TimedPulse(assert_time=0.0, deassert_time=0.0)
-    return TimedPulse(assert_time=0.0, deassert_time=match_time(cfg, magnitude))
-
-
-class WeightPlane:
-    """Per-pixel weight magnitude storage (the vertically stacked SRAM).
-
-    Writes happen in the write phase; the compute phase only reads, so no
-    locking is needed.
-    """
-
-    def __init__(self, rows: int, cols: int):
-        if rows < 1 or cols < 1:
-            raise ValidationError("weight plane dimensions must be >= 1")
-        self.rows = rows
-        self.cols = cols
-        self._mags = np.zeros((rows, cols), dtype=np.uint8)
-
-    def write(self, row: int, col: int, magnitude: int) -> None:
-        """Store one weight magnitude; out-of-bounds raises IndexError."""
-        _check_magnitude(magnitude)
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise IndexError(f"weight plane write out of bounds: ({row}, {col})")
-        self._mags[row, col] = magnitude
-
-    def read(self, row: int, col: int) -> int:
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise IndexError(f"weight plane read out of bounds: ({row}, {col})")
-        return int(self._mags[row, col])
-
-    def load(self, magnitudes) -> None:
-        """Bulk write phase: replace the whole plane."""
-        arr = np.asarray(magnitudes)
-        _check_magnitude(arr)
-        if arr.shape != (self.rows, self.cols):
-            raise ValidationError(
-                f"weight plane expects shape {(self.rows, self.cols)}, got {arr.shape}"
-            )
-        self._mags = arr.astype(np.uint8, copy=True)
-
-    def magnitudes(self) -> np.ndarray:
-        """Read-only view of the stored magnitudes."""
-        view = self._mags.view()
-        view.flags.writeable = False
-        return view

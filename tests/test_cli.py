@@ -71,6 +71,33 @@ class TestDispatch:
         assert "v_fs" in err and "bogus" in err
 
 
+class TestConfigHoles:
+    """Non-finite and boolean settings exit 1 at load time, name the field
+    and leave no artifact."""
+
+    @pytest.mark.parametrize(
+        "mode, document, field",
+        [
+            ("montecarlo", '{"mismatch": {"sigma_cap": Infinity}}', "sigma_cap"),
+            ("montecarlo", '{"mismatch": {"sigma_gain": NaN}}', "sigma_gain"),
+            ("montecarlo", '{"mismatch": {"sigma_vrst": NaN}}', "sigma_vrst"),
+            ("metrics", '{"power_per_pixel_w": NaN}', "power_per_pixel_w"),
+            ("metrics", '{"cycle_time_s": Infinity}', "cycle_time_s"),
+            ("readout", '{"readout_exposure_s": true}', "readout_exposure_s"),
+            ("metrics", '{"conv": {"k": true}}', "conv.k"),
+            ("metrics", '{"array": {"rows": Infinity}}', "array.rows"),
+        ],
+    )
+    def test_rejected_at_load(self, tmp_path, capsys, mode, document, field):
+        config = tmp_path / "c.json"
+        config.write_text(document)
+        out = tmp_path / "o"
+        assert main([mode, "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestModes:
     def test_simulate_writes_planes_and_manifest(self, tmp_path):
         config_path = make_inputs(tmp_path)
@@ -128,6 +155,17 @@ class TestModes:
         assert model["fit"]["r_squared"] >= 0.999
         lines = (out / "transfer_samples.csv").read_text().splitlines()
         assert lines[0] == "w_norm,x_norm,volts"
+
+    def test_export_transfer_model_is_strict_json(self, tmp_path):
+        config_path = make_inputs(tmp_path)
+        out = tmp_path / "out"
+        assert main(["export-transfer", "--config", str(config_path), "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise AssertionError(f"{constant} in transfer_model.json")
+
+        model = json.loads((out / "transfer_model.json").read_text(), parse_constant=reject)
+        assert model["clamp_hi"] is None  # the fitted line is not clamped above
 
     def test_export_transfer_from_external_csv(self, tmp_path):
         samples = tmp_path / "samples.csv"

@@ -3,13 +3,14 @@ import pytest
 
 from ctia_ipc.errors import FormatError, ValidationError
 from ctia_ipc.formats import (
-    load_frame,
+    frame_to_photocurrents,
     load_pgm16,
     load_weights,
     read_csv,
     save_pgm16,
     save_weights,
     write_csv,
+    write_json,
 )
 from ctia_ipc.mapper import BnParams
 
@@ -26,7 +27,7 @@ class TestPgm:
         path = tmp_path / "tiny.pgm"
         save_pgm16(path, frame)
         i_max = 50e-12
-        currents = load_frame(path, i_max)
+        currents = frame_to_photocurrents(load_pgm16(path), i_max)
         assert currents[0, 0] == i_max and currents[1, 1] == i_max
         assert currents[0, 1] == 0.0 and currents[1, 0] == 0.0
 
@@ -148,3 +149,12 @@ class TestCsv:
         path = tmp_path / "t.csv"
         write_csv(path, ("v",), [(0.1,)])
         assert path.read_text().splitlines()[1] == "0.1"
+
+
+class TestJson:
+    def test_non_finite_never_written(self, tmp_path):
+        path = tmp_path / "metrics.json"
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                write_json(path, {"gops": value})
+            assert not path.exists()

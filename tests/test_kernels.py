@@ -1,6 +1,6 @@
-"""The row-blocked phase-stack tap kernels against the strided tap loops
-they replaced.  Both keep every node's summation order, so results must be
-bit-identical, not merely close."""
+"""The MAC kernel, its one-node wrapper and Monte Carlo against plain loops
+that sum in the same order: per column in (row, channel) order, then the
+columns in order.  Results must be bit-identical, not merely close."""
 
 import numpy as np
 import pytest
@@ -9,18 +9,20 @@ from ctia_ipc import parallel
 from ctia_ipc.formats import frame_to_photocurrents
 from ctia_ipc.golden import RAW_MAX, _polarity_codes
 from ctia_ipc.mapper import ConvSpec
+from ctia_ipc.metrics import MismatchSpec, monte_carlo
 from ctia_ipc.pipeline import photocurrent_channels
-from ctia_ipc.pixel import PixelParams
+from ctia_ipc.pixel import PixelParams, integrate
 from ctia_ipc.pixel_array import (
     N_CHANNELS,
     ArrayConfig,
     bayer_channel_view,
     bayer_phase_stacks,
     mac_node_voltages,
+    run_mac_cycle,
 )
 from ctia_ipc.wtc import CounterConfig, match_ticks
 
-from conftest import random_frame
+from conftest import random_frame, small_chain
 
 KERNELS = [1, 2, 3, 5, 7]
 STRIDES = [1, 2, 3, 4]
@@ -28,7 +30,8 @@ PADDINGS = [0, 1, 3]
 
 
 def reference_mac_node_voltages(cfg, params, wtc_cfg, channels, magnitudes, k, stride):
-    """Strided tap loop over a (4, rows, cols) channel stack."""
+    """Strided tap loop over a (4, rows, cols) channel stack, one CBL per
+    kernel column."""
     mags = np.asarray(magnitudes)
     rows, cols = channels.shape[1:]
     out_r = (rows - k) // stride + 1
@@ -36,6 +39,7 @@ def reference_mac_node_voltages(cfg, params, wtc_cfg, channels, magnitudes, k, s
     ticks = np.asarray(match_ticks(wtc_cfg, mags), dtype=np.int64)
     acc = np.zeros((out_r, out_c))
     for j in range(k):
+        cbl = np.zeros((out_r, out_c))
         for i in range(k):
             for ch in range(N_CHANNELS):
                 t = float(ticks[ch, i, j]) * wtc_cfg.t_step
@@ -46,8 +50,50 @@ def reference_mac_node_voltages(cfg, params, wtc_cfg, channels, magnitudes, k, s
                     i : i + stride * (out_r - 1) + 1 : stride,
                     j : j + stride * (out_c - 1) + 1 : stride,
                 ]
-                acc += np.minimum(patch * t / params.c_f, params.headroom)
+                cbl += np.minimum(patch * t / params.c_f, params.headroom)
+        acc += cbl
     return acc / cfg.divider
+
+
+def reference_run_mac_cycle(cfg, params, wtc_cfg, region, magnitudes):
+    """Scalar per-tap loop: integrate each pixel, sum each column's CBL in
+    (row, channel) order, add the columns in order and divide once."""
+    k = region.shape[1]
+    exposures = np.asarray(match_ticks(wtc_cfg, magnitudes), dtype=float) * wtc_cfg.t_step
+    total = 0.0
+    for j in range(k):
+        cbl = 0.0
+        for i in range(k):
+            for ch in range(N_CHANNELS):
+                cbl += integrate(params, region[ch, i, j], exposures[ch, i, j])
+        total += cbl
+    return total / (4.0 + 2.0 * cfg.c2 / cfg.c1 + cfg.c_f_acc / cfg.c1)
+
+
+def reference_mc_trial(chain, k, magnitude, x_norm, mm, trial):
+    """One perturbed single-window run, trial by trial: caps, then per-pixel
+    gain, feedback cap and reset offset, from the (seed, trial) stream."""
+    rng = np.random.default_rng([mm.seed, trial])
+    g_c1, g_c2, g_cf = 1.0 + mm.sigma_cap * rng.standard_normal(3)
+    n_pix = (N_CHANNELS, k, k)
+    gain = 1.0 + mm.sigma_gain * rng.standard_normal(n_pix)
+    cap = 1.0 + mm.sigma_cap * rng.standard_normal(n_pix)
+    vrst_off = mm.sigma_vrst * rng.standard_normal(n_pix)
+    pixel = chain.pixel
+    exposure = magnitude * chain.wtc.exposure_multiplier * chain.wtc.t_step
+    current = pixel.i_max * x_norm * gain
+    dv = np.minimum(current * exposure / (pixel.c_f * cap), pixel.headroom) + vrst_off
+    dv = np.maximum(dv, 0.0)
+    divider = 4.0 + 2.0 * (chain.array.c2 * g_c2) / (chain.array.c1 * g_c1) \
+        + (chain.array.c_f_acc * g_cf) / (chain.array.c1 * g_c1)
+    total = 0.0
+    for j in range(k):
+        cbl = 0.0
+        for i in range(k):
+            for ch in range(N_CHANNELS):
+                cbl += float(dv[ch, i, j])
+        total += cbl
+    return total / divider
 
 
 def reference_polarity_codes(channels_raw, mags, spec, code_scale, code_max):
@@ -106,6 +152,36 @@ def test_mac_node_voltages_bit_exact(k, s, p, pixel_config):
     got = mac_node_voltages(cfg, pixel, wtc, photocurrent_channels(raw, pixel, p, s), mags, k, s)
     assert got.shape == expected.shape
     assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("pixel_config", sorted(PIXEL_CONFIGS))
+@pytest.mark.parametrize("k", range(1, 8))
+def test_run_mac_cycle_bit_exact(k, pixel_config):
+    pixel, wtc = PIXEL_CONFIGS[pixel_config]
+    cfg = ArrayConfig(rows=2, cols=2)
+    rng = np.random.default_rng(k)
+    for n in range(40):
+        if n % 4 == 0:  # all-equal windows, as the sweeps run them
+            region = np.full((N_CHANNELS, k, k), rng.uniform(0, pixel.i_max))
+            mags = np.full((N_CHANNELS, k, k), rng.integers(0, 16))
+        else:
+            region = rng.uniform(0, pixel.i_max, (N_CHANNELS, k, k))
+            mags = rng.integers(0, 16, (N_CHANNELS, k, k))
+        expected = reference_run_mac_cycle(cfg, pixel, wtc, region, mags)
+        assert run_mac_cycle(cfg, pixel, wtc, region, mags) == expected
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_monte_carlo_bit_exact(k, monkeypatch):
+    # Seven trials per chunk: 25 trials make three full chunks and a short one.
+    monkeypatch.setattr(parallel, "ROW_BLOCK_NODES", 7 * N_CHANNELS * k * k)
+    chain = small_chain()
+    mm = MismatchSpec(sigma_cap=0.05, sigma_vrst=1e-3, sigma_gain=0.05, trials=25, seed=k)
+    result = monte_carlo(chain, mm, k=k, magnitude=11, x_norm=0.7)
+    expected = [reference_mc_trial(chain, k, 11, 0.7, mm, t) for t in range(mm.trials)]
+    assert np.array_equal(result.samples, expected)
+    nominal = reference_mc_trial(chain, k, 11, 0.7, MismatchSpec(trials=1, seed=k), 0)
+    assert result.nominal == nominal
 
 
 @pytest.mark.parametrize("p", PADDINGS)

@@ -152,6 +152,12 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError):
             MismatchSpec(sigma_cap=-0.1)
 
+    @pytest.mark.parametrize("name", ["sigma_cap", "sigma_vrst", "sigma_gain"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, name, value):
+        with pytest.raises(ValidationError, match=name):
+            MismatchSpec(**{name: value})
+
 
 class TestLinearitySweep:
     def test_zero_row(self, chain):

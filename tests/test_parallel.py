@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from ctia_ipc import metrics, parallel
+from ctia_ipc import parallel
 from ctia_ipc.errors import ValidationError
 from ctia_ipc.golden import golden_layer
 from ctia_ipc.mapper import ConvSpec
-from ctia_ipc.metrics import MismatchSpec, monte_carlo
 from ctia_ipc.pipeline import simulate_layer
 
 from conftest import random_frame, random_layer, small_chain
@@ -50,15 +49,6 @@ class TestWorkerCount:
         monkeypatch.setenv("CTIA_IPC_THREADS", threads)
         with pytest.raises(ValidationError):
             parallel.worker_count(8)
-
-    def test_monte_carlo_pool_is_capped(self, four_cpus, monkeypatch, chain):
-        seen = []
-        monkeypatch.setattr(metrics, "ThreadPoolExecutor", lambda max_workers: RecordingExecutor(seen, max_workers))
-        monkeypatch.setenv("CTIA_IPC_THREADS", "5000")
-        mm = MismatchSpec(sigma_gain=0.01, trials=10_000, seed=3)
-        result = monte_carlo(chain, mm, k=1)
-        assert seen == [4]
-        assert result.samples.size == 10_000
 
     def test_row_block_pool_is_capped(self, four_cpus, monkeypatch):
         seen, done = [], []

@@ -6,23 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctia_ipc.errors import ScheduleError, StateError, ValidationError
-from ctia_ipc.pixel import PixelParams
+from ctia_ipc.pixel import PixelParams, integrate
 from ctia_ipc.pixel_array import (
     ArrayConfig,
-    CblState,
     MacCycleResult,
-    MODE_READOUT,
-    accumulate_column,
     bayer_channel_view,
     bayer_phase_stacks,
-    combine_columns,
-    extract_window,
+    charge_share_divider,
     mac_node_voltages,
     readout_frame,
     run_mac_cycle,
     run_signed_mac,
+    tap_grid,
 )
-from ctia_ipc.wtc import CounterConfig
+from ctia_ipc.wtc import CounterConfig, match_time
 
 
 def eq1_oracle(c1, c2, cf, volts):
@@ -30,65 +27,129 @@ def eq1_oracle(c1, c2, cf, volts):
     return math.fsum(volts) / (4 + 2 * c2 / c1 + cf / c1)
 
 
+def single_row_window(currents, mags):
+    """(4, k, k) region and magnitudes whose only active taps are channel 0
+    of row 0, so that column j's CBL holds one contribution."""
+    k = len(currents)
+    region = np.zeros((4, k, k))
+    magnitudes = np.zeros((4, k, k), dtype=np.int64)
+    region[0, 0] = currents
+    magnitudes[0, 0] = mags
+    return region, magnitudes
+
+
+def column_volts(pixel, wtc, currents, mags):
+    return [integrate(pixel, i, match_time(wtc, int(m))) for i, m in zip(currents, mags)]
+
+
 class TestAccumulateColumn:
+    """One column's CBL, through run_mac_cycle on windows whose active taps
+    all lie in one kernel column."""
+
+    def setup_method(self):
+        self.cfg = ArrayConfig(rows=2, cols=2)
+        self.pixel = PixelParams()
+        self.wtc = CounterConfig()
+
     def test_empty(self):
-        assert accumulate_column([]) == 0.0
+        # A column without active taps adds nothing, whatever its currents.
+        rng = np.random.default_rng(2)
+        region = rng.uniform(0, self.pixel.i_max, (4, 3, 3))
+        mags = rng.integers(1, 16, (4, 3, 3))
+        mags[:, :, 1] = 0
+        other = region.copy()
+        other[:, :, 1] = rng.uniform(0, self.pixel.i_max, (4, 3))
+        v = run_mac_cycle(self.cfg, self.pixel, self.wtc, region, mags)
+        assert v == run_mac_cycle(self.cfg, self.pixel, self.wtc, other, mags)
 
     def test_additive(self):
-        assert accumulate_column([0.1, 0.2, 0.3]) == pytest.approx(0.6)
+        region = np.zeros((4, 3, 3))
+        mags = np.zeros((4, 3, 3), dtype=np.int64)
+        region[0, :, 0] = self.pixel.i_max * np.array([0.2, 0.4, 0.6])
+        mags[0, :, 0] = 15
+        dv = self.pixel.i_max * 15 * self.wtc.t_step / self.pixel.c_f
+        v = run_mac_cycle(self.cfg, self.pixel, self.wtc, region, mags)
+        assert v == pytest.approx(1.2 * dv / self.cfg.divider)
 
     def test_against_sum_oracle(self):
         rng = np.random.default_rng(3)
-        contributions = rng.uniform(0, 0.05, 49)
-        assert accumulate_column(contributions) == pytest.approx(
-            math.fsum(contributions), rel=1e-12
-        )
+        region = rng.uniform(0, self.pixel.i_max, (4, 7, 7))
+        mags = np.zeros((4, 7, 7), dtype=np.int64)
+        mags[:, :, 3] = rng.integers(0, 16, (4, 7))
+        contributions = [
+            integrate(self.pixel, region[ch, i, 3], match_time(self.wtc, int(mags[ch, i, 3])))
+            for i in range(7)
+            for ch in range(4)
+        ]
+        v = run_mac_cycle(self.cfg, self.pixel, self.wtc, region, mags)
+        assert v == pytest.approx(math.fsum(contributions) / self.cfg.divider, rel=1e-12)
 
     def test_negative_rejected(self):
-        with pytest.raises(StateError):
-            accumulate_column([0.1, -0.01])
-
-    def test_cbl_state_counts_contributors(self):
-        cbl = CblState()
-        for dv in (0.1, 0.0, 0.2):
-            cbl.add(dv)
-        assert cbl.contributors == 3
-        assert cbl.volts == pytest.approx(0.3)
+        region = np.zeros((4, 3, 3))
+        region[0, 1, 2] = -1e-12
+        mags = np.ones((4, 3, 3), dtype=np.int64)
+        with pytest.raises(ValidationError):
+            run_mac_cycle(self.cfg, self.pixel, self.wtc, region, mags)
 
 
 class TestCombineColumns:
+    """The switching matrix's column combining, through run_mac_cycle on
+    single-row windows."""
+
+    def setup_method(self):
+        self.pixel = PixelParams()
+        self.wtc = CounterConfig()
+
     def test_single_input_d7(self):
         cfg = ArrayConfig(rows=2, cols=2)  # equal caps -> divider 7
         assert cfg.divider == 7.0
-        assert combine_columns(cfg, [0.7]) == pytest.approx(0.1)
+        region, mags = single_row_window([self.pixel.i_max], [15])
+        (dv,) = column_volts(self.pixel, self.wtc, [self.pixel.i_max], [15])
+        assert run_mac_cycle(cfg, self.pixel, self.wtc, region, mags) == pytest.approx(dv / 7)
 
     def test_symmetry_seven_inputs(self):
         cfg = ArrayConfig(rows=2, cols=2)
-        assert combine_columns(cfg, [0.7] * 7) == pytest.approx(0.7)
+        region, mags = single_row_window([self.pixel.i_max] * 7, [15] * 7)
+        (dv,) = column_volts(self.pixel, self.wtc, [self.pixel.i_max], [15])
+        assert run_mac_cycle(cfg, self.pixel, self.wtc, region, mags) == pytest.approx(dv)
 
     def test_random_against_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             c1, c2, cf = rng.uniform(1e-15, 50e-15, 3)
             cfg = ArrayConfig(rows=2, cols=2, c1=c1, c2=c2, c_f_acc=cf)
-            volts = rng.uniform(0, 0.1, 7)
-            assert combine_columns(cfg, volts) == pytest.approx(
-                eq1_oracle(c1, c2, cf, volts), rel=1e-12
+            currents = rng.uniform(0, self.pixel.i_max, 7)
+            mags = rng.integers(0, 16, 7)
+            region, magnitudes = single_row_window(currents, mags)
+            assert run_mac_cycle(cfg, self.pixel, self.wtc, region, magnitudes) == pytest.approx(
+                eq1_oracle(c1, c2, cf, column_volts(self.pixel, self.wtc, currents, mags)),
+                rel=1e-12,
             )
 
     def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            combine_columns(ArrayConfig(rows=2, cols=2), [])
+        with pytest.raises(ScheduleError):
+            run_mac_cycle(
+                ArrayConfig(rows=2, cols=2), self.pixel, self.wtc, np.zeros((4, 0, 0)),
+                np.zeros((4, 0, 0), dtype=np.int64),
+            )
 
-    @given(a=st.floats(0, 100), volts=st.lists(st.floats(0, 0.1), min_size=1, max_size=9))
+    @given(
+        a=st.floats(0, 1),
+        currents=st.lists(st.floats(0, 50e-12), min_size=1, max_size=7),
+    )
     @settings(max_examples=200)
-    def test_homogeneity(self, a, volts):
+    def test_homogeneity(self, a, currents):
+        # Below the headroom clamp, scaling every photocurrent scales V_adc_in.
         cfg = ArrayConfig(rows=2, cols=2)
-        scaled = combine_columns(cfg, [a * v for v in volts])
-        assert scaled == pytest.approx(a * combine_columns(cfg, volts), rel=1e-12, abs=1e-300)
+        mags = [15] * len(currents)
+        scaled_window = single_row_window([a * i for i in currents], mags)
+        scaled = run_mac_cycle(cfg, self.pixel, self.wtc, *scaled_window)
+        nominal = run_mac_cycle(cfg, self.pixel, self.wtc, *single_row_window(currents, mags))
+        assert scaled == pytest.approx(a * nominal, rel=1e-12, abs=1e-300)
 
     def test_divider_invariant(self):
         assert ArrayConfig(rows=1, cols=1, c1=1e-15, c2=1e-18, c_f_acc=1e-18).divider > 4
+        assert charge_share_divider(10e-15, 10e-15, 10e-15) == 7.0
 
 
 class TestBayerView:
@@ -124,9 +185,10 @@ class TestBayerView:
                     assert phases[a][b] is phases[a][b ^ 1]
 
     def test_window_bounds(self):
-        channels = bayer_channel_view(np.zeros((8, 8)))
+        phases = bayer_phase_stacks(np.zeros((8, 8)), 1)
+        assert tap_grid(phases, 7, 1) == (2, 2)
         with pytest.raises(ScheduleError):
-            extract_window(channels, 4, 4, 7)
+            tap_grid(phases, 9, 1)
 
 
 class TestRunMacCycle:
@@ -228,9 +290,8 @@ class TestVectorizedPath:
         grid = mac_node_voltages(cfg, pixel, wtc, bayer_phase_stacks(frame, s), mags, k, s)
         for r_out in range(grid.shape[0]):
             for c_out in range(grid.shape[1]):
-                region = extract_window(channels, r_out * s, c_out * s, k)
-                v = run_mac_cycle(cfg, pixel, wtc, region, mags)
-                assert grid[r_out, c_out] == pytest.approx(v, rel=1e-9)
+                region = channels[:, r_out * s : r_out * s + k, c_out * s : c_out * s + k]
+                assert grid[r_out, c_out] == run_mac_cycle(cfg, pixel, wtc, region, mags)
 
     def test_geometry_rejected(self):
         pixel, wtc, cfg = PixelParams(), CounterConfig(), ArrayConfig(rows=4, cols=8)
@@ -244,11 +305,10 @@ class TestVectorizedPath:
 
 class TestReadout:
     def setup_method(self):
-        self.cfg = ArrayConfig(rows=8, cols=8, mode=MODE_READOUT)
         self.pixel = PixelParams()
 
     def test_dark_frame(self):
-        out = readout_frame(self.cfg, self.pixel, np.zeros((8, 8)), 1e-5)
+        out = readout_frame(self.pixel, np.zeros((8, 8)), 1e-5)
         assert np.all(out == 0.0)
 
     def test_uniform_half_scale(self):
@@ -256,17 +316,12 @@ class TestReadout:
         frame = np.full((8, 8), 0.5 * self.pixel.i_max)
         expected = 0.5 * self.pixel.i_max * exposure / self.pixel.c_f
         assert expected < self.pixel.headroom
-        out = readout_frame(self.cfg, self.pixel, frame, exposure)
+        out = readout_frame(self.pixel, frame, exposure)
         assert np.allclose(out, expected, rtol=1e-12)
-
-    def test_mode_enforced(self):
-        mac_cfg = ArrayConfig(rows=8, cols=8)
-        with pytest.raises(ValidationError):
-            readout_frame(mac_cfg, self.pixel, np.zeros((8, 8)), 1e-5)
 
     def test_independent_of_weights(self):
         # Readout never consults the weight store; nothing to pass in at all.
         frame = np.full((8, 8), 0.25 * self.pixel.i_max)
-        a = readout_frame(self.cfg, self.pixel, frame, 2e-5)
-        b = readout_frame(self.cfg, self.pixel, frame, 2e-5)
+        a = readout_frame(self.pixel, frame, 2e-5)
+        b = readout_frame(self.pixel, frame, 2e-5)
         assert np.array_equal(a, b)

@@ -1,17 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ctia_ipc.errors import ValidationError
 from ctia_ipc.wtc import (
     COUNTER_BITS,
-    MAG_MAX,
     CounterConfig,
-    WeightPlane,
     match_ticks,
     match_time,
-    pulse,
 )
 
 
@@ -89,56 +84,3 @@ class TestCounterConfig:
 
     def test_multipliers(self):
         assert [CounterConfig(window=w).exposure_multiplier for w in range(4)] == [1, 2, 4, 8]
-
-
-class TestPulse:
-    def test_reset_dominance(self):
-        assert pulse(CounterConfig(), 15, reset=True).width == 0.0
-
-    def test_example_width(self):
-        cfg = CounterConfig(t_step=0.5e-6, window=1)
-        assert pulse(cfg, 8).width == (8 << 1) * 0.5e-6
-
-    def test_monotone_in_magnitude(self):
-        cfg = CounterConfig()
-        widths = [pulse(cfg, m).width for m in range(16)]
-        assert all(a < b for a, b in zip(widths, widths[1:]))
-
-
-class TestWeightPlane:
-    def test_write_read_roundtrip(self):
-        plane = WeightPlane(4, 4)
-        plane.write(2, 3, 9)
-        assert plane.read(2, 3) == 9
-
-    def test_isolation(self):
-        plane = WeightPlane(2, 2)
-        plane.write(0, 0, 7)
-        plane.write(0, 1, 3)
-        assert plane.read(0, 0) == 7
-
-    def test_out_of_bounds(self):
-        plane = WeightPlane(2, 2)
-        with pytest.raises(IndexError):
-            plane.write(2, 0, 1)
-        with pytest.raises(IndexError):
-            plane.read(0, -3)
-
-    def test_full_array_roundtrip(self):
-        # Exhaustive scan at array scale via the bulk write phase.
-        rng = np.random.default_rng(0)
-        mags = rng.integers(0, MAG_MAX + 1, size=(1024, 1280)).astype(np.uint8)
-        plane = WeightPlane(1024, 1280)
-        plane.load(mags)
-        assert np.array_equal(plane.magnitudes(), mags)
-        # Spot-check the per-cell path against the bulk store.
-        for r, c in ((0, 0), (1023, 1279), (511, 640)):
-            assert plane.read(r, c) == int(mags[r, c])
-
-    @given(st.integers(0, MAG_MAX), st.integers(0, 7), st.integers(0, 7))
-    @settings(max_examples=50)
-    def test_single_cell_property(self, mag, r, c):
-        plane = WeightPlane(8, 8)
-        plane.write(r, c, mag)
-        assert plane.read(r, c) == mag
-        assert plane.magnitudes().sum() == mag
