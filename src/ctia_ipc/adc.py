@@ -27,34 +27,31 @@ _BOUNDARY_GUARD = 1e-9
 
 @dataclass(frozen=True)
 class AdcConfig:
-    """bits is fixed at 6; v_fs is the ramp span; bn_offset_codes is the
-    preloaded CDS counter value (digitized BN offset); out_bits is the
-    requantized activation width."""
+    """v_fs is the ramp span of the ADC_BITS-bit converter; bn_offset_codes
+    is the preloaded CDS counter value (digitized BN offset); out_bits is
+    the requantized activation width."""
 
     v_fs: float = 0.64
     bn_offset_codes: int = 0
     out_bits: int = 4
-    bits: int = ADC_BITS
 
     def __post_init__(self):
-        if self.bits != ADC_BITS:
-            raise ValidationError(f"ADC resolution is fixed at {ADC_BITS} bits")
         if not (math.isfinite(self.v_fs) and self.v_fs > 0):
             raise ValidationError(f"adc.v_fs must be finite and > 0, got {self.v_fs}")
-        if not 1 <= self.out_bits <= self.bits:
+        if not 1 <= self.out_bits <= ADC_BITS:
             raise ValidationError(
-                f"adc.out_bits must be in [1, {self.bits}], got {self.out_bits}"
+                f"adc.out_bits must be in [1, {ADC_BITS}], got {self.out_bits}"
             )
         if not isinstance(self.bn_offset_codes, (int, np.integer)):
             raise ValidationError("adc.bn_offset_codes must be an integer")
 
     @property
     def lsb(self) -> float:
-        return self.v_fs / (1 << self.bits)
+        return self.v_fs / (1 << ADC_BITS)
 
     @property
     def code_max(self) -> int:
-        return (1 << self.bits) - 1
+        return (1 << ADC_BITS) - 1
 
     @property
     def out_max(self) -> int:
@@ -92,7 +89,7 @@ def relu_requantize(cfg: AdcConfig, code):
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValidationError("relu_requantize expects integer codes")
     clipped = np.maximum(arr, 0)
-    value = np.minimum(clipped >> (cfg.bits - cfg.out_bits), cfg.out_max)
+    value = np.minimum(clipped >> (ADC_BITS - cfg.out_bits), cfg.out_max)
     if value.ndim == 0:
         return int(value)
     return value

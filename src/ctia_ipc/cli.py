@@ -33,7 +33,7 @@ from .mapper import build_schedule, fuse_and_quantize
 from .metrics import linearity_sweep, metrics_report, monte_carlo
 from .pipeline import simulate_layer, sweep_window_chain
 from .pixel import fit_transfer, fit_transfer_model
-from .pixel_array import readout_frame
+from .pixel_array import N_CHANNELS, readout_frame
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -78,10 +78,10 @@ def _load_sensor_frame(cfg: RunConfig) -> np.ndarray:
 
 def _load_layer(cfg: RunConfig):
     weights, bn = formats.load_weights(require_input(cfg.weights_path, "weights"))
-    if weights.shape != (cfg.conv.c_o, cfg.conv.c_in, cfg.conv.k, cfg.conv.k):
+    expected = (cfg.conv.c_o, N_CHANNELS, cfg.conv.k, cfg.conv.k)
+    if weights.shape != expected:
         raise ValidationError(
-            f"weight document shape {weights.shape} does not match the conv spec "
-            f"{(cfg.conv.c_o, cfg.conv.c_in, cfg.conv.k, cfg.conv.k)}"
+            f"weight document shape {weights.shape} does not match the conv spec {expected}"
         )
     return fuse_and_quantize(weights, bn, cfg.conv.mag_max)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .adc import AdcConfig
 from .errors import FormatError, ValidationError
@@ -107,6 +107,10 @@ def _not_a_setting(value) -> bool:
     return isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _build_section(cls, doc: dict, section: str, problems: list, extra: dict | None = None):
     raw = doc.get(section, {})
     if not isinstance(raw, dict):
@@ -116,10 +120,13 @@ def _build_section(cls, doc: dict, section: str, problems: list, extra: dict | N
     unknown = set(raw) - allowed
     for key in sorted(unknown):
         problems.append(f"unknown key '{section}.{key}'")
+    int_fields = {f.name for f in fields(cls) if type(f.default) is int}
     kwargs = {}
     for key in sorted(allowed & set(raw)):
         if _not_a_setting(raw[key]):
             problems.append(f"'{section}.{key}' must be a finite number, got {raw[key]!r}")
+        elif key in int_fields and not _is_int(raw[key]):
+            problems.append(f"'{section}.{key}' must be an integer, got {raw[key]!r}")
         else:
             kwargs[key] = raw[key]
     if extra:
@@ -158,7 +165,7 @@ def load_config(path: str | None, seed_override: int | None = None, out_override
         problems.append(f"unknown top-level key '{key}'")
 
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not _is_int(seed):
         problems.append(f"seed must be an integer, got {seed!r}")
         seed = 0
 
@@ -193,7 +200,7 @@ def load_config(path: str | None, seed_override: int | None = None, out_override
     else:
         cfg.sweep_modes = tuple(modes)
     x_points = sweep.get("x_points", cfg.sweep_x_points)
-    if not isinstance(x_points, int) or x_points < 2:
+    if not _is_int(x_points) or x_points < 2:
         problems.append("sweep.x_points must be an integer >= 2")
     else:
         cfg.sweep_x_points = x_points
@@ -203,12 +210,12 @@ def load_config(path: str | None, seed_override: int | None = None, out_override
         problems.append("section 'transfer' must be an object")
         transfer = {}
     degree = transfer.get("degree", cfg.transfer_fit_degree)
-    if not isinstance(degree, int) or degree < 1:
+    if not _is_int(degree) or degree < 1:
         problems.append("transfer.degree must be an integer >= 1")
     else:
         cfg.transfer_fit_degree = degree
     grid = transfer.get("grid_points", cfg.transfer_grid_points)
-    if not isinstance(grid, int) or grid < 2:
+    if not _is_int(grid) or grid < 2:
         problems.append("transfer.grid_points must be an integer >= 2")
     else:
         cfg.transfer_grid_points = grid
@@ -219,7 +226,7 @@ def load_config(path: str | None, seed_override: int | None = None, out_override
         problems.append("section 'verify' must be an object")
         verify = {}
     max_within = verify.get("max_within", cfg.verify_max_within)
-    if not isinstance(max_within, int) or max_within < 0:
+    if not _is_int(max_within) or max_within < 0:
         problems.append("verify.max_within must be an integer >= 0")
     else:
         cfg.verify_max_within = max_within

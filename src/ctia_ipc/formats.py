@@ -146,7 +146,7 @@ def load_weights(path):
     dims = {}
     for name in ("c_o", "c_in", "k"):
         value = shape.get(name)
-        if not isinstance(value, int) or value < 1:
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             problems.append(f"shape.{name} must be a positive integer, got {value!r}")
         else:
             dims[name] = value
@@ -196,7 +196,7 @@ def load_weights(path):
                 continue
             arrays[name] = arr
         epsilon = bn_doc.get("epsilon")
-        if not isinstance(epsilon, (int, float)) or not epsilon > 0:
+        if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool) or not epsilon > 0:
             problems.append(f"bn.epsilon must be a positive number, got {epsilon!r}")
         elif len(arrays) == 4:
             if np.any(arrays["sigma_sq"] < 0):

@@ -6,7 +6,9 @@ a calibration map derived from the same physical parameters the simulator
 uses.  It deliberately mirrors the two-cycle structure of the hardware --
 positive and negative magnitudes are quantized separately and meet in the
 signed CDS subtraction -- because the +/-1 LSB equivalence contract is
-only achievable when both paths quantize at the same points.
+only achievable when both paths quantize at the same points.  For the same
+reason it caps each integer tap product where the pixel's headroom clamp
+engages.
 
 The calibration map is always derived, never free-set, so the simulator
 and the oracle cannot drift apart in units.
@@ -39,14 +41,17 @@ class CalibrationMap:
     volts_per_unit_product: ADC-input volts produced by one unit of
     w_norm * x_norm through pixel integration and the column divider.
     lsb_per_unit: the same quantity in ADC codes.
+    tap_saturation: the integer tap product magnitude * raw at which one
+    pixel's discharge reaches the headroom clamp.
     """
 
     volts_per_unit_product: float
     lsb_per_unit: float
+    tap_saturation: float
 
     def __post_init__(self):
-        if self.volts_per_unit_product <= 0 or self.lsb_per_unit <= 0:
-            raise ValidationError("calibration must map a positive voltage per unit product")
+        if min(self.volts_per_unit_product, self.lsb_per_unit, self.tap_saturation) <= 0:
+            raise ValidationError("calibration quantities must be positive")
 
     @classmethod
     def derive(
@@ -62,7 +67,11 @@ class CalibrationMap:
         with the simulator)."""
         t_full = mag_max * wtc_cfg.exposure_multiplier * wtc_cfg.t_step
         volts = pixel.i_max * t_full / pixel.c_f / array_cfg.divider
-        return cls(volts_per_unit_product=volts, lsb_per_unit=volts / adc_cfg.lsb)
+        # A tap discharges i_max * (raw / RAW_MAX) * magnitude * 2^window *
+        # t_step / c_f volts until the pixel clamps it at headroom.
+        charge_per_mag = pixel.i_max * wtc_cfg.exposure_multiplier * wtc_cfg.t_step
+        saturation = pixel.headroom * pixel.c_f * RAW_MAX / charge_per_mag
+        return cls(volts, volts / adc_cfg.lsb, saturation)
 
 
 def offset_codes(fused: FusedLayer, cal: CalibrationMap, adc_cfg: AdcConfig) -> np.ndarray:
@@ -79,11 +88,15 @@ def offset_codes(fused: FusedLayer, cal: CalibrationMap, adc_cfg: AdcConfig) -> 
     return np.rint(volts / adc_cfg.lsb).astype(np.int64)
 
 
-def _polarity_codes(phases, mags: np.ndarray, spec: ConvSpec, code_scale: float, code_max: int) -> np.ndarray:
+def _polarity_codes(
+    phases, mags: np.ndarray, spec: ConvSpec, code_scale: float, code_max: int, tap_saturation: float
+) -> np.ndarray:
     """Quantized codes for one polarity: exact integer tap accumulation,
     then a single scale to codes.  Tap products magnitude*raw fit easily
-    in int64.  phases are the bayer_phase_stacks of the int64 frame; taps
-    accumulate in (column, row, channel) order over row blocks."""
+    in int64; each is capped at int(tap_saturation), the pixel's headroom
+    clamp, which only taps with magnitude * RAW_MAX above it can reach.
+    phases are the bayer_phase_stacks of the int64 frame; taps accumulate
+    in (column, row, channel) order over row blocks."""
     k, s = spec.k, spec.s
     out_r, out_c = tap_grid(phases, k, s)
     taps = [
@@ -101,6 +114,8 @@ def _polarity_codes(phases, mags: np.ndarray, spec: ConvSpec, code_scale: float,
         product = np.empty_like(acc)
         for plane, di, dj, m in taps:
             np.multiply(plane[di + r0 : di + r1, dj : dj + out_c], m, out=product)
+            if m * RAW_MAX > tap_saturation:
+                np.minimum(product, int(tap_saturation), out=product)
             np.add(acc, product, out=acc)
         scaled = np.floor(acc * code_scale + _BOUNDARY_GUARD).astype(np.int64)
         np.minimum(scaled, code_max, out=acc)
@@ -141,9 +156,10 @@ def golden_layer(
     bn_codes = offset_codes(fused, cal, adc_cfg)
     (out_r, out_c), (pool_r, pool_c) = output_dims(spec, *np.asarray(frame_raw).shape)
     result = np.empty((spec.c_o, pool_r, pool_c), dtype=np.int64)
+    limits = (code_scale, adc_cfg.code_max, cal.tap_saturation)
     for ch_out in range(spec.c_o):
-        pos = _polarity_codes(phases, fused.pos_mags[ch_out], spec, code_scale, adc_cfg.code_max)
-        neg = _polarity_codes(phases, fused.neg_mags[ch_out], spec, code_scale, adc_cfg.code_max)
+        pos = _polarity_codes(phases, fused.pos_mags[ch_out], spec, *limits)
+        neg = _polarity_codes(phases, fused.neg_mags[ch_out], spec, *limits)
         signed = pos - neg + int(bn_codes[ch_out])
         per_node = relu_requantize(adc_cfg, signed)
         result[ch_out] = maxpool(per_node, spec.p_s)

@@ -20,7 +20,7 @@ the ReLU threshold to -B.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class ConvSpec:
     s: int = 2
     p: int = 0
     c_o: int = 16
-    c_in: int = N_CHANNELS
     n_b: int = 4
     p_s: int = 2
     weight_mag_bits: int = 4
@@ -58,8 +57,6 @@ class ConvSpec:
             raise ValidationError(f"padding must be >= 0, got {self.p}")
         if self.c_o < 1:
             raise ValidationError(f"output channels must be >= 1, got {self.c_o}")
-        if self.c_in != N_CHANNELS:
-            raise ValidationError(f"input channels are fixed at {N_CHANNELS} (RGGB)")
         if not 1 <= self.n_b <= 16:
             raise ValidationError(f"output bits must be in [1, 16], got {self.n_b}")
         if self.p_s < 1:
@@ -209,82 +206,56 @@ def output_dims(spec: ConvSpec, rows: int, cols: int):
 
 
 @dataclass(frozen=True)
-class Cycle:
-    """One compute cycle: a set of column-disjoint windows in one output
-    row band, identified by their output-column indices."""
-
-    row_out: int
-    col_outs: tuple
-
-    def window_count(self) -> int:
-        return len(self.col_outs)
-
-
-@dataclass
 class Schedule:
-    """Disjoint-window schedule for one channel pass over the array."""
+    """Column-disjoint window schedule for one channel pass, as counts.
+
+    Each output row takes cycles_per_row cycles; the leading cycle carries
+    max_parallel windows.
+    """
 
     spec: ConvSpec
-    rows: int
-    cols: int
     out_rows: int
     out_cols: int
-    pitch: int
     max_parallel: int
-    cycles: list = field(default_factory=list)
+    cycles_per_row: int
 
     @property
     def cycle0_active_pixels(self) -> int:
-        return self.active_pixels(0)
-
-    def active_pixels(self, cycle_index: int) -> int:
-        k = self.spec.k
-        return self.cycles[cycle_index].window_count() * k * k * N_CHANNELS
+        return self.max_parallel * self.spec.k * self.spec.k * N_CHANNELS
 
     def total_active_pixels(self) -> int:
         k = self.spec.k
         return self.out_rows * self.out_cols * k * k * N_CHANNELS
 
     def n_cycles(self) -> int:
-        return len(self.cycles)
+        return self.out_rows * self.cycles_per_row
 
 
 def build_schedule(spec: ConvSpec, rows: int, cols: int) -> Schedule:
-    """Plan column-disjoint window cycles covering the full output grid.
+    """Count the column-disjoint window cycles covering the output grid.
 
-    Windows scheduled together sit one lcm(k, s) apart in output columns
-    (s*lcm(k, s) raw pixel columns), and at most
-    floor((cols - k + 2p) / (s*lcm(k, s))) of them run per cycle; the
-    leading cycle carries exactly that many windows, so its active-pixel
-    count is the closed-form figure n * k^2 * 4.  Every output node is
-    covered exactly once across cycles.
+    Windows scheduled together sit pitch = lcm(k, s) apart in output
+    columns (s*pitch raw pixel columns), so no two share a pixel column,
+    and at most max_parallel = floor((cols - k + 2p) / (s*pitch)) of them
+    run per cycle.  In each output row, phase phi < pitch holds the
+    ceil((out_c - phi) / pitch) output columns phi, phi + pitch, ...,
+    split into ceil(that / max_parallel) cycles.  Phase 0 holds at least
+    max_parallel columns, so the leading cycle carries exactly
+    max_parallel windows and max_parallel * k^2 * 4 active pixels.  Every
+    output node is covered exactly once.  The counts are closed form: no
+    cycle is enumerated.
     """
     if rows < spec.k or cols < spec.k:
         raise ScheduleError(f"image {rows}x{cols} smaller than kernel {spec.k}")
     (out_r, out_c), _ = output_dims(spec, rows, cols)
     pitch = math.lcm(spec.k, spec.s)
     max_parallel = max(1, (cols - spec.k + 2 * spec.p) // (spec.s * pitch))
-    cycles = []
-    for row_out in range(out_r):
-        for phase in range(min(pitch, out_c)):
-            col_outs = list(range(phase, out_c, pitch))
-            for start in range(0, len(col_outs), max_parallel):
-                chunk = col_outs[start : start + max_parallel]
-                cycles.append(Cycle(row_out=row_out, col_outs=tuple(chunk)))
     return Schedule(
         spec=spec,
-        rows=rows,
-        cols=cols,
         out_rows=out_r,
         out_cols=out_c,
-        pitch=pitch,
         max_parallel=max_parallel,
-        cycles=cycles,
+        cycles_per_row=sum(
+            -(-len(range(phase, out_c, pitch)) // max_parallel) for phase in range(pitch)
+        ),
     )
-
-
-def window_pixel_columns(spec: ConvSpec, col_out: int) -> set:
-    """Pixel columns a window at output column col_out occupies, in
-    zero-padded frame coordinates."""
-    c0 = col_out * spec.s
-    return set(range(c0, c0 + spec.k))

@@ -59,7 +59,7 @@ def bandwidth_reduction(spec: ConvSpec, rows: int, cols: int):
 def op_count(spec: ConvSpec, rows: int, cols: int) -> int:
     """Multiply+add operation count for one frame (2 ops per kernel tap)."""
     (out_r, out_c), _ = output_dims(spec, rows, cols)
-    return out_r * out_c * spec.c_o * 2 * spec.k * spec.k * spec.c_in
+    return out_r * out_c * spec.c_o * 2 * spec.k * spec.k * N_CHANNELS
 
 
 def default_cycle_time(wtc_t_step: float, window: int, adc_ticks: int = 64) -> float:

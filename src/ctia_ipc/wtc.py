@@ -23,7 +23,8 @@ from .errors import ValidationError
 COUNTER_BITS = 7
 WEIGHT_BITS = 4
 MAG_MAX = (1 << WEIGHT_BITS) - 1
-WINDOWS = (0, 1, 2, 3)
+# Every 4-bit slice of the 7-bit counter: windows 0..3.
+WINDOWS = tuple(range(COUNTER_BITS - WEIGHT_BITS + 1))
 
 
 @dataclass(frozen=True)
@@ -37,11 +38,8 @@ class CounterConfig:
 
     t_step: float = 1e-6
     window: int = 0
-    width: int = COUNTER_BITS
 
     def __post_init__(self):
-        if self.width != COUNTER_BITS:
-            raise ValidationError(f"counter width is fixed at {COUNTER_BITS} bits")
         if self.window not in WINDOWS:
             raise ValidationError(f"counter window must be one of {WINDOWS}, got {self.window}")
         if not (math.isfinite(self.t_step) and self.t_step > 0):

@@ -5,7 +5,7 @@ from ctia_ipc.adc import AdcConfig
 from ctia_ipc.mapper import BnParams, ConvSpec, fuse_and_quantize
 from ctia_ipc.pipeline import ChainConfig
 from ctia_ipc.pixel import PixelParams
-from ctia_ipc.pixel_array import ArrayConfig
+from ctia_ipc.pixel_array import N_CHANNELS, ArrayConfig
 from ctia_ipc.wtc import CounterConfig
 
 
@@ -40,7 +40,7 @@ def chain():
 
 def random_layer(rng, spec: ConvSpec, beta_bias=0.0):
     """Random signed weights and BN params, fused and quantized."""
-    weights = rng.normal(size=(spec.c_o, spec.c_in, spec.k, spec.k))
+    weights = rng.normal(size=(spec.c_o, N_CHANNELS, spec.k, spec.k))
     bn = BnParams(
         gamma=rng.uniform(0.5, 2.0, spec.c_o),
         beta=rng.normal(size=spec.c_o) * 0.2 + beta_bias,

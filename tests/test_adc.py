@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ctia_ipc.adc import AdcConfig, cds_signed, maxpool, quantize, relu_requantize
+from ctia_ipc.adc import ADC_BITS, AdcConfig, cds_signed, maxpool, quantize, relu_requantize
 from ctia_ipc.errors import StateError, ValidationError
 
 
@@ -89,7 +89,7 @@ class TestReluRequantize:
         assert relu_requantize(adc_cfg, 25) == 6
 
     def test_idempotent_after_reexpansion(self, adc_cfg):
-        shift = adc_cfg.bits - adc_cfg.out_bits
+        shift = ADC_BITS - adc_cfg.out_bits
         for code in range(-10, 70):
             value = relu_requantize(adc_cfg, code)
             assert relu_requantize(adc_cfg, value << shift) == value

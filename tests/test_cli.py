@@ -72,8 +72,8 @@ class TestDispatch:
 
 
 class TestConfigHoles:
-    """Non-finite and boolean settings exit 1 at load time, name the field
-    and leave no artifact."""
+    """Non-finite, boolean and non-integral settings exit 1 at load time,
+    name the field and leave no artifact."""
 
     @pytest.mark.parametrize(
         "mode, document, field",
@@ -86,6 +86,12 @@ class TestConfigHoles:
             ("readout", '{"readout_exposure_s": true}', "readout_exposure_s"),
             ("metrics", '{"conv": {"k": true}}', "conv.k"),
             ("metrics", '{"array": {"rows": Infinity}}', "array.rows"),
+            ("metrics", '{"array": {"rows": 64.5}}', "array.rows"),
+            ("montecarlo", '{"mismatch": {"trials": 10.5}}', "mismatch.trials"),
+            ("verify", '{"conv": {"k": 3.0}}', "conv.k"),
+            ("simulate", '{"conv": {"k": 3.0}}', "conv.k"),
+            ("export-transfer", '{"transfer": {"degree": true}}', "transfer.degree"),
+            ("verify", '{"verify": {"max_within": true}}', "verify.max_within"),
         ],
     )
     def test_rejected_at_load(self, tmp_path, capsys, mode, document, field):
@@ -112,6 +118,19 @@ class TestModes:
         assert manifest["seed"] == 7
         assert manifest["config"]["conv"]["k"] == 3
         assert "activations_index.json" in manifest["artifacts"]
+
+    def test_verify_passes_with_headroom_clamp(self, tmp_path, capsys):
+        # A small feedback cap and the 8X window drive bright taps into the
+        # pixel's headroom clamp, which the golden model must apply too.
+        config_path = make_inputs(tmp_path, rows=64, cols=80, seed=5)
+        config = json.loads(config_path.read_text())
+        config.update(pixel={"c_f": 1e-15}, wtc={"window": 3})
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(config_path), "--out", str(out)]) == 0
+        report = json.loads((out / "verify_report.json").read_text())
+        assert report["passed"] is True and report["max_abs_delta"] <= 1
+        assert "PASS" in capsys.readouterr().out
 
     def test_verify_passes_on_nominal_chain(self, tmp_path, capsys):
         config_path = make_inputs(tmp_path)

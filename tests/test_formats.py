@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,18 @@ class TestWeights:
         assert "weights" in message
         assert "epsilon" in message
         assert message.count("\n") >= 4
+
+    @pytest.mark.parametrize("section, key", [("shape", "k"), ("bn", "epsilon")])
+    def test_bool_rejected(self, tmp_path, section, key):
+        # JSON true would otherwise pass as k=1 or epsilon=1.0.
+        path = tmp_path / "w.json"
+        save_weights(path, np.ones((1, 4, 1, 1)), self._bn(1))
+        doc = json.loads(path.read_text())
+        doc[section][key] = True
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as err:
+            load_weights(path)
+        assert f"{section}.{key}" in str(err.value)
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "w.json"

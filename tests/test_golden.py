@@ -9,7 +9,7 @@ from ctia_ipc.golden import CalibrationMap, compare_runs, golden_layer, offset_c
 from ctia_ipc.mapper import BnParams, ConvSpec, fuse_and_quantize
 from ctia_ipc.pipeline import ChainConfig, simulate_layer
 from ctia_ipc.pixel import PixelParams
-from ctia_ipc.pixel_array import ArrayConfig
+from ctia_ipc.pixel_array import N_CHANNELS, ArrayConfig
 from ctia_ipc.wtc import CounterConfig
 
 from conftest import random_frame, random_layer, small_chain
@@ -80,7 +80,7 @@ def reference_layer(frame, fused, spec, adc_cfg, chain):
 class TestCalibration:
     def test_derived_only(self):
         with pytest.raises(ValidationError):
-            CalibrationMap(volts_per_unit_product=-1.0, lsb_per_unit=1.0)
+            CalibrationMap(volts_per_unit_product=-1.0, lsb_per_unit=1.0, tap_saturation=1.0)
 
     def test_derivation_values(self, chain):
         cal = chain.calibration(15)
@@ -149,7 +149,7 @@ class TestGoldenLayer:
         # one quantity that legitimately rescales; pin B = 0 here.
         rng = np.random.default_rng(41)
         spec = ConvSpec(k=3, s=1, c_o=2)
-        weights = rng.normal(size=(spec.c_o, spec.c_in, spec.k, spec.k))
+        weights = rng.normal(size=(spec.c_o, N_CHANNELS, spec.k, spec.k))
         bn = BnParams(
             gamma=rng.uniform(0.5, 2.0, spec.c_o),
             beta=np.zeros(spec.c_o),

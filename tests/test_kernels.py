@@ -2,6 +2,8 @@
 that sum in the same order: per column in (row, channel) order, then the
 columns in order.  Results must be bit-identical, not merely close."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -96,8 +98,9 @@ def reference_mc_trial(chain, k, magnitude, x_norm, mm, trial):
     return total / divider
 
 
-def reference_polarity_codes(channels_raw, mags, spec, code_scale, code_max):
-    """Strided integer tap loop over a (4, rows, cols) int64 channel stack."""
+def reference_polarity_codes(channels_raw, mags, spec, code_scale, code_max, tap_saturation):
+    """Strided integer tap loop over a (4, rows, cols) int64 channel stack;
+    every tap product is capped at floor(tap_saturation)."""
     k, s = spec.k, spec.s
     rows, cols = channels_raw.shape[1:]
     out_r = (rows - k) // s + 1
@@ -114,7 +117,7 @@ def reference_polarity_codes(channels_raw, mags, spec, code_scale, code_max):
                     i : i + s * (out_r - 1) + 1 : s,
                     j : j + s * (out_c - 1) + 1 : s,
                 ]
-                acc += m * patch
+                acc += np.minimum(m * patch, math.floor(tap_saturation))
     codes = np.floor(acc * code_scale + 1e-9).astype(np.int64)
     return np.minimum(codes, code_max)
 
@@ -194,9 +197,13 @@ def test_polarity_codes_bit_exact(k, s, p):
     spec = ConvSpec(k=k, s=s, p=p, c_o=1)
     channels = bayer_channel_view(raw).astype(np.int64)
     phases = bayer_phase_stacks(raw.astype(np.int64), s)
-    # The second scale drives the larger kernels into the code ceiling.
+    # The second scale drives the larger kernels into the code ceiling; the
+    # second saturation clamps every tap of magnitude 2 or more.
     for code_scale in (63 / (15 * RAW_MAX * 4 * k * k), 20 / (15 * RAW_MAX)):
-        expected = reference_polarity_codes(channels, mags, spec, code_scale, 63)
-        got = _polarity_codes(phases, mags, spec, code_scale, 63)
-        assert got.shape == expected.shape
-        assert np.array_equal(got, expected)
+        for tap_saturation in (15 * RAW_MAX, 1.5 * RAW_MAX + 0.5):
+            expected = reference_polarity_codes(
+                channels, mags, spec, code_scale, 63, tap_saturation
+            )
+            got = _polarity_codes(phases, mags, spec, code_scale, 63, tap_saturation)
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)

@@ -13,7 +13,6 @@ from ctia_ipc.mapper import (
     fuse_bn,
     output_dims,
     quantize_weights,
-    window_pixel_columns,
 )
 
 
@@ -28,6 +27,29 @@ def conv_reference(x, weights):
             for c in range(out.shape[2]):
                 out[co, r, c] = np.sum(x[:, r : r + k, c : c + k] * weights[co])
     return out
+
+
+def reference_cycles(spec, rows, cols):
+    """Enumerated schedule: (row_out, col_outs) per cycle.  Each output row
+    splits into phases of output columns one lcm(k, s) apart, and each
+    phase into chunks of at most max_parallel windows."""
+    (out_r, out_c), _ = output_dims(spec, rows, cols)
+    pitch = math.lcm(spec.k, spec.s)
+    max_parallel = max(1, (cols - spec.k + 2 * spec.p) // (spec.s * pitch))
+    cycles = []
+    for row_out in range(out_r):
+        for phase in range(min(pitch, out_c)):
+            col_outs = list(range(phase, out_c, pitch))
+            for start in range(0, len(col_outs), max_parallel):
+                cycles.append((row_out, tuple(col_outs[start : start + max_parallel])))
+    return cycles
+
+
+def window_pixel_columns(spec, col_out):
+    """Pixel columns a window at output column col_out occupies, in
+    zero-padded frame coordinates."""
+    c0 = col_out * spec.s
+    return set(range(c0, c0 + spec.k))
 
 
 class TestFuseBn:
@@ -134,25 +156,24 @@ class TestSchedule:
         sched = build_schedule(spec, 1024, 1280)
         assert (1280 - 7) // (2 * math.lcm(7, 2)) == 45
         assert sched.cycle0_active_pixels == 45 * 49 * 4 == 8820
+        assert sched.n_cycles() == len(reference_cycles(spec, 1024, 1280)) == 10689
 
     def test_windows_column_disjoint(self):
-        spec = ConvSpec(k=7, s=2, c_o=1)
-        sched = build_schedule(spec, 32, 64)
-        for cycle in sched.cycles:
-            seen = set()
-            for col_out in cycle.col_outs:
-                cols = window_pixel_columns(spec, col_out)
-                assert not (seen & cols)
-                seen |= cols
+        for spec in (ConvSpec(k=7, s=2, c_o=1), ConvSpec(k=3, s=2, p=2, c_o=1)):
+            for _, col_outs in reference_cycles(spec, 32, 64):
+                seen = set()
+                for col_out in col_outs:
+                    cols = window_pixel_columns(spec, col_out)
+                    assert not (seen & cols)
+                    seen |= cols
 
     def test_coverage_exact(self):
         # Union over cycles equals the nested-loop output enumeration.
         spec = ConvSpec(k=7, s=2, c_o=1)
         sched = build_schedule(spec, 32, 64)
-        covered = []
-        for cycle in sched.cycles:
-            for col_out in cycle.col_outs:
-                covered.append((cycle.row_out, col_out))
+        covered = [
+            (row_out, c) for row_out, col_outs in reference_cycles(spec, 32, 64) for c in col_outs
+        ]
         expected = [
             (r, c) for r in range(sched.out_rows) for c in range(sched.out_cols)
         ]
@@ -163,13 +184,15 @@ class TestSchedule:
         spec = ConvSpec(k=1, s=1, c_o=1, p_s=1)
         sched = build_schedule(spec, 4, 8)
         # Every window is one column; everything is disjoint, and a row band
-        # needs at most two cycles (the closed-form parallel cap is i-1).
-        per_row = {}
-        for cycle in sched.cycles:
-            per_row.setdefault(cycle.row_out, 0)
-            per_row[cycle.row_out] += 1
-        assert all(n <= 2 for n in per_row.values())
+        # needs two cycles (the closed-form parallel cap is i-1).
         assert sched.max_parallel == 7
+        assert sched.n_cycles() == 4 * 2
+        assert sched.cycle0_active_pixels == 7 * 4
+
+    def test_schedule_is_frozen(self):
+        sched = build_schedule(ConvSpec(k=3, s=1, c_o=1), 8, 8)
+        with pytest.raises(AttributeError):
+            sched.out_rows = 1
 
     def test_too_small_image(self):
         with pytest.raises(ScheduleError):
@@ -180,10 +203,13 @@ class TestSchedule:
         rows=st.integers(16, 48),
         k=st.integers(1, 7),
         s=st.integers(1, 3),
+        p=st.integers(0, 3),
     )
     @settings(max_examples=60, deadline=None)
-    def test_coverage_property(self, cols, rows, k, s):
-        spec = ConvSpec(k=k, s=s, c_o=1)
+    def test_coverage_property(self, cols, rows, k, s, p):
+        spec = ConvSpec(k=k, s=s, p=p, c_o=1)
         sched = build_schedule(spec, rows, cols)
-        total = sum(c.window_count() for c in sched.cycles)
-        assert total == sched.out_rows * sched.out_cols
+        cycles = reference_cycles(spec, rows, cols)
+        assert sum(len(col_outs) for _, col_outs in cycles) == sched.out_rows * sched.out_cols
+        assert sched.n_cycles() == len(cycles)
+        assert sched.cycle0_active_pixels == len(cycles[0][1]) * k * k * 4

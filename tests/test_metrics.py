@@ -16,6 +16,7 @@ from ctia_ipc.metrics import (
     op_count,
 )
 from ctia_ipc.pixel import fit_transfer
+from ctia_ipc.pixel_array import N_CHANNELS
 
 
 
@@ -71,7 +72,7 @@ class TestOpCount:
             for _ in range(out_r):
                 for _ in range(out_c):
                     for _ in range(spec.c_o):
-                        counted += 2 * spec.k * spec.k * spec.c_in
+                        counted += 2 * spec.k * spec.k * N_CHANNELS
             assert op_count(spec, rows, cols) == counted
 
 

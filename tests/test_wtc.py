@@ -78,9 +78,5 @@ class TestCounterConfig:
         with pytest.raises(ValidationError):
             CounterConfig(t_step=0.0)
 
-    def test_width_fixed(self):
-        with pytest.raises(ValidationError):
-            CounterConfig(width=8)
-
     def test_multipliers(self):
         assert [CounterConfig(window=w).exposure_multiplier for w in range(4)] == [1, 2, 4, 8]
