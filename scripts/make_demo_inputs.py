@@ -22,7 +22,8 @@ def synthetic_bayer_frame(rows: int, cols: int, rng) -> np.ndarray:
     base = 0.25 + 0.5 * (x / max(cols - 1, 1))
     for _ in range(6):
         cy, cx = rng.uniform(0, rows), rng.uniform(0, cols)
-        radius = rng.uniform(4, rows / 4)
+        # Frames under 16 rows cap the lower bound at rows / 4 too.
+        radius = rng.uniform(min(4, rows / 4), rows / 4)
         base += 0.35 * np.exp(-((y - cy) ** 2 + (x - cx) ** 2) / (2 * radius**2))
     # Per-color gains give the mosaic some chroma structure.
     gains = {(0, 0): 1.0, (0, 1): 0.85, (1, 0): 0.85, (1, 1): 0.7}

@@ -103,9 +103,11 @@ def maxpool(grid, stride: int):
     arr = np.asarray(grid)
     if arr.ndim != 2 or arr.size == 0:
         raise ValidationError("maxpool expects a non-empty 2-D grid")
-    if stride == 1:
-        return arr.copy()
-    row_starts = np.arange(0, arr.shape[0], stride)
-    col_starts = np.arange(0, arr.shape[1], stride)
-    pooled = np.maximum.reduceat(arr, row_starts, axis=0)
-    return np.maximum.reduceat(pooled, col_starts, axis=1)
+    # Window offset (0, 0) reaches every pooled cell; a later offset's view
+    # is one row or column shorter where the edge is ragged.
+    pooled = arr[::stride, ::stride].copy()
+    for a, b in list(np.ndindex(stride, stride))[1:]:
+        view = arr[a::stride, b::stride]
+        corner = pooled[: view.shape[0], : view.shape[1]]
+        np.maximum(corner, view, out=corner)
+    return pooled

@@ -10,6 +10,19 @@ only achievable when both paths quantize at the same points.  For the same
 reason it caps each integer tap product where the pixel's headroom clamp
 engages.
 
+All 2*c_o polarity accumulators of a row block come from one matrix
+product: the distinct tap slices of the raw phase stacks form the rows of
+a float64 feature block, and each plane's magnitudes sum into one row of
+a small magnitude matrix (two taps that read the same slice add their
+magnitudes).  This is exact.  Every product and every partial sum is a
+nonnegative integer no larger than the plane's accumulator bound
+RAW_MAX * sum(magnitudes) <= 15 * 65535 * 4k^2, which stays below 2^53,
+so float64 holds each one without rounding.  The sum is then the same
+integer in any order, with or without fused multiply-add, on any number
+of BLAS threads.  polarity_codes checks the bound once per call.  Clamped
+taps take a per-tap min and add outside the product, exact for the same
+reason.
+
 The calibration map is always derived, never free-set, so the simulator
 and the oracle cannot drift apart in units.
 """
@@ -24,7 +37,7 @@ from .adc import AdcConfig, maxpool, relu_requantize
 from .errors import DimensionError, ValidationError
 from .mapper import ConvSpec, FusedLayer, output_dims
 from .pixel import PixelParams
-from .parallel import map_row_blocks
+from . import parallel
 from .pixel_array import ArrayConfig, N_CHANNELS, bayer_phase_stacks, tap_grid
 from .wtc import CounterConfig
 
@@ -32,6 +45,14 @@ RAW_MAX = 65535
 
 # Same code-boundary guard the ADC uses for its ramp comparison.
 _BOUNDARY_GUARD = 1e-9
+
+# float64 holds every integer below 2^53 exactly.
+_EXACT_FLOAT_LIMIT = 1 << 53
+
+# A row block's feature block holds about this many times
+# parallel.ROW_BLOCK_NODES float64 values: 2^18 values, 2 MB, at the
+# default.
+_FEATURE_BLOCK_SCALE = 8
 
 
 @dataclass(frozen=True)
@@ -88,40 +109,66 @@ def offset_codes(fused: FusedLayer, cal: CalibrationMap, adc_cfg: AdcConfig) -> 
     return np.rint(volts / adc_cfg.lsb).astype(np.int64)
 
 
-def _polarity_codes(
-    phases, mags: np.ndarray, spec: ConvSpec, code_scale: float, code_max: int, tap_saturation: float
-) -> np.ndarray:
-    """Quantized codes for one polarity: exact integer tap accumulation,
-    then a single scale to codes.  Tap products magnitude*raw fit easily
-    in int64; each is capped at int(tap_saturation), the pixel's headroom
-    clamp, which only taps with magnitude * RAW_MAX above it can reach.
-    phases are the bayer_phase_stacks of the int64 frame; taps accumulate
-    in (column, row, channel) order over row blocks."""
+def polarity_codes(
+    phases, planes: np.ndarray, spec: ConvSpec, code_scale: float, code_max: int,
+    tap_saturation: float, emit,
+) -> None:
+    """Quantized codes of every magnitude plane, one row block at a time.
+
+    planes is (n_planes, 4, k, k); phases are the bayer_phase_stacks of
+    the raw frame.  For each row block this calls emit(r0, r1, codes) with
+    int64 codes of shape (n_planes, r1 - r0, out_c): each plane's exact
+    integer tap sum, scaled once to codes and capped at code_max.  Each
+    tap product magnitude*raw is capped at int(tap_saturation), the
+    pixel's headroom clamp, which only taps with magnitude * RAW_MAX above
+    it can reach.  Blocks run on worker threads, so emit must write only
+    rows r0:r1 of its outputs.
+    """
     k, s = spec.k, spec.s
+    planes = np.asarray(planes)
+    bound = RAW_MAX * int(np.abs(planes).sum(axis=(1, 2, 3), dtype=np.int64).max(initial=0))
+    if bound >= _EXACT_FLOAT_LIMIT:
+        raise ValidationError(f"tap sums up to {bound} are not exact in float64")
     out_r, out_c = tap_grid(phases, k, s)
-    taps = [
-        (phases[i % s][j % s][ch], i // s, j // s, int(mags[ch, i, j]))
-        for j in range(k)
-        for i in range(k)
-        for ch in range(N_CHANNELS)
-        if mags[ch, i, j] != 0
-    ]
-    codes = np.empty((out_r, out_c), dtype=np.int64)
+    # An even stride shares one stack between phases, so a slice is keyed
+    # by the stack itself.
+    slot = {}  # (id(stack), channel, row offset, column offset) -> feature row
+    slices = []  # (channel plane, row offset, column offset) per feature row
+    mags = np.zeros((len(planes), N_CHANNELS * k * k))
+    clamped = []  # (plane, feature row, magnitude) of taps the clamp can reach
+    for p, ch, i, j in zip(*np.nonzero(planes)):
+        stack = phases[i % s][j % s]
+        n = slot.setdefault((id(stack), ch, i // s, j // s), len(slices))
+        if n == len(slices):
+            slices.append((stack[ch], i // s, j // s))
+        m = int(planes[p, ch, i, j])
+        if m * RAW_MAX > tap_saturation:
+            clamped.append((p, n, m))
+        else:
+            mags[p, n] += m
+    mags = np.ascontiguousarray(mags[:, : len(slices)])
+    cap = int(tap_saturation)
 
-    def accumulate_block(r0: int, r1: int) -> None:
-        acc = codes[r0:r1]
-        acc.fill(0)
-        product = np.empty_like(acc)
-        for plane, di, dj, m in taps:
-            np.multiply(plane[di + r0 : di + r1, dj : dj + out_c], m, out=product)
-            if m * RAW_MAX > tap_saturation:
-                np.minimum(product, int(tap_saturation), out=product)
-            np.add(acc, product, out=acc)
-        scaled = np.floor(acc * code_scale + _BOUNDARY_GUARD).astype(np.int64)
-        np.minimum(scaled, code_max, out=acc)
+    def block_codes(r0: int, r1: int) -> None:
+        features = np.empty((len(slices), r1 - r0, out_c))
+        for n, (plane, di, dj) in enumerate(slices):
+            features[n] = plane[di + r0 : di + r1, dj : dj + out_c]
+        features = features.reshape(len(slices), (r1 - r0) * out_c)
+        acc = mags @ features
+        if clamped:
+            product = np.empty(features.shape[1])
+            for p, n, m in clamped:
+                np.multiply(features[n], m, out=product)
+                np.minimum(product, cap, out=product)
+                acc[p] += product
+        acc *= code_scale
+        acc += _BOUNDARY_GUARD
+        np.floor(acc, out=acc)
+        np.minimum(acc, code_max, out=acc)
+        emit(r0, r1, acc.astype(np.int64).reshape(len(planes), r1 - r0, out_c))
 
-    map_row_blocks(accumulate_block, out_r, out_c)
-    return codes
+    block_nodes = _FEATURE_BLOCK_SCALE * parallel.ROW_BLOCK_NODES // max(len(slices), 1)
+    parallel.map_row_blocks(block_codes, out_r, out_c, block_nodes)
 
 
 def golden_layer(
@@ -131,7 +178,7 @@ def golden_layer(
     adc_cfg: AdcConfig,
     cal: CalibrationMap,
 ) -> np.ndarray:
-    """Reference activations, shape (c_o, pool_rows, pool_cols).
+    """Reference activations, uint8 of shape (c_o, pool_rows, pool_cols).
 
     frame_raw holds integer samples in [0, 65535].  Padding is zero border
     samples, matching the simulator's zero-photocurrent border.
@@ -148,22 +195,29 @@ def golden_layer(
             f"fused planes shape {fused.pos_mags.shape} != "
             f"{(spec.c_o, N_CHANNELS, spec.k, spec.k)}"
         )
+    (out_r, out_c), _ = output_dims(spec, *raw.shape)
+    raw = raw.astype(np.uint16, copy=False)
     if spec.p:
         raw = np.pad(raw, spec.p)
-    phases = bayer_phase_stacks(raw.astype(np.int64), spec.s)
     # One unit product is mag_max * RAW_MAX in integer tap units.
     code_scale = cal.lsb_per_unit / (fused.mag_max * RAW_MAX)
-    bn_codes = offset_codes(fused, cal, adc_cfg)
-    (out_r, out_c), (pool_r, pool_c) = output_dims(spec, *np.asarray(frame_raw).shape)
-    result = np.empty((spec.c_o, pool_r, pool_c), dtype=np.int64)
-    limits = (code_scale, adc_cfg.code_max, cal.tap_saturation)
-    for ch_out in range(spec.c_o):
-        pos = _polarity_codes(phases, fused.pos_mags[ch_out], spec, *limits)
-        neg = _polarity_codes(phases, fused.neg_mags[ch_out], spec, *limits)
-        signed = pos - neg + int(bn_codes[ch_out])
-        per_node = relu_requantize(adc_cfg, signed)
-        result[ch_out] = maxpool(per_node, spec.p_s)
-    return result
+    bn_codes = offset_codes(fused, cal, adc_cfg)[:, None, None]
+    nodes = np.empty((spec.c_o, out_r, out_c), dtype=np.uint8)
+
+    def requantize(r0: int, r1: int, codes: np.ndarray) -> None:
+        signed = codes[: spec.c_o] - codes[spec.c_o :] + bn_codes
+        nodes[:, r0:r1] = relu_requantize(adc_cfg, signed)
+
+    polarity_codes(
+        bayer_phase_stacks(raw, spec.s),
+        np.concatenate([fused.pos_mags, fused.neg_mags]),
+        spec,
+        code_scale,
+        adc_cfg.code_max,
+        cal.tap_saturation,
+        requantize,
+    )
+    return np.stack([maxpool(plane, spec.p_s) for plane in nodes])
 
 
 @dataclass(frozen=True)
@@ -195,7 +249,8 @@ def compare_runs(sim_out: np.ndarray, gold_out: np.ndarray, max_within: int = 1)
     gold = np.asarray(gold_out)
     if sim.shape != gold.shape:
         raise DimensionError(f"grid shapes differ: {sim.shape} vs {gold.shape}")
-    delta = np.abs(sim.astype(np.int64) - gold.astype(np.int64))
+    delta = np.subtract(sim, gold, dtype=np.int64)
+    np.abs(delta, out=delta)
     n = delta.size
     within = float(np.count_nonzero(delta <= max_within)) / n
     return CompareReport(

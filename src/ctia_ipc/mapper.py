@@ -245,8 +245,10 @@ def build_schedule(spec: ConvSpec, rows: int, cols: int) -> Schedule:
     output node is covered exactly once.  The counts are closed form: no
     cycle is enumerated.
     """
-    if rows < spec.k or cols < spec.k:
-        raise ScheduleError(f"image {rows}x{cols} smaller than kernel {spec.k}")
+    if rows + 2 * spec.p < spec.k or cols + 2 * spec.p < spec.k:
+        raise ScheduleError(
+            f"padded image {rows}x{cols} (p={spec.p}) smaller than kernel {spec.k}"
+        )
     (out_r, out_c), _ = output_dims(spec, rows, cols)
     pitch = math.lcm(spec.k, spec.s)
     max_parallel = max(1, (cols - spec.k + 2 * spec.p) // (spec.s * pitch))

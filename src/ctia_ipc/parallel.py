@@ -7,9 +7,10 @@ so no setting starts more threads than there is hardware or work for.
 
 The layer kernels (the simulator's MAC and the golden model) split their
 output grid into row blocks.  Each block is computed whole by one thread
-and written only to its own rows, and every node keeps its summation
-order, so results are bit-identical at any worker count.  Monte Carlo
-runs on the calling thread, in chunks of trials cut by row_blocks.
+and written only to its own rows.  The simulator keeps every node's
+summation order and the golden model's sums are exact integers, so
+results are bit-identical at any worker count.  Monte Carlo runs on the
+calling thread, in chunks of trials cut by row_blocks.
 """
 
 from __future__ import annotations
@@ -38,16 +39,18 @@ def worker_count(n_tasks: int) -> int:
     return max(1, min(n or cpus, cpus, n_tasks))
 
 
-def row_blocks(out_r: int, out_c: int) -> list:
-    """(r0, r1) row ranges of about ROW_BLOCK_NODES nodes covering an
-    out_r x out_c grid."""
-    step = max(1, ROW_BLOCK_NODES // max(out_c, 1))
+def row_blocks(out_r: int, out_c: int, block_nodes: int | None = None) -> list:
+    """(r0, r1) row ranges of about block_nodes (default ROW_BLOCK_NODES)
+    nodes covering an out_r x out_c grid."""
+    if block_nodes is None:
+        block_nodes = ROW_BLOCK_NODES
+    step = max(1, block_nodes // max(out_c, 1))
     return [(r0, min(r0 + step, out_r)) for r0 in range(0, out_r, step)]
 
 
-def map_row_blocks(fn, out_r: int, out_c: int) -> None:
+def map_row_blocks(fn, out_r: int, out_c: int, block_nodes: int | None = None) -> None:
     """Call fn(r0, r1) once for every row block, over worker_count threads."""
-    blocks = row_blocks(out_r, out_c)
+    blocks = row_blocks(out_r, out_c, block_nodes)
     workers = worker_count(len(blocks))
     if workers == 1:
         for r0, r1 in blocks:

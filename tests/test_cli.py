@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -210,6 +212,16 @@ class TestModes:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["readout_volts_per_count"] > 0
 
+    @pytest.mark.parametrize("mode", ["verify", "metrics"])
+    def test_padding_makes_room_for_kernel(self, tmp_path, mode):
+        # A 6x8 frame is smaller than the 7x7 kernel, but p=3 pads it to
+        # 12x14; every mode that takes the geometry must accept it.
+        config_path = make_inputs(tmp_path, rows=6, cols=8, k=7)
+        config = json.loads(config_path.read_text())
+        config["conv"] = {"k": 7, "s": 1, "p": 3, "p_s": 1, "c_o": 2}
+        config_path.write_text(json.dumps(config))
+        assert main([mode, "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
+
     def test_frame_array_mismatch_rejected(self, tmp_path):
         config_path = make_inputs(tmp_path)
         config = json.loads(config_path.read_text())
@@ -238,6 +250,29 @@ class TestDeterminism:
                 assert bytes_a[name] == bytes_b[name]
             else:
                 assert bytes_a[name] == bytes_b[name], name
+
+    @pytest.mark.parametrize("mode", ["simulate", "verify"])
+    def test_byte_identical_across_blas_threads(self, tmp_path, mode):
+        # The golden model's matrix product is exact, so the BLAS thread
+        # count cannot change an artifact.  Each run is a fresh process,
+        # because OpenBLAS reads its thread count once, at load.
+        config_path = make_inputs(tmp_path, rows=64, cols=80, c_o=16, k=7)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        outputs = []
+        for blas_threads in ("1", "2"):
+            out = tmp_path / f"blas{blas_threads}"
+            env = dict(
+                os.environ, PYTHONPATH=src, CTIA_IPC_THREADS="1",
+                OPENBLAS_NUM_THREADS=blas_threads,
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", "import sys; from ctia_ipc.cli import main; sys.exit(main())",
+                 mode, "--config", str(config_path), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(artifact_bytes(out))
+        assert outputs[0] == outputs[1]
 
     def test_seed_override_changes_manifest(self, tmp_path):
         config_path = make_inputs(tmp_path)

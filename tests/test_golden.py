@@ -1,15 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ctia_ipc.adc import AdcConfig
+from ctia_ipc import parallel
+from ctia_ipc.adc import AdcConfig, maxpool, relu_requantize
 from ctia_ipc.errors import DimensionError, ValidationError
-from ctia_ipc.golden import CalibrationMap, compare_runs, golden_layer, offset_codes
+from ctia_ipc.golden import RAW_MAX, CalibrationMap, compare_runs, golden_layer, offset_codes
 from ctia_ipc.mapper import BnParams, ConvSpec, fuse_and_quantize
 from ctia_ipc.pipeline import ChainConfig, simulate_layer
 from ctia_ipc.pixel import PixelParams
-from ctia_ipc.pixel_array import N_CHANNELS, ArrayConfig
+from ctia_ipc.pixel_array import N_CHANNELS, ArrayConfig, bayer_phase_stacks, tap_grid
 from ctia_ipc.wtc import CounterConfig
 
 from conftest import random_frame, random_layer, small_chain
@@ -77,6 +81,45 @@ def reference_layer(frame, fused, spec, adc_cfg, chain):
     return np.asarray(result)
 
 
+def loop_polarity_codes(phases, mags, spec, code_scale, code_max, tap_saturation):
+    """One polarity of one channel, tap by tap in int64 over the whole
+    grid: each product magnitude*raw capped at int(tap_saturation) where
+    magnitude * RAW_MAX exceeds it, then one scale to codes."""
+    k, s = spec.k, spec.s
+    out_r, out_c = tap_grid(phases, k, s)
+    acc = np.zeros((out_r, out_c), dtype=np.int64)
+    for j in range(k):
+        for i in range(k):
+            for ch in range(N_CHANNELS):
+                m = int(mags[ch, i, j])
+                if m == 0:
+                    continue
+                plane = phases[i % s][j % s][ch]
+                product = plane[i // s : i // s + out_r, j // s : j // s + out_c] * m
+                if m * RAW_MAX > tap_saturation:
+                    product = np.minimum(product, int(tap_saturation))
+                acc += product
+    scaled = np.floor(acc * code_scale + 1e-9).astype(np.int64)
+    return np.minimum(scaled, code_max)
+
+
+def loop_golden_layer(frame_raw, fused, spec, adc_cfg, cal):
+    """The golden model one output channel and one polarity at a time, on
+    int64 phase stacks."""
+    raw = np.pad(np.asarray(frame_raw), spec.p)
+    phases = bayer_phase_stacks(raw.astype(np.int64), spec.s)
+    code_scale = cal.lsb_per_unit / (fused.mag_max * RAW_MAX)
+    bn_codes = offset_codes(fused, cal, adc_cfg)
+    limits = (code_scale, adc_cfg.code_max, cal.tap_saturation)
+    result = []
+    for ch_out in range(spec.c_o):
+        pos = loop_polarity_codes(phases, fused.pos_mags[ch_out], spec, *limits)
+        neg = loop_polarity_codes(phases, fused.neg_mags[ch_out], spec, *limits)
+        signed = pos - neg + int(bn_codes[ch_out])
+        result.append(maxpool(relu_requantize(adc_cfg, signed), spec.p_s))
+    return np.asarray(result)
+
+
 class TestCalibration:
     def test_derived_only(self):
         with pytest.raises(ValidationError):
@@ -128,6 +171,46 @@ class TestGoldenLayer:
         gold = golden_layer(frame, fused, spec, chain32.adc, chain32.calibration(fused.mag_max))
         ref = reference_layer(frame, fused, spec, chain32.adc, chain32)
         assert np.max(np.abs(gold - ref)) <= 1
+
+    @given(
+        half_rows=st.integers(1, 12),
+        half_cols=st.integers(1, 12),
+        k=st.integers(1, 7),
+        s=st.integers(1, 4),
+        p=st.integers(0, 3),
+        c_o=st.integers(1, 4),
+        p_s=st.integers(1, 3),
+        out_bits=st.integers(1, 6),
+        v_fs=st.floats(0.005, 1.0),
+        saturation=st.floats(1.0, 16.0 * RAW_MAX),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_tap_loop(
+        self, half_rows, half_cols, k, s, p, c_o, p_s, out_bits, v_fs, saturation, seed
+    ):
+        # Any geometry, any code ceiling and any clamp level: the GEMM over
+        # shared tap slices equals the per-channel, per-tap integer loop.
+        rows, cols = 2 * half_rows, 2 * half_cols
+        assume(rows + 2 * p >= k and cols + 2 * p >= k)
+        rng = np.random.default_rng(seed)
+        spec = ConvSpec(k=k, s=s, p=p, c_o=c_o, p_s=p_s)
+        _, _, fused = random_layer(rng, spec, beta_bias=rng.uniform(-0.5, 1.5))
+        frame = random_frame(rng, rows, cols)
+        adc_cfg = AdcConfig(v_fs=v_fs, out_bits=out_bits)
+        chain = ChainConfig(
+            pixel=PixelParams(), wtc=CounterConfig(), array=ArrayConfig(rows=rows, cols=cols),
+            adc=adc_cfg,
+        )
+        cal = dataclasses.replace(chain.calibration(fused.mag_max), tap_saturation=saturation)
+        expected = loop_golden_layer(frame, fused, spec, adc_cfg, cal)
+        with pytest.MonkeyPatch.context() as patch:
+            # Row blocks of a few nodes on three threads.
+            patch.setattr(parallel, "ROW_BLOCK_NODES", 8)
+            patch.setenv("CTIA_IPC_THREADS", "3")
+            got = golden_layer(frame, fused, spec, adc_cfg, cal)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
     def test_shape_mismatch(self, chain):
         spec = ConvSpec(c_o=2)

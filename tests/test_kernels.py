@@ -9,7 +9,7 @@ import pytest
 
 from ctia_ipc import parallel
 from ctia_ipc.formats import frame_to_photocurrents
-from ctia_ipc.golden import RAW_MAX, _polarity_codes
+from ctia_ipc.golden import RAW_MAX, polarity_codes
 from ctia_ipc.mapper import ConvSpec
 from ctia_ipc.metrics import MismatchSpec, monte_carlo
 from ctia_ipc.pipeline import photocurrent_channels
@@ -204,6 +204,11 @@ def test_polarity_codes_bit_exact(k, s, p):
             expected = reference_polarity_codes(
                 channels, mags, spec, code_scale, 63, tap_saturation
             )
-            got = _polarity_codes(phases, mags, spec, code_scale, 63, tap_saturation)
+            blocks = {}
+            polarity_codes(
+                phases, mags[None], spec, code_scale, 63, tap_saturation,
+                lambda r0, r1, codes: blocks.__setitem__(r0, codes[0]),
+            )
+            got = np.concatenate([blocks[r0] for r0 in sorted(blocks)])
             assert got.shape == expected.shape
             assert np.array_equal(got, expected)

@@ -198,6 +198,17 @@ class TestSchedule:
         with pytest.raises(ScheduleError):
             build_schedule(ConvSpec(k=7, s=2), 6, 6)
 
+    def test_padding_counts_toward_kernel_fit(self):
+        # 6x8 is smaller than k=7, but p=3 pads it to 12x14: a 6x8 grid.
+        spec = ConvSpec(k=7, s=1, p=3, c_o=1)
+        sched = build_schedule(spec, 6, 8)
+        cycles = reference_cycles(spec, 6, 8)
+        assert (sched.out_rows, sched.out_cols) == (6, 8)
+        assert sched.n_cycles() == len(cycles)
+        assert sched.cycle0_active_pixels == len(cycles[0][1]) * 7 * 7 * 4
+        with pytest.raises(ScheduleError):
+            build_schedule(ConvSpec(k=7, s=1, p=0, c_o=1), 6, 8)
+
     @given(
         cols=st.integers(16, 96),
         rows=st.integers(16, 48),
