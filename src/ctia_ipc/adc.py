@@ -65,22 +65,29 @@ def quantize(cfg: AdcConfig, v):
     construction, so negative input is an invalid analog state.
     """
     arr = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise StateError("quantize: voltage must be finite")
-    if np.any(arr < 0):
-        raise StateError("quantize: negative voltage on the ADC input")
-    ratio = arr / cfg.lsb
-    code = np.floor(ratio + _BOUNDARY_GUARD).astype(np.int64)
-    code = np.minimum(code, cfg.code_max)
+    if arr.size:
+        # min and max are NaN when any element is, so one pair checks all.
+        lo, hi = arr.min(), arr.max()
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise StateError("quantize: voltage must be finite")
+        if lo < 0:
+            raise StateError("quantize: negative voltage on the ADC input")
+    code = np.divide(arr, cfg.lsb, out=np.empty(arr.shape))
+    code += _BOUNDARY_GUARD
+    np.floor(code, out=code)
+    np.minimum(code, cfg.code_max, out=code)
     if code.ndim == 0:
         return int(code)
-    return code
+    return code.astype(np.int64)
 
 
 def cds_signed(cfg: AdcConfig, v_pos, v_neg):
     """Signed CDS result: up-count on the positive-weight sample, down-count
     on the negative-weight sample, starting from the BN preload."""
-    return quantize(cfg, v_pos) - quantize(cfg, v_neg) + cfg.bn_offset_codes
+    code = quantize(cfg, v_pos)
+    code -= quantize(cfg, v_neg)
+    code += cfg.bn_offset_codes
+    return code
 
 
 def relu_requantize(cfg: AdcConfig, code):

@@ -32,7 +32,7 @@ from .golden import compare_runs, golden_layer
 from .mapper import build_schedule, fuse_and_quantize
 from .metrics import linearity_sweep, metrics_report, monte_carlo
 from .pipeline import simulate_layer, sweep_window_chain
-from .pixel import fit_transfer, fit_transfer_model
+from .pixel import fit_transfer, fit_transfer_model, frame_to_photocurrents
 from .pixel_array import N_CHANNELS, readout_frame
 
 EXIT_OK = 0
@@ -211,7 +211,7 @@ def _run_export_transfer(cfg: RunConfig, out_dir: str) -> int:
 
 def _run_readout(cfg: RunConfig, out_dir: str) -> int:
     raw = _load_sensor_frame(cfg)
-    photocurrents = formats.frame_to_photocurrents(raw, cfg.pixel.i_max)
+    photocurrents = frame_to_photocurrents(raw, cfg.pixel.i_max)
     volts = readout_frame(cfg.pixel, photocurrents, cfg.readout_exposure())
     # Voltages are clamped at headroom, so headroom spans the full code range.
     codes = np.rint(volts / cfg.pixel.headroom * 65535).astype(np.uint16)

@@ -116,12 +116,6 @@ def save_pgm16(path, samples) -> None:
     atomic_write_bytes(path, header + arr.astype(">u2").tobytes())
 
 
-def frame_to_photocurrents(raw, i_max: float) -> np.ndarray:
-    """Per-pixel photocurrents: i_max * raw / 65535 (full scale maps to
-    exactly i_max)."""
-    return (np.asarray(raw).astype(float) / PGM_MAXVAL) * i_max
-
-
 # ---------------------------------------------------------------------------
 # Weight + BN document (JSON)
 # ---------------------------------------------------------------------------

@@ -19,9 +19,11 @@ nonnegative integer no larger than the plane's accumulator bound
 RAW_MAX * sum(magnitudes) <= 15 * 65535 * 4k^2, which stays below 2^53,
 so float64 holds each one without rounding.  The sum is then the same
 integer in any order, with or without fused multiply-add, on any number
-of BLAS threads.  polarity_codes checks the bound once per call.  Clamped
-taps take a per-tap min and add outside the product, exact for the same
-reason.
+of BLAS threads.  polarity_codes checks the bound once per call.  Taps
+the clamp can reach stay outside the product: each distinct (slice,
+magnitude) capped product is computed once per block and added into
+every plane that uses it, exact for the same reason.  pixel_array.tap_plan
+supplies the slices, the geometry the simulator shares.
 
 The calibration map is always derived, never free-set, so the simulator
 and the oracle cannot drift apart in units.
@@ -36,12 +38,10 @@ import numpy as np
 from .adc import AdcConfig, maxpool, relu_requantize
 from .errors import DimensionError, ValidationError
 from .mapper import ConvSpec, FusedLayer, output_dims
-from .pixel import PixelParams
+from .pixel import RAW_MAX, PixelParams
 from . import parallel
-from .pixel_array import ArrayConfig, N_CHANNELS, bayer_phase_stacks, tap_grid
+from .pixel_array import ArrayConfig, N_CHANNELS, photocurrent_channels, tap_grid, tap_plan
 from .wtc import CounterConfig
-
-RAW_MAX = 65535
 
 # Same code-boundary guard the ADC uses for its ramp comparison.
 _BOUNDARY_GUARD = 1e-9
@@ -130,37 +130,29 @@ def polarity_codes(
     if bound >= _EXACT_FLOAT_LIMIT:
         raise ValidationError(f"tap sums up to {bound} are not exact in float64")
     out_r, out_c = tap_grid(phases, k, s)
-    # An even stride shares one stack between phases, so a slice is keyed
-    # by the stack itself.
-    slot = {}  # (id(stack), channel, row offset, column offset) -> feature row
-    slices = []  # (channel plane, row offset, column offset) per feature row
-    mags = np.zeros((len(planes), N_CHANNELS * k * k))
-    clamped = []  # (plane, feature row, magnitude) of taps the clamp can reach
-    for p, ch, i, j in zip(*np.nonzero(planes)):
-        stack = phases[i % s][j % s]
-        n = slot.setdefault((id(stack), ch, i // s, j // s), len(slices))
-        if n == len(slices):
-            slices.append((stack[ch], i // s, j // s))
-        m = int(planes[p, ch, i, j])
+    slices, taps = tap_plan(phases, planes, k, s)
+    mags = np.zeros((len(planes), len(slices)))
+    clamped = {}  # (slice, magnitude) -> planes, for taps the clamp can reach
+    for _, _, _, m, p, n in taps:
         if m * RAW_MAX > tap_saturation:
-            clamped.append((p, n, m))
+            clamped.setdefault((n, m), []).append(p)
         else:
             mags[p, n] += m
-    mags = np.ascontiguousarray(mags[:, : len(slices)])
     cap = int(tap_saturation)
 
     def block_codes(r0: int, r1: int) -> None:
         features = np.empty((len(slices), r1 - r0, out_c))
-        for n, (plane, di, dj) in enumerate(slices):
-            features[n] = plane[di + r0 : di + r1, dj : dj + out_c]
+        for n, (stack, ch, di, dj) in enumerate(slices):
+            features[n] = stack[ch, di + r0 : di + r1, dj : dj + out_c]
         features = features.reshape(len(slices), (r1 - r0) * out_c)
         acc = mags @ features
         if clamped:
             product = np.empty(features.shape[1])
-            for p, n, m in clamped:
+            for (n, m), users in clamped.items():
                 np.multiply(features[n], m, out=product)
                 np.minimum(product, cap, out=product)
-                acc[p] += product
+                for p in users:
+                    acc[p] += product
         acc *= code_scale
         acc += _BOUNDARY_GUARD
         np.floor(acc, out=acc)
@@ -183,22 +175,13 @@ def golden_layer(
     frame_raw holds integer samples in [0, 65535].  Padding is zero border
     samples, matching the simulator's zero-photocurrent border.
     """
-    raw = np.asarray(frame_raw)
-    if raw.ndim != 2:
-        raise DimensionError("frame must be 2-D")
-    if not np.issubdtype(raw.dtype, np.integer):
-        raise ValidationError("golden_layer expects integer raw samples")
-    if np.any(raw < 0) or np.any(raw > RAW_MAX):
-        raise ValidationError(f"raw samples must be in [0, {RAW_MAX}]")
+    phases = photocurrent_channels(frame_raw, spec.p, spec.s)
     if fused.pos_mags.shape != (spec.c_o, N_CHANNELS, spec.k, spec.k):
         raise DimensionError(
             f"fused planes shape {fused.pos_mags.shape} != "
             f"{(spec.c_o, N_CHANNELS, spec.k, spec.k)}"
         )
-    (out_r, out_c), _ = output_dims(spec, *raw.shape)
-    raw = raw.astype(np.uint16, copy=False)
-    if spec.p:
-        raw = np.pad(raw, spec.p)
+    (out_r, out_c), _ = output_dims(spec, *np.asarray(frame_raw).shape)
     # One unit product is mag_max * RAW_MAX in integer tap units.
     code_scale = cal.lsb_per_unit / (fused.mag_max * RAW_MAX)
     bn_codes = offset_codes(fused, cal, adc_cfg)[:, None, None]
@@ -209,7 +192,7 @@ def golden_layer(
         nodes[:, r0:r1] = relu_requantize(adc_cfg, signed)
 
     polarity_codes(
-        bayer_phase_stacks(raw, spec.s),
+        phases,
         np.concatenate([fused.pos_mags, fused.neg_mags]),
         spec,
         code_scale,

@@ -1,11 +1,16 @@
 """Full analog-chain simulation of the fused first layer.
 
-For each output channel the layer runs as two polarity cycles (positive
-magnitudes, then negative magnitudes).  Each cycle integrates every active
-pixel for its weight-encoded exposure, accumulates per column, combines
-columns through the switching matrix, and digitizes.  The signed CDS
-subtraction, BN preload, ReLU clip, 4-bit requantization and pooling then
-happen in the ADC periphery exactly as in hardware.
+Every output channel runs as two polarity cycles (positive magnitudes,
+then negative magnitudes) over the same pixel exposures.  simulate_layer
+makes one pass over row blocks of the output grid: mac_node_voltages
+integrates every active pixel for its weight-encoded exposure,
+accumulates per column and combines columns through the switching matrix
+for all 2*c_o polarity planes at once: a discharge that several planes
+share at one tap is computed once per block.  Each block then goes
+straight to the ADC periphery, as in hardware: per channel both
+polarities are digitized, the signed CDS count runs from the channel's BN
+preload, and ReLU and the 4-bit requantization write a uint8 node grid.
+Pooling runs per channel at the end.
 """
 
 from __future__ import annotations
@@ -16,11 +21,10 @@ import numpy as np
 
 from .adc import AdcConfig, cds_signed, maxpool, quantize, relu_requantize
 from .errors import DimensionError, ValidationError
-from .formats import frame_to_photocurrents
-from .golden import RAW_MAX, CalibrationMap, offset_codes
+from .golden import CalibrationMap, offset_codes
 from .mapper import ConvSpec, FusedLayer, output_dims
 from .pixel import PixelParams
-from .pixel_array import ArrayConfig, bayer_phase_stacks, mac_node_voltages, run_mac_cycle
+from .pixel_array import ArrayConfig, mac_node_voltages, photocurrent_channels, run_mac_cycle
 from .wtc import CounterConfig
 
 
@@ -37,19 +41,6 @@ class ChainConfig:
         return CalibrationMap.derive(self.pixel, self.wtc, self.array, self.adc, mag_max)
 
 
-def photocurrent_channels(frame_raw: np.ndarray, pixel: PixelParams, padding: int = 0, stride: int = 1) -> tuple:
-    """Photocurrent bayer_phase_stacks of raw mosaic samples; at stride 1,
-    [0][0] is the (4, rows, cols) channel stack."""
-    raw = np.asarray(frame_raw)
-    if raw.ndim != 2:
-        raise DimensionError("frame must be 2-D")
-    if np.any(raw < 0) or np.any(raw > RAW_MAX):
-        raise ValidationError(f"raw samples must be in [0, {RAW_MAX}]")
-    if padding:
-        raw = np.pad(raw, padding)
-    return bayer_phase_stacks(frame_to_photocurrents(raw, pixel.i_max), stride)
-
-
 def simulate_layer(
     frame_raw: np.ndarray,
     fused: FusedLayer,
@@ -57,38 +48,45 @@ def simulate_layer(
     chain: ChainConfig,
     return_codes: bool = False,
 ):
-    """Simulate the full first layer; returns (c_o, pool_r, pool_c)
+    """Simulate the full first layer; returns uint8 (c_o, pool_r, pool_c)
     activations, or (activations, signed_codes) when return_codes is set.
 
-    The signed codes are the per-node CDS results before ReLU, useful for
-    threshold-agreement checks.
+    The signed codes are the int64 per-node CDS results before ReLU,
+    useful for threshold-agreement checks.
     """
     if fused.pos_mags.shape != (spec.c_o, 4, spec.k, spec.k):
         raise DimensionError(
             f"fused planes shape {fused.pos_mags.shape} != {(spec.c_o, 4, spec.k, spec.k)}"
         )
-    phases = photocurrent_channels(frame_raw, chain.pixel, spec.p, spec.s)
-    cal = chain.calibration(fused.mag_max)
-    bn_codes = offset_codes(fused, cal, chain.adc)
-    (out_r, out_c), (pool_r, pool_c) = output_dims(spec, *np.asarray(frame_raw).shape)
-    activations = np.empty((spec.c_o, pool_r, pool_c), dtype=np.int64)
+    phases = photocurrent_channels(frame_raw, spec.p, spec.s)
+    bn_codes = offset_codes(fused, chain.calibration(fused.mag_max), chain.adc)
+    # One CDS counter per channel, preloaded with its BN offset.
+    counters = [
+        AdcConfig(v_fs=chain.adc.v_fs, bn_offset_codes=int(bn), out_bits=chain.adc.out_bits)
+        for bn in bn_codes
+    ]
+    (out_r, out_c), _ = output_dims(spec, *np.asarray(frame_raw).shape)
+    nodes = np.empty((spec.c_o, out_r, out_c), dtype=np.uint8)
     signed_codes = np.empty((spec.c_o, out_r, out_c), dtype=np.int64) if return_codes else None
-    for ch_out in range(spec.c_o):
-        adc_cfg = AdcConfig(
-            v_fs=chain.adc.v_fs,
-            bn_offset_codes=int(bn_codes[ch_out]),
-            out_bits=chain.adc.out_bits,
-        )
-        v_pos = mac_node_voltages(
-            chain.array, chain.pixel, chain.wtc, phases, fused.pos_mags[ch_out], spec.k, spec.s
-        )
-        v_neg = mac_node_voltages(
-            chain.array, chain.pixel, chain.wtc, phases, fused.neg_mags[ch_out], spec.k, spec.s
-        )
-        signed = cds_signed(adc_cfg, v_pos, v_neg)
-        if return_codes:
-            signed_codes[ch_out] = signed
-        activations[ch_out] = maxpool(relu_requantize(adc_cfg, signed), spec.p_s)
+
+    def digitize(r0: int, r1: int, volts: np.ndarray) -> None:
+        for ch_out, adc_cfg in enumerate(counters):
+            signed = cds_signed(adc_cfg, volts[ch_out], volts[spec.c_o + ch_out])
+            if return_codes:
+                signed_codes[ch_out, r0:r1] = signed
+            nodes[ch_out, r0:r1] = relu_requantize(adc_cfg, signed)
+
+    mac_node_voltages(
+        chain.array,
+        chain.pixel,
+        chain.wtc,
+        phases,
+        np.concatenate([fused.pos_mags, fused.neg_mags]),
+        spec.k,
+        spec.s,
+        digitize,
+    )
+    activations = np.stack([maxpool(plane, spec.p_s) for plane in nodes])
     if return_codes:
         return activations, signed_codes
     return activations

@@ -24,6 +24,9 @@ import numpy as np
 
 from .errors import FitError, ValidationError
 
+# Full-scale raw sensor sample (16-bit); it maps to exactly i_max.
+RAW_MAX = 65535
+
 IDEAL_LINEAR = "ideal-linear"
 FITTED_POLYNOMIAL = "fitted-polynomial"
 
@@ -78,6 +81,12 @@ def integrate(params: PixelParams, photocurrent, exposure):
     if dv.ndim == 0:
         return float(dv)
     return dv
+
+
+def frame_to_photocurrents(raw, i_max: float) -> np.ndarray:
+    """Per-pixel photocurrents: i_max * raw / RAW_MAX (full scale maps to
+    exactly i_max)."""
+    return (np.asarray(raw).astype(float) / RAW_MAX) * i_max
 
 
 @dataclass(frozen=True)

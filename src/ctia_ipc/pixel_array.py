@@ -11,14 +11,26 @@ magnitudes run in separate cycles and meet again only in the ADC's up/down
 counter.
 
 mac_node_voltages is the one MAC, and every path uses it: the layer runs
-it over the whole frame, run_mac_cycle over one receptive field.  It sums
-in the hardware's order.  Each kernel column's taps add into one column
-buffer in (row, channel) order: that buffer is the column's CBL.  The
-column buffers then add in column order before the single divide: that
-is the switching matrix.  Monte Carlo sums its perturbed taps in the same
-order.  The layer kernel splits its output grid into row blocks that run
-on separate threads; every node still sums its taps in that order, so the
-result is the same at any thread count.
+it once over the whole frame for all 2*c_o polarity planes, run_mac_cycle
+over one receptive field.  It sums in the hardware's order.  Each kernel
+column's taps add into one CBL buffer per plane in (row, channel) order;
+the CBL buffers then add into the plane's accumulator in column order
+before the single divide: that is the switching matrix.  Monte Carlo sums
+its perturbed taps in the same order.
+
+The layer kernel makes one pass over row blocks of its output grid, on
+separate threads.  In a block, every tap position (column, row, channel)
+computes the discharge min(x*t/c_f, headroom) once for each distinct
+exposure t among the planes, and adds it into the CBL of every plane with
+that exposure there, since all output channels read the same pixel
+exposures.  A plane's CBL starts at 0.0 and every discharge is >= +0.0,
+so 0.0 + dv == dv and each plane sees the same float operations, in the
+same order, as a plane computed alone.  The headroom min is skipped for an
+exposure t when fl(fl(x_max*t)/c_f) <= headroom, with x_max the brightest
+photocurrent: rounding is monotone, so no pixel of the frame can then
+reach the clamp, and min(dv, headroom) == dv.  Every node sums its taps
+in the same order at any block size or thread count, so the result is
+bit-identical.
 
 Bayer geometry: the mosaic is interpreted as four channels (R, G1, G2, B
 at even/even, even/odd, odd/even, odd/odd parities) held constant over
@@ -26,25 +38,35 @@ each 2x2 quad.  A kernel window anchored at raw pixel (r0, c0) reads, for
 every channel, the k x k quad-sampled values at (r0+i, c0+j), giving the
 k*k*4 contributions per output node that the accumulation network sums.
 MAC mode therefore requires even frame dimensions.  For a stride s the
-layer kernel reads the channel stack split into s x s phases, so that each
-tap reads one contiguous slice instead of a strided one.
+layer kernels read the channel stack split into s x s phases, so that
+each tap reads one contiguous slice instead of a strided one; tap_plan
+lists the distinct slices, the geometry the simulator and the golden
+model share.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScheduleError, StateError, ValidationError
-from .parallel import map_row_blocks
-from .pixel import PixelParams, integrate
+from .errors import DimensionError, ScheduleError, StateError, ValidationError
+from . import parallel
+from .pixel import RAW_MAX, PixelParams, frame_to_photocurrents, integrate
 from .wtc import CounterConfig, match_ticks
 
 # (row parity, col parity) per channel, in channel order R, G1, G2, B.
 BAYER_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 N_CHANNELS = 4
+
+# A layer block's accumulators, CBL buffers and discharge scratch hold
+# about this many times parallel.ROW_BLOCK_NODES float64 values: 10 MiB
+# per thread at the default, 16k nodes for 32 planes.  Shorter numpy calls
+# lose more to the interpreter lock than a second thread gains (see
+# parallel).
+_CBL_BLOCK_SCALE = 40
 
 
 @dataclass(frozen=True)
@@ -118,6 +140,57 @@ def bayer_channel_view(frame: np.ndarray) -> np.ndarray:
     return bayer_phase_stacks(frame, 1)[0][0]
 
 
+def photocurrent_channels(frame_raw, padding: int = 0, stride: int = 1) -> tuple:
+    """Phase stacks of a raw sensor frame, the source of every tap's
+    photocurrent: integer samples in [0, RAW_MAX], zero-padded, held as
+    uint16 bayer_phase_stacks.  mac_node_voltages turns the rows a block
+    reads into photocurrents with frame_to_photocurrents; the golden model
+    multiplies the samples as integers."""
+    raw = np.asarray(frame_raw)
+    if raw.ndim != 2:
+        raise DimensionError("frame must be 2-D")
+    if not np.issubdtype(raw.dtype, np.integer):
+        raise ValidationError("a sensor frame holds integer raw samples")
+    if raw.size and (raw.min() < 0 or raw.max() > RAW_MAX):
+        raise ValidationError(f"raw samples must be in [0, {RAW_MAX}]")
+    raw = raw.astype(np.uint16, copy=False)
+    if padding:
+        raw = np.pad(raw, padding)
+    return bayer_phase_stacks(raw, stride)
+
+
+def tap_plan(phases, planes, k: int, stride: int) -> tuple:
+    """The distinct phase-stack slices read by the nonzero taps of a set of
+    planes: the geometry both layer kernels share.
+
+    planes is (n_planes, 4, k, k).  Tap (i, j) reads channel ch of
+    phases[i % stride][j % stride] at offset (i // stride, j // stride).
+    An even stride shares one stack between phases, so a slice is keyed by
+    the stack object itself: at k7s2 the 196 tap positions read 64 slices.
+    Returns (slices, taps): slices lists one (stack, channel, row offset,
+    column offset) per distinct slice; taps lists (j, i, ch, value, plane,
+    slice index) per nonzero tap, sorted: in the hardware's summation
+    order of kernel column, then row, then channel, and by value within a
+    tap position.
+    """
+    slot = {}  # (id(stack), channel, row offset, column offset) -> slice index
+    slices = []
+    taps = []
+    by_column = np.asarray(planes).transpose(3, 2, 1, 0)
+    nonzero = np.nonzero(by_column)
+    values = by_column[nonzero].tolist()
+    for j, i, ch, p, value in zip(*(axis.tolist() for axis in nonzero), values):
+        stack = phases[i % stride][j % stride]
+        key = (id(stack), ch, i // stride, j // stride)
+        n = slot.get(key)
+        if n is None:
+            n = slot[key] = len(slices)
+            slices.append((stack, ch, i // stride, j // stride))
+        taps.append((j, i, ch, value, p, n))
+    taps.sort()
+    return slices, taps
+
+
 def tap_grid(phases, k: int, stride: int) -> tuple:
     """(out_r, out_c) output grid of a k x k, stride-spaced kernel over
     phase stacks: the nodes at which every tap's slice fits its phase."""
@@ -157,7 +230,8 @@ def run_mac_cycle(
         raise ScheduleError(f"region must be (4, k, k), got {x.shape}")
     if mags.shape != x.shape:
         raise ScheduleError(f"weight plane shape {mags.shape} != region shape {x.shape}")
-    if not np.all(np.isfinite(x)) or np.any(x < 0):
+    # min and max are NaN when any element is.
+    if x.size and not (x.min() >= 0 and math.isfinite(x.max())):
         raise ValidationError("photocurrents must be finite and >= 0")
     return float(mac_node_voltages(cfg, params, wtc_cfg, ((x,),), mags, x.shape[1], 1)[0, 0])
 
@@ -194,6 +268,35 @@ def run_signed_mac(
     )
 
 
+def _discharge_plan(taps, k: int, t_step: float, unclamped) -> tuple:
+    """The layer kernel's work list, from tap_plan taps whose values are
+    counter ticks: per kernel column, its tap positions (i, ch) in
+    summation order.  Per position: its slice, its distinct exposures in
+    ascending order as an (m, 1, 1) array, how many of them unclamped(t)
+    holds for (the rest are the last ones, as the discharge grows with t),
+    and the (plane, exposure index) of each CBL add.  Returns (columns,
+    the largest m)."""
+    exposures = []  # every position's distinct exposures, in order
+    positions = []  # [column, slice, first, end, unclamped count, CBL adds]
+    last = None
+    for j, i, ch, tick, p, n in taps:
+        if (j, i, ch) != last:
+            last, last_tick = (j, i, ch), None
+            position = [j, n, len(exposures), len(exposures), 0, []]
+            positions.append(position)
+        if tick != last_tick:
+            last_tick = tick
+            exposures.append(float(tick) * t_step)
+            position[3] += 1
+            position[4] += unclamped(exposures[-1])
+        position[5].append((p, position[3] - 1 - position[2]))
+    ts = np.array(exposures)[:, None, None]
+    columns = [[] for _ in range(k)]
+    for j, n, first, end, safe, adds in positions:
+        columns[j].append((n, ts[first:end], safe, adds))
+    return columns, max((end - first for _, _, first, end, _, _ in positions), default=0)
+
+
 def mac_node_voltages(
     cfg: ArrayConfig,
     params: PixelParams,
@@ -202,59 +305,109 @@ def mac_node_voltages(
     magnitudes,
     k: int,
     stride: int,
-) -> np.ndarray:
-    """All output nodes' ADC-input voltages for one polarity cycle set.
+    emit=None,
+):
+    """ADC-input voltages of every output node for every magnitude plane;
+    each plane is one polarity cycle.
 
-    phases: bayer_phase_stacks of the frame's photocurrents for this
-    stride.  Each kernel tap integrates one slice of a phase stack.  The
-    taps of kernel column j add into that column's CBL buffer in (row,
-    channel) order; the CBL buffers add in column order and are divided
-    once by the switching-matrix divider.  Row blocks of the grid run on
-    parallel.map_row_blocks threads.
+    phases: bayer_phase_stacks of photocurrents, or the uint16 raw-sample
+    stacks of photocurrent_channels, whose rows each block turns into
+    photocurrents with frame_to_photocurrents.  magnitudes: one (4, k, k)
+    plane or a stack of n planes (n, 4, k, k).  Each kernel tap integrates
+    one slice of a phase stack; the module docstring gives the order of
+    the sums and how the planes share discharges.
+
+    Row blocks run on parallel.map_row_blocks threads.  With emit, every
+    block calls emit(r0, r1, volts) with the (n, r1 - r0, out_c) voltages
+    of its rows, which emit must consume before it returns, writing only
+    rows r0:r1 of its outputs; nothing is returned.  Without emit, returns
+    the (n, out_r, out_c) grid, or (out_r, out_c) for one plane.
     """
     mags = np.asarray(magnitudes)
-    if mags.shape != (N_CHANNELS, k, k):
-        raise ScheduleError(f"weight plane must be (4, {k}, {k}), got {mags.shape}")
+    planes = mags if mags.ndim == 4 else mags[None]
+    if planes.ndim != 4 or planes.shape[1:] != (N_CHANNELS, k, k):
+        raise ScheduleError(f"weight planes must be (n, 4, {k}, {k}), got {mags.shape}")
     out_r, out_c = tap_grid(phases, k, stride)
-    ticks = np.asarray(match_ticks(wtc_cfg, mags), dtype=np.int64)
-    # Per kernel column, its nonzero taps; all-zero columns add nothing.
-    columns = []
-    for j in range(k):
-        taps = []
-        for i in range(k):
-            for ch in range(N_CHANNELS):
-                t = float(ticks[ch, i, j]) * wtc_cfg.t_step
-                if t != 0.0:
-                    plane = phases[i % stride][j % stride][ch]
-                    taps.append((plane, i // stride, j // stride, t))
-        if taps:
-            columns.append(taps)
-    volts = np.empty((out_r, out_c))
+    ticks = np.asarray(match_ticks(wtc_cfg, planes), dtype=np.int64)
+    slices, taps = tap_plan(phases, ticks, k, stride)
+
+    def currents(samples):
+        if samples.dtype.kind in "iu":
+            return frame_to_photocurrents(samples, params.i_max)
+        return samples
+
+    stacks = {id(entry[0]): entry[0] for entry in slices}
+    x_max = 0.0
+    for stack in stacks.values():
+        x_max = max(x_max, float(currents(stack.max())))
+    columns, depth = _discharge_plan(
+        taps, k, wtc_cfg.t_step, lambda t: x_max * t / params.c_f <= params.headroom
+    )
+    extra = (k - 1) // stride
+    n_planes = len(planes)
+
+    volts = None
+    if emit is None:
+        volts = np.empty((n_planes, out_r, out_c))
+
+        def emit(r0, r1, block_volts):
+            volts[:, r0:r1] = block_volts
+
+    multiply, divide, add, c_f = np.multiply, np.divide, np.add, params.c_f
+
+    # Each worker thread keeps its block buffers: a fresh buffer per block
+    # costs a page fault per 4 KB, as much as a pass over the buffer.  Rows
+    # 0:n are the accumulators, n:2n the CBLs, then the discharges.
+    buffers = threading.local()
+    n_rows = 2 * n_planes + depth
 
     def accumulate_block(r0: int, r1: int) -> None:
-        acc = volts[r0:r1]
+        rows = r1 - r0
+        if getattr(buffers, "size", 0) < rows * out_c:
+            buffers.size = rows * out_c
+            buffers.flat = np.empty(n_rows * buffers.size)
+        block_buffer = buffers.flat[: n_rows * rows * out_c].reshape(n_rows, rows, out_c)
+        acc = block_buffer[:n_planes]
+        cbl = block_buffer[n_planes : 2 * n_planes]
+        scratch = block_buffer[2 * n_planes :]
+        # Row views made once per block keep each add call short.
+        row_views = list(block_buffer)
+        acc_rows = row_views[:n_planes]
+        cbl_rows = row_views[n_planes : 2 * n_planes]
+        dv_rows = row_views[2 * n_planes :]
+        heads = [scratch[:m] for m in range(depth + 1)]
+        block = {key: currents(stack[:, r0 : r1 + extra]) for key, stack in stacks.items()}
+        views = [
+            block[id(stack)][ch : ch + 1, di : di + rows, dj : dj + out_c]
+            for stack, ch, di, dj in slices
+        ]
         acc.fill(0.0)
-        cbl = np.empty_like(acc)
-        dv = np.empty_like(acc)
-
-        def integrate_tap(tap, out):
-            plane, di, dj, t = tap
-            np.multiply(plane[di + r0 : di + r1, dj : dj + out_c], t, out=out)
-            np.divide(out, params.c_f, out=out)
-            np.minimum(out, params.headroom, out=out)
-
-        # A column's first tap starts its CBL instead of adding to 0.0; that
-        # can differ only in the sign of a zero, which acc's +0.0 absorbs.
-        for first, *rest in columns:
-            integrate_tap(first, cbl)
-            for tap in rest:
-                integrate_tap(tap, dv)
-                np.add(cbl, dv, out=cbl)
-            np.add(acc, cbl, out=acc)
+        # The first column's CBLs are the accumulators: 0.0 + cbl == cbl.
+        target = acc_rows
+        for column in filter(None, columns):
+            if target is cbl_rows:
+                cbl.fill(0.0)
+            for n, ts, n_safe, adds in column:
+                dv = heads[len(ts)]
+                multiply(ts, views[n], dv)
+                divide(dv, c_f, dv)
+                if n_safe < len(ts):
+                    np.minimum(dv[n_safe:], params.headroom, out=dv[n_safe:])
+                for p, x in adds:
+                    row = target[p]
+                    add(row, dv_rows[x], row)
+            if target is acc_rows:
+                target = cbl_rows
+            else:
+                np.add(acc, cbl, out=acc)
         np.divide(acc, cfg.divider, out=acc)
+        emit(r0, r1, acc)
 
-    map_row_blocks(accumulate_block, out_r, out_c)
-    return volts
+    block_nodes = _CBL_BLOCK_SCALE * parallel.ROW_BLOCK_NODES // n_rows
+    parallel.map_row_blocks(accumulate_block, out_r, out_c, max(block_nodes, 1))
+    if volts is None:
+        return None
+    return volts if mags.ndim == 4 else volts[0]
 
 
 def readout_frame(params: PixelParams, frame, exposure: float) -> np.ndarray:

@@ -54,7 +54,7 @@ def _check_magnitude(magnitude) -> None:
     m = np.asarray(magnitude)
     if not np.issubdtype(m.dtype, np.integer):
         raise ValidationError("weight magnitude must be an integer")
-    if np.any(m < 0) or np.any(m > MAG_MAX):
+    if m.size and (m.min() < 0 or m.max() > MAG_MAX):
         raise ValidationError(f"weight magnitude must be in [0, {MAG_MAX}]")
 
 

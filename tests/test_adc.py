@@ -44,6 +44,33 @@ class TestQuantize:
         codes = quantize(adc_cfg, np.array([0.0, 0.005, 0.35, 1.0]))
         assert codes.tolist() == [0, 0, 35, 63]
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.nan, "must be finite"),
+            (-np.inf, "must be finite"),
+            (np.inf, "must be finite"),
+            (-0.01, "negative voltage"),
+        ],
+    )
+    def test_invalid_voltage_anywhere_in_an_array(self, adc_cfg, bad, message):
+        v = np.full((3, 4), 0.1)
+        v[2, 1] = bad
+        with pytest.raises(StateError, match=message):
+            quantize(adc_cfg, v)
+
+    def test_far_above_full_scale_saturates(self, adc_cfg):
+        # Beyond 2^63 codes an int64 cast has no meaning; the ceiling comes
+        # first.
+        codes = quantize(adc_cfg, np.array([1e300, 0.2]))
+        assert codes.tolist() == [63, 20]
+        assert quantize(adc_cfg, 1e300) == 63
+
+    def test_empty_and_scalar_types(self, adc_cfg):
+        empty = quantize(adc_cfg, np.zeros((0, 3)))
+        assert empty.shape == (0, 3) and empty.dtype == np.int64
+        assert type(quantize(adc_cfg, 0.35)) is int
+
 
 class TestCdsSigned:
     def test_balanced_cancellation(self, adc_cfg):

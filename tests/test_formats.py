@@ -5,7 +5,6 @@ import pytest
 
 from ctia_ipc.errors import FormatError, ValidationError
 from ctia_ipc.formats import (
-    frame_to_photocurrents,
     load_pgm16,
     load_weights,
     read_csv,
@@ -15,6 +14,7 @@ from ctia_ipc.formats import (
     write_json,
 )
 from ctia_ipc.mapper import BnParams
+from ctia_ipc.pixel import frame_to_photocurrents
 
 
 class TestPgm:

@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from ctia_ipc import parallel
-from ctia_ipc.formats import frame_to_photocurrents
 from ctia_ipc.golden import RAW_MAX, polarity_codes
 from ctia_ipc.mapper import ConvSpec
 from ctia_ipc.metrics import MismatchSpec, monte_carlo
 from ctia_ipc.pipeline import photocurrent_channels
-from ctia_ipc.pixel import PixelParams, integrate
+from ctia_ipc.pixel import PixelParams, frame_to_photocurrents, integrate
 from ctia_ipc.pixel_array import (
     N_CHANNELS,
     ArrayConfig,
@@ -124,9 +123,9 @@ def reference_polarity_codes(channels_raw, mags, spec, code_scale, code_max, tap
 
 @pytest.fixture(autouse=True)
 def many_threaded_blocks(monkeypatch):
-    # Blocks of one or two rows on three threads: the small test frames
-    # then cross many block boundaries.
-    monkeypatch.setattr(parallel, "ROW_BLOCK_NODES", 40)
+    # Blocks of one row on three threads: the small test frames then cross
+    # many block boundaries.
+    monkeypatch.setattr(parallel, "ROW_BLOCK_NODES", 1)
     monkeypatch.setenv("CTIA_IPC_THREADS", "3")
 
 
@@ -152,7 +151,7 @@ def test_mac_node_voltages_bit_exact(k, s, p, pixel_config):
     if pixel_config == "clamped":
         assert channels.max() * 15 * (1 << wtc.window) * wtc.t_step / pixel.c_f > pixel.headroom
     expected = reference_mac_node_voltages(cfg, pixel, wtc, channels, mags, k, s)
-    got = mac_node_voltages(cfg, pixel, wtc, photocurrent_channels(raw, pixel, p, s), mags, k, s)
+    got = mac_node_voltages(cfg, pixel, wtc, photocurrent_channels(raw, p, s), mags, k, s)
     assert got.shape == expected.shape
     assert np.array_equal(got, expected)
 

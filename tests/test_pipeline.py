@@ -1,0 +1,120 @@
+"""simulate_layer's one block pass against the layer computed one output
+channel and one polarity at a time, as two full-grid tap loops per
+channel followed by the ADC periphery.  Codes and activations must be
+equal, not merely close."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from ctia_ipc import parallel
+from ctia_ipc.adc import ADC_BITS, AdcConfig, maxpool
+from ctia_ipc.errors import ValidationError
+from ctia_ipc.golden import offset_codes
+from ctia_ipc.mapper import ConvSpec
+from ctia_ipc.pipeline import ChainConfig, simulate_layer
+from ctia_ipc.pixel import PixelParams, frame_to_photocurrents
+from ctia_ipc.pixel_array import ArrayConfig, bayer_channel_view
+from ctia_ipc.wtc import CounterConfig
+
+from conftest import random_frame, random_layer, small_chain
+from test_kernels import reference_mac_node_voltages
+
+
+def loop_quantize(adc_cfg, v):
+    codes = np.floor(v / adc_cfg.lsb + 1e-9).astype(np.int64)
+    return np.minimum(codes, adc_cfg.code_max)
+
+
+def loop_simulate_layer(frame, fused, spec, chain):
+    """Per output channel: both polarity cycles over the whole grid, then
+    quantize, signed CDS from the BN preload, ReLU, requantize and pool."""
+    channels = bayer_channel_view(
+        np.pad(frame_to_photocurrents(frame, chain.pixel.i_max), spec.p)
+    )
+    bn_codes = offset_codes(fused, chain.calibration(fused.mag_max), chain.adc)
+    adc_cfg = chain.adc
+    activations, signed_codes = [], []
+    for ch_out in range(spec.c_o):
+        volts = [
+            reference_mac_node_voltages(
+                chain.array, chain.pixel, chain.wtc, channels, mags[ch_out], spec.k, spec.s
+            )
+            for mags in (fused.pos_mags, fused.neg_mags)
+        ]
+        signed = loop_quantize(adc_cfg, volts[0]) - loop_quantize(adc_cfg, volts[1])
+        signed += int(bn_codes[ch_out])
+        relu = np.minimum(np.maximum(signed, 0) >> (ADC_BITS - adc_cfg.out_bits), adc_cfg.out_max)
+        activations.append(maxpool(relu, spec.p_s))
+        signed_codes.append(signed)
+    return np.asarray(activations), np.asarray(signed_codes)
+
+
+def edge_pixel():
+    """A pixel whose largest discharge, a full-scale sample at the longest
+    exposure, lands exactly on the headroom clamp."""
+    wtc = CounterConfig()
+    pixel = PixelParams()
+    t_max = float(15 << wtc.window) * wtc.t_step
+    return PixelParams(headroom=pixel.i_max * t_max / pixel.c_f), wtc
+
+
+PIXELS = {
+    "default": lambda: (PixelParams(), CounterConfig()),
+    # 6 V of discharge at full scale against 0.8 V of headroom.
+    "clamped": lambda: (PixelParams(c_f=1e-15), CounterConfig(window=3)),
+    "edge": edge_pixel,
+}
+
+
+@given(
+    half_rows=st.integers(1, 12),
+    half_cols=st.integers(1, 12),
+    k=st.integers(1, 7),
+    s=st.integers(1, 4),
+    p=st.integers(0, 3),
+    c_o=st.integers(1, 4),
+    p_s=st.integers(1, 3),
+    pixel=st.sampled_from(sorted(PIXELS)),
+    threads=st.sampled_from(["1", "3"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_block_pass_matches_per_channel_loop(
+    half_rows, half_cols, k, s, p, c_o, p_s, pixel, threads, seed
+):
+    rows, cols = 2 * half_rows, 2 * half_cols
+    assume(rows + 2 * p >= k and cols + 2 * p >= k)
+    rng = np.random.default_rng(seed)
+    spec = ConvSpec(k=k, s=s, p=p, c_o=c_o, p_s=p_s)
+    _, _, fused = random_layer(rng, spec, beta_bias=rng.uniform(-0.5, 1.5))
+    frame = random_frame(rng, rows, cols)
+    # Full-scale samples, so that the edge pixel's clamp is reached.
+    frame[rng.random(frame.shape) < 0.2] = 65535
+    pixel_params, wtc = PIXELS[pixel]()
+    chain = ChainConfig(
+        pixel=pixel_params,
+        wtc=wtc,
+        array=ArrayConfig(rows=rows, cols=cols),
+        adc=AdcConfig(v_fs=rng.uniform(0.05, 1.0)),
+    )
+    expected = loop_simulate_layer(frame, fused, spec, chain)
+    with pytest.MonkeyPatch.context() as patch:
+        # Row blocks of one row.
+        patch.setattr(parallel, "ROW_BLOCK_NODES", 1)
+        patch.setenv("CTIA_IPC_THREADS", threads)
+        activations, signed = simulate_layer(frame, fused, spec, chain, return_codes=True)
+    assert activations.dtype == np.uint8
+    assert activations.shape == expected[0].shape
+    assert np.array_equal(activations, expected[0])
+    assert np.array_equal(signed, expected[1])
+
+
+def test_rejects_non_integer_frames():
+    rng = np.random.default_rng(3)
+    spec = ConvSpec(k=3, c_o=2)
+    _, _, fused = random_layer(rng, spec)
+    frame = random_frame(rng, 16, 16).astype(float)
+    with pytest.raises(ValidationError):
+        simulate_layer(frame, fused, spec, small_chain(16, 16))

@@ -18,6 +18,7 @@ from ctia_ipc.pixel_array import (
     run_mac_cycle,
     run_signed_mac,
     tap_grid,
+    tap_plan,
 )
 from ctia_ipc.wtc import CounterConfig, match_time
 
@@ -89,6 +90,14 @@ class TestAccumulateColumn:
         region[0, 1, 2] = -1e-12
         mags = np.ones((4, 3, 3), dtype=np.int64)
         with pytest.raises(ValidationError):
+            run_mac_cycle(self.cfg, self.pixel, self.wtc, region, mags)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        region = np.zeros((4, 3, 3))
+        region[2, 0, 1] = bad
+        mags = np.ones((4, 3, 3), dtype=np.int64)
+        with pytest.raises(ValidationError, match="finite"):
             run_mac_cycle(self.cfg, self.pixel, self.wtc, region, mags)
 
 
@@ -275,6 +284,24 @@ class TestRunMacCycle:
         for idx in shuffled_idx:
             shuffled[idx] = run_mac_cycle(self.cfg, self.pixel, self.wtc, regions[idx], mags[idx])
         assert serial == shuffled  # bitwise
+
+
+class TestTapPlan:
+    @pytest.mark.parametrize("stride, n_slices", [(1, 196), (2, 64), (3, 196), (4, 64)])
+    def test_slices_shared_between_phases(self, stride, n_slices):
+        # An even stride shares one stack between phases a and a ^ 1, so
+        # taps i and i ^ 1 (and j and j ^ 1) of a 7x7 kernel read one slice.
+        phases = bayer_phase_stacks(np.zeros((32, 32), dtype=np.uint16), stride)
+        planes = np.arange(2 * 4 * 7 * 7).reshape(2, 4, 7, 7) % 3
+        slices, taps = tap_plan(phases, planes, 7, stride)
+        assert len(slices) == n_slices
+        assert len(taps) == np.count_nonzero(planes)
+        assert taps == sorted(taps)
+        for j, i, ch, value, p, n in taps:
+            stack, channel, di, dj = slices[n]
+            assert value == planes[p, ch, i, j] != 0
+            assert stack is phases[i % stride][j % stride] and channel == ch
+            assert (di, dj) == (i // stride, j // stride)
 
 
 class TestVectorizedPath:
