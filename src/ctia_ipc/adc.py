@@ -95,10 +95,12 @@ def relu_requantize(cfg: AdcConfig, code):
     arr = np.asarray(code)
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValidationError("relu_requantize expects integer codes")
-    clipped = np.maximum(arr, 0)
-    value = np.minimum(clipped >> (ADC_BITS - cfg.out_bits), cfg.out_max)
+    # One fresh buffer, shifted and capped in place; the input is untouched.
+    value = np.maximum(arr, 0)
     if value.ndim == 0:
-        return int(value)
+        return min(int(value) >> (ADC_BITS - cfg.out_bits), cfg.out_max)
+    value >>= ADC_BITS - cfg.out_bits
+    np.minimum(value, cfg.out_max, out=value)
     return value
 
 

@@ -177,10 +177,11 @@ def _transfer_samples(cfg: RunConfig):
     samples = []
     mag_max = cfg.conv.mag_max
     chain = cfg.chain()
+    x_grid = np.linspace(0.0, 1.0, cfg.transfer_grid_points)
+    x_norms = x_grid.tolist()
     for mag in range(mag_max + 1):
-        for x_norm in np.linspace(0.0, 1.0, cfg.transfer_grid_points):
-            _, v_adc_in, _ = sweep_window_chain(chain, 1, mag, float(x_norm))
-            samples.append((mag / mag_max, float(x_norm), v_adc_in))
+        _, v_adc_in, _ = sweep_window_chain(chain, 1, mag, x_grid)
+        samples.extend((mag / mag_max, x, v) for x, v in zip(x_norms, v_adc_in.tolist()))
     return samples
 
 

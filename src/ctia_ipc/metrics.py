@@ -290,15 +290,12 @@ class SweepRow:
     code: int
 
 
-def _sweep_points(mode: str, x_points: int):
-    """(magnitude, x_norm) grid per sweep mode."""
-    x_grid = np.linspace(0.0, 1.0, x_points)
-    if mode == "vs_weight":
-        return [(m, x) for m in range(16) for x in x_grid]
+def _sweep_order(mode: str, x_points: int):
+    """(magnitude, x index) order of a sweep mode's rows."""
     if mode == "vs_current":
-        return [(m, x) for x in x_grid for m in range(16)]
-    if mode == "vs_product":
-        return [(m, x) for m in range(16) for x in x_grid]
+        return [(m, i) for i in range(x_points) for m in range(16)]
+    if mode in ("vs_weight", "vs_product"):
+        return [(m, i) for m in range(16) for i in range(x_points)]
     raise ValidationError(f"unknown sweep mode {mode!r}")
 
 
@@ -312,27 +309,35 @@ def linearity_sweep(
 
     Single-unit modes use a 1x1 window; multiwindow runs all-equal k x k
     windows for k in {3, 5, 7}.  Weight levels cover the full 16-level WTC
-    range.  Returns SweepRow records matching the CSV column contract
-    mode,k,w_norm,x_norm,v_cbl,v_adc_in,code.
+    range.  Every x-point of one (k, magnitude) shares a weight plane, so
+    each is one sweep_window_chain call.  Returns SweepRow records matching
+    the CSV column contract mode,k,w_norm,x_norm,v_cbl,v_adc_in,code.
     """
     mag_max = 15
+    x_grid = np.linspace(0.0, 1.0, x_points)
+    x_norms = x_grid.tolist()
     rows = []
     for mode in modes:
         if mode == "multiwindow":
             kernel_sizes = MULTIWINDOW_KERNELS
-            points = _sweep_points("vs_product", x_points)
+            order = _sweep_order("vs_product", x_points)
         else:
             kernel_sizes = (unit_k,)
-            points = _sweep_points(mode, x_points)
+            order = _sweep_order(mode, x_points)
         for k in kernel_sizes:
-            for magnitude, x_norm in points:
-                v_cbl, v_adc_in, code = sweep_window_chain(chain, k, magnitude, float(x_norm))
+            # outputs[m] = (v_cbl, v_adc_in, code) lists over the x grid.
+            outputs = [
+                [a.tolist() for a in sweep_window_chain(chain, k, m, x_grid)]
+                for m in range(mag_max + 1)
+            ]
+            for m, i in order:
+                v_cbl, v_adc_in, code = (column[i] for column in outputs[m])
                 rows.append(
                     SweepRow(
                         mode=mode,
                         k=k,
-                        w_norm=magnitude / mag_max,
-                        x_norm=float(x_norm),
+                        w_norm=m / mag_max,
+                        x_norm=x_norms[i],
                         v_cbl=v_cbl,
                         v_adc_in=v_adc_in,
                         code=code,

@@ -92,19 +92,25 @@ def simulate_layer(
     return activations
 
 
-def sweep_window_chain(chain: ChainConfig, k: int, magnitude: int, x_norm: float):
-    """One all-equal k x k window through the analog chain.
+def sweep_window_chain(chain: ChainConfig, k: int, magnitude: int, x_norms):
+    """All-equal k x k windows through the analog chain, one per x_norm.
 
-    Every tap carries the same magnitude and normalized input; returns
-    (v_cbl of one column, v_adc_in, digital code).  This is the primitive
-    behind the linearity sweeps.
+    Every tap of a window carries the same magnitude and normalized input.
+    The windows share one weight plane, so they run as the nodes of one
+    batched run_mac_cycle call and one quantize call.  x_norms is 1-D;
+    returns arrays (v_cbl of one column, v_adc_in, digital code), one entry
+    per x_norm.  This is the primitive behind the linearity sweeps.
     """
-    if not 0.0 <= x_norm <= 1.0:
-        raise ValidationError(f"x_norm must be in [0, 1], got {x_norm}")
-    current = chain.pixel.i_max * x_norm
-    region = np.full((4, k, k), current)
+    x = np.asarray(x_norms, dtype=float)
+    if x.ndim != 1:
+        raise ValidationError(f"x_norms must be 1-D, got shape {x.shape}")
+    # min and max are NaN when any element is.
+    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
+        raise ValidationError(f"x_norm must be in [0, 1], got values in [{x.min()}, {x.max()}]")
+    currents = chain.pixel.i_max * x
+    fields = np.broadcast_to(currents[:, None, None, None], (x.size, 4, k, k))
     mags = np.full((4, k, k), magnitude, dtype=np.int64)
-    v_adc_in = run_mac_cycle(chain.array, chain.pixel, chain.wtc, region, mags)
+    v_adc_in = run_mac_cycle(chain.array, chain.pixel, chain.wtc, fields, mags)
     v_cbl = v_adc_in * chain.array.divider / k
-    code = quantize(chain.adc, v_adc_in)
-    return v_cbl, v_adc_in, code
+    codes = quantize(chain.adc, v_adc_in)
+    return v_cbl, v_adc_in, codes

@@ -12,7 +12,10 @@ counter.
 
 mac_node_voltages is the one MAC, and every path uses it: the layer runs
 it once over the whole frame for all 2*c_o polarity planes, run_mac_cycle
-over one receptive field.  It sums in the hardware's order.  Each kernel
+once over a batch of receptive fields that share one weight plane.  The
+batch is laid out as stride-k phase stacks with one node per field: phase
+(i, j) holds pixel (i, j) of every field, so at stride k each tap reads
+its node's own pixel.  It sums in the hardware's order.  Each kernel
 column's taps add into one CBL buffer per plane in (row, channel) order;
 the CBL buffers then add into the plane's accumulator in column order
 before the single divide: that is the switching matrix.  Monte Carlo sums
@@ -212,28 +215,39 @@ def run_mac_cycle(
     region,
     magnitudes,
     polarity: str = "positive",
-) -> float:
-    """One output node's ADC-input voltage for one polarity cycle.
+):
+    """Output-node ADC-input voltages for one polarity cycle.
 
-    region: (4, k, k) photocurrents for the node's receptive field.
+    region: (4, k, k) photocurrents of one node's receptive field, or a
+        batch (n, 4, k, k) of n nodes' fields.
     magnitudes: (4, k, k) unsigned weight magnitudes for this polarity
-        (cells belonging to the other polarity hold 0).
+        (cells belonging to the other polarity hold 0), shared by every
+        field of a batch.
 
-    Validates one receptive field and runs mac_node_voltages on it as the
-    one-node, stride-1 phase stack ((region,),).
+    Validates the fields and runs mac_node_voltages on them as stride-k
+    phase stacks, one node per field: phases[i][j][ch, 0, q] is field q's
+    pixel (ch, i, j), so tap (i, j) reads each node's own pixel and every
+    node sums in the same order as a field run alone.  Returns a float for
+    one region, an (n,) float64 array for a batch.
     """
     if polarity not in ("positive", "negative"):
         raise ValidationError(f"polarity must be positive or negative, got {polarity!r}")
     x = np.asarray(region, dtype=float)
     mags = np.asarray(magnitudes)
-    if x.ndim != 3 or x.shape[0] != N_CHANNELS or x.shape[1] != x.shape[2]:
-        raise ScheduleError(f"region must be (4, k, k), got {x.shape}")
-    if mags.shape != x.shape:
-        raise ScheduleError(f"weight plane shape {mags.shape} != region shape {x.shape}")
+    fields = x if x.ndim == 4 else x[None]
+    if fields.ndim != 4 or fields.shape[1] != N_CHANNELS or fields.shape[2] != fields.shape[3]:
+        raise ScheduleError(f"region must be (4, k, k) or (n, 4, k, k), got {x.shape}")
+    if mags.shape != fields.shape[1:]:
+        raise ScheduleError(f"weight plane shape {mags.shape} != field shape {fields.shape[1:]}")
     # min and max are NaN when any element is.
     if x.size and not (x.min() >= 0 and math.isfinite(x.max())):
         raise ValidationError("photocurrents must be finite and >= 0")
-    return float(mac_node_voltages(cfg, params, wtc_cfg, ((x,),), mags, x.shape[1], 1)[0, 0])
+    k = fields.shape[2]
+    # (k, k, 4, n): each phase stack is one contiguous (4, 1, n) slice.
+    stacks = np.ascontiguousarray(fields.transpose(2, 3, 1, 0))
+    phases = tuple(tuple(stacks[i, j][:, None] for j in range(k)) for i in range(k))
+    volts = mac_node_voltages(cfg, params, wtc_cfg, phases, mags, k, k)[0]
+    return volts if x.ndim == 4 else float(volts[0])
 
 
 @dataclass(frozen=True)

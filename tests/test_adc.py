@@ -122,8 +122,12 @@ class TestReluRequantize:
             assert relu_requantize(adc_cfg, value << shift) == value
 
     def test_grid(self, adc_cfg):
-        out = relu_requantize(adc_cfg, np.array([[-3, 25], [63, 4]]))
+        codes = np.array([[-3, 25], [63, 4]])
+        out = relu_requantize(adc_cfg, codes)
         assert out.tolist() == [[0, 6], [15, 1]]
+        # The result is a fresh array; the signed codes are left as they were.
+        assert codes.tolist() == [[-3, 25], [63, 4]]
+        assert type(relu_requantize(adc_cfg, np.int64(-7))) is int
 
 
 class TestMaxpool:

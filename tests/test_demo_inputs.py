@@ -1,14 +1,18 @@
 """scripts/make_demo_inputs.py: small frames work, and the frames the
-benchmark draws its inputs from stay byte-identical."""
+benchmark draws its inputs from stay byte-identical, as do the sweep and
+transfer artifacts the CLI writes for a demo config."""
 
 import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+
+from ctia_ipc.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPT = os.path.join(ROOT, "scripts", "make_demo_inputs.py")
@@ -39,14 +43,51 @@ def test_frames_from_16_rows_unchanged(rows, cols, seed, digest):
     assert hashlib.sha256(frame.tobytes()).hexdigest() == digest
 
 
-def test_script_writes_6x8_inputs(tmp_path):
+def run_script(out_dir, *args):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     done = subprocess.run(
-        [sys.executable, SCRIPT, "--out", str(tmp_path), "--rows", "6", "--cols", "8"],
+        [sys.executable, SCRIPT, "--out", str(out_dir), *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_script_writes_6x8_inputs(tmp_path):
+    run_script(tmp_path, "--rows", "6", "--cols", "8")
     assert sorted(os.listdir(tmp_path)) == ["config.json", "frame.pgm", "weights.json"]
+
+
+# The clamping pixel puts about two fifths of the sweep rows at code 63.
+CLAMPING = {"pixel": {"c_f": 1e-15}, "wtc": {"window": 3}}
+
+
+@pytest.mark.parametrize(
+    "overrides, sweep_digest, transfer_digest",
+    [
+        (
+            {},
+            "53b3abf347cdbdbeba001a0aa3ddce1bf5028c214ed1c6f18649811ec03ad031",
+            "aa09345a752a2255dee8340c57307e8702987944901e74ad72a44145fb05c9e8",
+        ),
+        (
+            CLAMPING,
+            "2f9da57048ec560dcf4d0222130c1309e0e72ca0c12d0261e74e8b64e8e68816",
+            "034ff453d00fe6940051712b84847dbfa00d06201f112524135a29a1ed4691ab",
+        ),
+    ],
+    ids=["default", "clamping"],
+)
+def test_characterization_artifacts_unchanged(tmp_path, overrides, sweep_digest, transfer_digest):
+    run_script(tmp_path, "--rows", "16", "--cols", "20", "--seed", "0")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(dict(json.loads(config_path.read_text()), **overrides)))
+    for mode, name, digest in (
+        ("sweep", "sweep.csv", sweep_digest),
+        ("export-transfer", "transfer_samples.csv", transfer_digest),
+    ):
+        out_dir = tmp_path / mode
+        assert main([mode, "--config", str(config_path), "--out", str(out_dir)]) == 0
+        assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest
