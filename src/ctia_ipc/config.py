@@ -165,8 +165,8 @@ def load_config(path: str | None, seed_override: int | None = None, out_override
         problems.append(f"unknown top-level key '{key}'")
 
     seed = doc.get("seed", 0)
-    if not _is_int(seed):
-        problems.append(f"seed must be an integer, got {seed!r}")
+    if not _is_int(seed) or seed < 0:
+        problems.append(f"seed must be an integer >= 0, got {seed!r}")
         seed = 0
 
     pixel = _build_section(PixelParams, doc, "pixel", problems)
@@ -249,7 +249,9 @@ def load_config(path: str | None, seed_override: int | None = None, out_override
     if out_dir:
         cfg.out_dir = out_dir if os.path.isabs(out_dir) else os.path.join(base, out_dir)
 
-    if seed_override is not None:
+    if seed_override is not None and seed_override < 0:
+        problems.append(f"--seed must be >= 0, got {seed_override}")
+    elif seed_override is not None:
         cfg.seed = seed_override
         cfg.mismatch = MismatchSpec(
             sigma_cap=cfg.mismatch.sigma_cap,

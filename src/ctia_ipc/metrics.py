@@ -17,6 +17,11 @@ discrepancy.
 Throughput and efficiency outputs are contextualized against measured
 reference figures carried as metadata; they are not desk-reproducible
 targets.
+
+Monte Carlo trial t draws from the stream of
+np.random.default_rng([seed, t]), bit for bit.  trial_seed_words derives
+the PCG64 seed words of every trial in one array pass, so no trial
+constructs a SeedSequence; each trial's PCG64 is seeded from its row.
 """
 
 from __future__ import annotations
@@ -158,6 +163,10 @@ def metrics_report(
 # Monte Carlo mismatch analysis
 # ---------------------------------------------------------------------------
 
+# The trial index is one uint32 word of a trial's seed entropy.
+MAX_TRIALS = 1 << 32
+
+
 @dataclass(frozen=True)
 class MismatchSpec:
     """Gaussian perturbation magnitudes.
@@ -181,6 +190,13 @@ class MismatchSpec:
                 raise ValidationError(f"mismatch {name} must be finite and >= 0, got {value!r}")
         if self.trials < 1:
             raise ValidationError("mismatch trials must be >= 1")
+        if self.trials > MAX_TRIALS:
+            raise ValidationError(
+                f"mismatch trials must be <= 2**32 (the trial index is one uint32 "
+                f"seed word), got {self.trials}"
+            )
+        if self.seed < 0:
+            raise ValidationError(f"mismatch seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -193,26 +209,104 @@ class McResult:
     hist_edges: np.ndarray
 
 
+# numpy's SeedSequence: a pool of 4 uint32 words, filled and mixed by
+# hashmix (its constant starts at _INIT_A, times _MULT_A per call) and mix;
+# generate_state hashes the pool out with a constant from _INIT_B, times
+# _MULT_B per word.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+
+
+def _hash_constants(init: int, mult: int, n_calls: int) -> np.ndarray:
+    """The hash constant before each of n_calls hash steps, and after the
+    last: init * mult**i mod 2^32 for i in 0..n_calls."""
+    consts = [init]
+    for _ in range(n_calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)
+
+
+# generate_state(4, np.uint64) hashes out 8 uint32 words.
+_OUTPUT_HASH = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+def _xorshift(value: np.ndarray) -> np.ndarray:
+    return value ^ (value >> 16)
+
+
+def trial_seed_words(seed: int, t0: int, t1: int) -> np.ndarray:
+    """PCG64 seed words of trials t0..t1-1, as a (t1 - t0, 4) uint64 array.
+
+    Row t - t0 equals SeedSequence([seed, t]).generate_state(4, np.uint64),
+    the words np.random.default_rng([seed, t]) seeds its PCG64 with.  The
+    entropy is seed's little-endian uint32 words, then t.  SeedSequence's
+    hashing is replayed in uint32 array arithmetic, which wraps mod 2^32 as
+    its C code does, one array operation per step for all trials at once.
+    The hash constants depend only on the number of seed words, so they are
+    computed once per call.
+    """
+    if seed < 0 or not 0 <= t0 <= t1 <= MAX_TRIALS:
+        raise ValidationError(f"no seed words for seed {seed}, trials {t0}..{t1}")
+    n = t1 - t0
+    entropy = [
+        np.full(n, (seed >> shift) & _MASK32, dtype=np.uint32)
+        for shift in range(0, max(seed.bit_length(), 1), 32)
+    ]
+    entropy.append(np.arange(t0, t1, dtype=np.uint32))
+    extra = max(len(entropy) - _POOL_SIZE, 0)
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + extra))
+    calls = iter(range(len(consts) - 1))
+
+    def hashmix(value):
+        i = next(calls)
+        return _xorshift((value ^ consts[i]) * consts[i + 1])
+
+    def mix(x, y):
+        return _xorshift(_MIX_MULT_L * x - _MIX_MULT_R * y)
+
+    # Fill the pool with the entropy (zero past its end), mix every pool
+    # word into every other, then mix each entropy word past the pool into
+    # every pool word.
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    state = np.empty((n, 2 * _POOL_SIZE), dtype=np.uint32)
+    for i in range(2 * _POOL_SIZE):
+        hashed = (pool[i % _POOL_SIZE] ^ _OUTPUT_HASH[i]) * _OUTPUT_HASH[i + 1]
+        state[:, i] = _xorshift(hashed)
+    # Little-endian pairs make each uint64, as in generate_state; on a
+    # little-endian host neither astype copies.
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
 def _mc_trials(
     chain: ChainConfig,
     k: int,
     magnitude: int,
     x_norm: float,
     mm: MismatchSpec,
-    t0: int,
-    t1: int,
+    z: np.ndarray,
 ) -> np.ndarray:
-    """Trials t0..t1-1 of the perturbed single-window analog chain.
+    """The perturbed single-window analog chain, one trial per row of z.
 
-    Each trial's random stream derives from (seed, trial), so a trial's
-    value does not depend on which chunk computes it.  Draw order is
-    fixed: global caps (c1, c2, c_f_acc), then per-pixel gain, feedback
-    cap, and reset-level offset, all from one standard_normal fill.
+    A row holds the first standard normals of its trial's stream, the one
+    np.random.default_rng([seed, trial]) gives (monte_carlo reaches it
+    through trial_seed_words), in draw order: global caps (c1, c2,
+    c_f_acc), then per-pixel gain, feedback cap, and reset-level offset.
+    A trial's value depends only on its row, so not on which chunk
+    computes it.
     """
-    n_pix = N_CHANNELS * k * k
-    z = np.empty((t1 - t0, 3 + 3 * n_pix))
-    for row, trial in zip(z, range(t0, t1)):
-        np.random.default_rng([mm.seed, trial]).standard_normal(out=row)
     g_c1, g_c2, g_cf = (1.0 + mm.sigma_cap * z[:, :3]).T
     pixel_draws = z[:, 3:].reshape(-1, 3, N_CHANNELS, k, k)
     gain = 1.0 + mm.sigma_gain * pixel_draws[:, 0]
@@ -227,14 +321,14 @@ def _mc_trials(
     array = chain.array
     divider = charge_share_divider(array.c1 * g_c1, array.c2 * g_c2, array.c_f_acc * g_cf)
     # The MAC kernel's order: a CBL per column in (row, channel) order,
-    # then the columns in order.
-    total = np.zeros(t1 - t0)
+    # then the columns in order.  All k CBLs are summed at once.
+    cbl = np.zeros((len(z), k))
+    for i in range(k):
+        for ch in range(N_CHANNELS):
+            cbl += dv[:, ch, i, :]
+    total = np.zeros(len(z))
     for j in range(k):
-        cbl = np.zeros(t1 - t0)
-        for i in range(k):
-            for ch in range(N_CHANNELS):
-                cbl += dv[:, ch, i, j]
-        total += cbl
+        total += cbl[:, j]
     return total / divider
 
 
@@ -247,16 +341,42 @@ def monte_carlo(
     hist_bins: int = 30,
 ) -> McResult:
     """Mismatch distribution of the ADC-input voltage at a fixed weight and
-    photocurrent.  Deterministic given mm.seed.  Trials run vectorized in
-    chunks of parallel.ROW_BLOCK_NODES pixel instances."""
+    photocurrent.  Deterministic given mm.seed.
+
+    Trial t draws from np.random.default_rng([mm.seed, t]), bit for bit:
+    its PCG64 is seeded from row t of trial_seed_words, computed for all
+    trials in one pass, and fills the trial's row with standard_normal.
+    Trials run vectorized in chunks of parallel.ROW_BLOCK_NODES pixel
+    instances.
+    """
+    # Imported here: numpy.random adds about 13 ms to every start of the
+    # CLI, and only this mode draws.
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class TrialSeed(ISeedSequence):
+        """Hands PCG64 one trial's precomputed seed words."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks for generate_state(4, np.uint64): one row.
+            return self.words
+
+    words = trial_seed_words(mm.seed, 0, mm.trials)
+    n_draws = 3 + 3 * N_CHANNELS * k * k
+
+    def run_trials(spec, t0, t1):
+        z = np.empty((t1 - t0, n_draws))
+        for row, trial_words in zip(z, words[t0:t1]):
+            Generator(PCG64(TrialSeed(trial_words))).standard_normal(out=row)
+        return _mc_trials(chain, k, magnitude, x_norm, spec, z)
+
     # All-zero sigmas turn every perturbation off, so this is the nominal run.
-    nominal_spec = MismatchSpec(trials=1, seed=mm.seed)
-    nominal = float(_mc_trials(chain, k, magnitude, x_norm, nominal_spec, 0, 1)[0])
+    nominal = float(run_trials(MismatchSpec(trials=1, seed=mm.seed), 0, 1)[0])
     samples = np.concatenate(
-        [
-            _mc_trials(chain, k, magnitude, x_norm, mm, t0, t1)
-            for t0, t1 in row_blocks(mm.trials, N_CHANNELS * k * k)
-        ]
+        [run_trials(mm, t0, t1) for t0, t1 in row_blocks(mm.trials, N_CHANNELS * k * k)]
     )
     mean = float(samples.mean())
     std = float(samples.std())

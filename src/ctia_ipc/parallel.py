@@ -10,7 +10,10 @@ output grid into row blocks.  Each block is computed whole by one thread
 and written only to its own rows.  The simulator keeps every node's
 summation order and the golden model's sums are exact integers, so
 results are bit-identical at any worker count.  Monte Carlo runs on the
-calling thread, in chunks of trials cut by row_blocks.
+calling thread, in chunks of trials cut by row_blocks.  Each trial draws
+from its own (seed, trial) stream, seeded from the words that
+metrics.trial_seed_words derives for all trials in one pass, so neither
+the chunking nor the worker count can change a sample.
 
 The threads gain only inside numpy calls, which release the interpreter
 lock; every call takes it back, and a thread waiting for it loses more

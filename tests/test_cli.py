@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -94,6 +95,7 @@ class TestConfigHoles:
             ("simulate", '{"conv": {"k": 3.0}}', "conv.k"),
             ("export-transfer", '{"transfer": {"degree": true}}', "transfer.degree"),
             ("verify", '{"verify": {"max_within": true}}', "verify.max_within"),
+            ("montecarlo", '{"seed": -5}', "seed must be an integer >= 0"),
         ],
     )
     def test_rejected_at_load(self, tmp_path, capsys, mode, document, field):
@@ -103,6 +105,13 @@ class TestConfigHoles:
         assert main([mode, "--config", str(config), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_seed_override_rejected(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["montecarlo", "--seed", "-1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--seed must be >= 0" in err and "Traceback" not in err
         assert not out.exists()
 
 
@@ -280,3 +289,73 @@ class TestDeterminism:
         assert main(["metrics", "--config", str(config_path), "--seed", "99", "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 99
+
+
+class TestMonteCarloArtifacts:
+    """montecarlo.csv and montecarlo_summary.json are pinned by sha256.
+    The digests come from the implementation that built one default_rng
+    per trial."""
+
+    @pytest.mark.parametrize(
+        "k, seed, csv_digest, summary_digest",
+        [
+            (
+                7,
+                3,
+                "ee791447b82c31e322f3417c4945ec7873966f2955ec726b09b7131356c34767",
+                "7689d6d103c9bb43655fd6f77704ba3bc6e2b228af7fed949a316f0b5b3497f6",
+            ),
+            (
+                7,
+                2**70 + 123,
+                "889eb0fb49ae3f184a6ca5e4108e70e951f4cc1cb580d3837182b4bba3e63b57",
+                "1183e30f859d1eeed49cdca87996e477d53cf4e4a6d34ecfac94fad0de1aca20",
+            ),
+            (
+                3,
+                3,
+                "8e5c67de22e87365593d59bec6feed1fdaef3d9f70c8611fbf07e3ce9a7ede1a",
+                "ad4e3e9e25012fa436196b7691f81ef45ff18e7accea3ac5c7555afc9421b000",
+            ),
+            (
+                3,
+                2**70 + 123,
+                "3c52105cc73ac8f7bd1910f9423cc8289d8d9a6789413279b1cdbe30e3c5c994",
+                "11de7835374fbd9b76d12932c900d978adb002674ced6d738b59f3f1e344dea7",
+            ),
+        ],
+    )
+    def test_artifacts_unchanged(self, tmp_path, k, seed, csv_digest, summary_digest):
+        config = {
+            "conv": {"k": k},
+            "mismatch": {"sigma_cap": 0.02, "sigma_vrst": 0.001, "sigma_gain": 0.01, "trials": 300},
+            "seed": seed,
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--config", str(config_path), "--out", str(out)]) == 0
+        for name, digest in (
+            ("montecarlo.csv", csv_digest),
+            ("montecarlo_summary.json", summary_digest),
+        ):
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_start_up_leaves_numpy_random_unimported():
+    # numpy.random costs about 13 ms to import; only montecarlo draws.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys, ctia_ipc.cli\n"
+        "from ctia_ipc.config import load_config\n"
+        "load_config(None)\n"
+        "assert 'numpy.random' not in sys.modules, sorted(sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

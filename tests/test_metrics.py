@@ -2,10 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.random import PCG64, Generator, SeedSequence, default_rng
+from numpy.random.bit_generator import ISeedSequence
 
 from ctia_ipc.errors import ValidationError
 from ctia_ipc.mapper import ConvSpec, build_schedule
 from ctia_ipc.metrics import (
+    MAX_TRIALS,
     MismatchSpec,
     bandwidth_reduction,
     default_cycle_time,
@@ -14,6 +19,7 @@ from ctia_ipc.metrics import (
     metrics_report,
     monte_carlo,
     op_count,
+    trial_seed_words,
 )
 from ctia_ipc.pixel import fit_transfer
 from ctia_ipc.pixel_array import N_CHANNELS
@@ -158,6 +164,52 @@ class TestMonteCarlo:
     def test_non_finite_sigma_rejected(self, name, value):
         with pytest.raises(ValidationError, match=name):
             MismatchSpec(**{name: value})
+
+    def test_trial_count_bounded(self):
+        # The trial index must fit the one uint32 word of its seed entropy.
+        assert MismatchSpec(trials=MAX_TRIALS).trials == 2**32
+        with pytest.raises(ValidationError, match="trials must be <= 2\\*\\*32"):
+            MismatchSpec(trials=MAX_TRIALS + 1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            MismatchSpec(seed=-1)
+
+
+class GivenWords(ISeedSequence):
+    """Seeds a bit generator with the words it is handed."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+class TestTrialSeedWords:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**96),
+        t0=st.integers(0, MAX_TRIALS - 1),
+        n=st.integers(1, 5),
+    )
+    @example(seed=0, t0=0, n=3)
+    @example(seed=2**32 - 1, t0=MAX_TRIALS - 1, n=1)
+    @example(seed=2**32, t0=MAX_TRIALS - 4, n=4)
+    @example(seed=2**96, t0=0, n=2)
+    def test_equals_seed_sequence(self, seed, t0, n):
+        t1 = min(t0 + n, MAX_TRIALS)
+        words = trial_seed_words(seed, t0, t1)
+        assert words.dtype == np.uint64 and words.shape == (t1 - t0, 4)
+        for row, trial in zip(words, range(t0, t1)):
+            assert np.array_equal(row, SeedSequence([seed, trial]).generate_state(4, np.uint64))
+            draws = Generator(PCG64(GivenWords(row))).standard_normal(591)
+            assert np.array_equal(draws, default_rng([seed, trial]).standard_normal(591))
+
+    @pytest.mark.parametrize("seed, t0, t1", [(-1, 0, 1), (0, 0, MAX_TRIALS + 1), (0, 2, 1)])
+    def test_out_of_range_rejected(self, seed, t0, t1):
+        with pytest.raises(ValidationError):
+            trial_seed_words(seed, t0, t1)
 
 
 class TestLinearitySweep:
