@@ -105,18 +105,19 @@ def relu_requantize(cfg: AdcConfig, code):
 
 
 def maxpool(grid, stride: int):
-    """Non-overlapping stride x stride max pooling with ceiling output
-    dimensions; a ragged edge is pooled over the partial window."""
+    """Non-overlapping stride x stride max pooling of the last two axes
+    with ceiling output dimensions; a ragged edge is pooled over the
+    partial window."""
     if stride < 1:
         raise ValidationError(f"pooling stride must be >= 1, got {stride}")
     arr = np.asarray(grid)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValidationError("maxpool expects a non-empty 2-D grid")
+    if arr.ndim < 2 or arr.size == 0:
+        raise ValidationError("maxpool expects a non-empty grid of at least 2 dimensions")
     # Window offset (0, 0) reaches every pooled cell; a later offset's view
     # is one row or column shorter where the edge is ragged.
-    pooled = arr[::stride, ::stride].copy()
+    pooled = arr[..., ::stride, ::stride].copy()
     for a, b in list(np.ndindex(stride, stride))[1:]:
-        view = arr[a::stride, b::stride]
-        corner = pooled[: view.shape[0], : view.shape[1]]
+        view = arr[..., a::stride, b::stride]
+        corner = pooled[..., : view.shape[-2], : view.shape[-1]]
         np.maximum(corner, view, out=corner)
     return pooled

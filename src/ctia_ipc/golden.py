@@ -122,7 +122,7 @@ def polarity_codes(
     tap product magnitude*raw is capped at int(tap_saturation), the
     pixel's headroom clamp, which only taps with magnitude * RAW_MAX above
     it can reach.  Blocks run on worker threads, so emit must write only
-    rows r0:r1 of its outputs.
+    rows r0:r1 of its outputs; they start at multiples of spec.p_s.
     """
     k, s = spec.k, spec.s
     planes = np.asarray(planes)
@@ -160,7 +160,7 @@ def polarity_codes(
         emit(r0, r1, acc.astype(np.int64).reshape(len(planes), r1 - r0, out_c))
 
     block_nodes = _FEATURE_BLOCK_SCALE * parallel.ROW_BLOCK_NODES // max(len(slices), 1)
-    parallel.map_row_blocks(block_codes, out_r, out_c, block_nodes)
+    parallel.map_row_blocks(block_codes, out_r, out_c, block_nodes, spec.p_s)
 
 
 def golden_layer(
@@ -181,15 +181,19 @@ def golden_layer(
             f"fused planes shape {fused.pos_mags.shape} != "
             f"{(spec.c_o, N_CHANNELS, spec.k, spec.k)}"
         )
-    (out_r, out_c), _ = output_dims(spec, *np.asarray(frame_raw).shape)
+    _, pooled_dims = output_dims(spec, *np.asarray(frame_raw).shape)
     # One unit product is mag_max * RAW_MAX in integer tap units.
     code_scale = cal.lsb_per_unit / (fused.mag_max * RAW_MAX)
     bn_codes = offset_codes(fused, cal, adc_cfg)[:, None, None]
-    nodes = np.empty((spec.c_o, out_r, out_c), dtype=np.uint8)
+    activations = np.empty((spec.c_o, *pooled_dims), dtype=np.uint8)
 
     def requantize(r0: int, r1: int, codes: np.ndarray) -> None:
         signed = codes[: spec.c_o] - codes[spec.c_o :] + bn_codes
-        nodes[:, r0:r1] = relu_requantize(adc_cfg, signed)
+        # Blocks start at multiples of p_s; ReLU and requantization are
+        # monotone, so pooling before them changes no code.
+        pooled = relu_requantize(adc_cfg, maxpool(signed, spec.p_s))
+        q0 = r0 // spec.p_s
+        activations[:, q0 : q0 + pooled.shape[1]] = pooled
 
     polarity_codes(
         phases,
@@ -200,7 +204,7 @@ def golden_layer(
         cal.tap_saturation,
         requantize,
     )
-    return np.stack([maxpool(plane, spec.p_s) for plane in nodes])
+    return activations
 
 
 @dataclass(frozen=True)

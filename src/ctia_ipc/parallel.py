@@ -22,7 +22,15 @@ over 4,096 float64 elements ran 2x slower on 2 threads than on one, and
 over 16,384 elements no faster; at 32,768 elements 2 threads were 1.4x
 faster, at 65,536 1.8x.  So each kernel sizes its blocks to keep its
 calls long: the simulator's MAC makes one add per plane and tap over the
-whole block.
+whole block.  Halving its budget, to blocks of about 11k nodes at k7s2
+and k3s1, made 2-thread simulate_layer runs on the full demo frame
+slower than 1-thread ones on that host (k7s2 0.65 s against 0.51 s,
+k3s1 0.92 s against 0.83 s), where the full budget gives 0.43 s and
+0.69 s on 2 threads.
+
+Both layer kernels cut their row blocks at multiples of the pooling
+stride, so that each block pools whole windows; row_blocks takes that
+multiple.
 """
 
 from __future__ import annotations
@@ -53,18 +61,24 @@ def worker_count(n_tasks: int) -> int:
     return max(1, min(n or cpus, cpus, n_tasks))
 
 
-def row_blocks(out_r: int, out_c: int, block_nodes: int | None = None) -> list:
+def row_blocks(
+    out_r: int, out_c: int, block_nodes: int | None = None, multiple: int = 1
+) -> list:
     """(r0, r1) row ranges of about block_nodes (default ROW_BLOCK_NODES)
-    nodes covering an out_r x out_c grid."""
+    nodes covering an out_r x out_c grid.  Every block but the last holds
+    a multiple of `multiple` rows, at least one multiple."""
     if block_nodes is None:
         block_nodes = ROW_BLOCK_NODES
-    step = max(1, block_nodes // max(out_c, 1))
+    step = max(1, block_nodes // max(out_c, 1) // multiple) * multiple
     return [(r0, min(r0 + step, out_r)) for r0 in range(0, out_r, step)]
 
 
-def map_row_blocks(fn, out_r: int, out_c: int, block_nodes: int | None = None) -> None:
-    """Call fn(r0, r1) once for every row block, over worker_count threads."""
-    blocks = row_blocks(out_r, out_c, block_nodes)
+def map_row_blocks(
+    fn, out_r: int, out_c: int, block_nodes: int | None = None, multiple: int = 1
+) -> None:
+    """Call fn(r0, r1) once for every row_blocks block, over worker_count
+    threads."""
+    blocks = row_blocks(out_r, out_c, block_nodes, multiple)
     workers = worker_count(len(blocks))
     if workers == 1:
         for r0, r1 in blocks:

@@ -5,12 +5,16 @@ then negative magnitudes) over the same pixel exposures.  simulate_layer
 makes one pass over row blocks of the output grid: mac_node_voltages
 integrates every active pixel for its weight-encoded exposure,
 accumulates per column and combines columns through the switching matrix
-for all 2*c_o polarity planes at once: a discharge that several planes
-share at one tap is computed once per block.  Each block then goes
-straight to the ADC periphery, as in hardware: per channel both
-polarities are digitized, the signed CDS count runs from the channel's BN
-preload, and ReLU and the 4-bit requantization write a uint8 node grid.
-Pooling runs per channel at the end.
+for all 2*c_o polarity planes at once, ordered (pos_0, neg_0, pos_1,
+...), computing a discharge that planes share once per block (see
+pixel_array).  Each channel of a block then goes straight to the ADC
+periphery, as in hardware: both polarities are digitized, the signed CDS
+count runs from the channel's BN preload, and max pooling, ReLU and the
+4-bit requantization write the block's pooled rows into the uint8
+activation grid (ReLU and requantization are monotone, so pooling before
+them changes no code).  Blocks start at multiples of the pooling stride,
+so every pooling window lies in one block and no full-resolution node
+grid is kept.
 """
 
 from __future__ import annotations
@@ -41,6 +45,18 @@ class ChainConfig:
         return CalibrationMap.derive(self.pixel, self.wtc, self.array, self.adc, mag_max)
 
 
+def signed_code_dtype(code_max: int, bn_codes) -> type:
+    """The narrowest integer dtype that holds every signed CDS count,
+    [-code_max + min(bn_codes), code_max + max(bn_codes)]."""
+    lo = -code_max + int(np.min(bn_codes))
+    hi = code_max + int(np.max(bn_codes))
+    for dtype in (np.int8, np.int16, np.int32):
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            return dtype
+    return np.int64
+
+
 def simulate_layer(
     frame_raw: np.ndarray,
     fused: FusedLayer,
@@ -51,8 +67,9 @@ def simulate_layer(
     """Simulate the full first layer; returns uint8 (c_o, pool_r, pool_c)
     activations, or (activations, signed_codes) when return_codes is set.
 
-    The signed codes are the int64 per-node CDS results before ReLU,
-    useful for threshold-agreement checks.
+    The signed codes are the per-node CDS results before ReLU, a (c_o,
+    out_r, out_c) grid in signed_code_dtype, useful for threshold-agreement
+    checks.
     """
     if fused.pos_mags.shape != (spec.c_o, 4, spec.k, spec.k):
         raise DimensionError(
@@ -65,28 +82,39 @@ def simulate_layer(
         AdcConfig(v_fs=chain.adc.v_fs, bn_offset_codes=int(bn), out_bits=chain.adc.out_bits)
         for bn in bn_codes
     ]
-    (out_r, out_c), _ = output_dims(spec, *np.asarray(frame_raw).shape)
-    nodes = np.empty((spec.c_o, out_r, out_c), dtype=np.uint8)
-    signed_codes = np.empty((spec.c_o, out_r, out_c), dtype=np.int64) if return_codes else None
+    (out_r, out_c), pooled_dims = output_dims(spec, *np.asarray(frame_raw).shape)
+    activations = np.empty((spec.c_o, *pooled_dims), dtype=np.uint8)
+    signed_codes = None
+    if return_codes:
+        dtype = signed_code_dtype(chain.adc.code_max, bn_codes)
+        signed_codes = np.empty((spec.c_o, out_r, out_c), dtype=dtype)
 
-    def digitize(r0: int, r1: int, volts: np.ndarray) -> None:
-        for ch_out, adc_cfg in enumerate(counters):
-            signed = cds_signed(adc_cfg, volts[ch_out], volts[spec.c_o + ch_out])
-            if return_codes:
-                signed_codes[ch_out, r0:r1] = signed
-            nodes[ch_out, r0:r1] = relu_requantize(adc_cfg, signed)
+    def digitize(r0: int, r1: int, p0: int, volts: np.ndarray) -> None:
+        # Planes p0, p0 + 1 are the positive and negative cycles of one
+        # channel; blocks start at multiples of p_s, so they pool whole
+        # windows but for the ragged last block.  ReLU and requantization
+        # are monotone, so they commute with the max: pooling first gives
+        # the same activations from 1/p_s^2 of the work.
+        ch_out = p0 // 2
+        adc_cfg = counters[ch_out]
+        signed = cds_signed(adc_cfg, volts[0], volts[1])
+        if return_codes:
+            signed_codes[ch_out, r0:r1] = signed
+        pooled = relu_requantize(adc_cfg, maxpool(signed, spec.p_s))
+        q0 = r0 // spec.p_s
+        activations[ch_out, q0 : q0 + len(pooled)] = pooled
 
     mac_node_voltages(
         chain.array,
         chain.pixel,
         chain.wtc,
         phases,
-        np.concatenate([fused.pos_mags, fused.neg_mags]),
+        np.stack([fused.pos_mags, fused.neg_mags], axis=1).reshape(-1, 4, spec.k, spec.k),
         spec.k,
         spec.s,
         digitize,
+        spec.p_s,
     )
-    activations = np.stack([maxpool(plane, spec.p_s) for plane in nodes])
     if return_codes:
         return activations, signed_codes
     return activations

@@ -22,18 +22,44 @@ before the single divide: that is the switching matrix.  Monte Carlo sums
 its perturbed taps in the same order.
 
 The layer kernel makes one pass over row blocks of its output grid, on
-separate threads.  In a block, every tap position (column, row, channel)
-computes the discharge min(x*t/c_f, headroom) once for each distinct
-exposure t among the planes, and adds it into the CBL of every plane with
-that exposure there, since all output channels read the same pixel
-exposures.  A plane's CBL starts at 0.0 and every discharge is >= +0.0,
-so 0.0 + dv == dv and each plane sees the same float operations, in the
-same order, as a plane computed alone.  The headroom min is skipped for an
-exposure t when fl(fl(x_max*t)/c_f) <= headroom, with x_max the brightest
-photocurrent: rounding is monotone, so no pixel of the frame can then
-reach the clamp, and min(dv, headroom) == dv.  Every node sums its taps
-in the same order at any block size or thread count, so the result is
-bit-identical.
+separate threads, and walks each block one of two ways.  Both keep every
+plane's float operations and their order, so the result is bit-identical
+at any block size, thread count or walk.
+
+* Channel-major.  All output channels read the same pixel exposures, and
+  a weight only picks which exposure a tap gets, so a discharge
+  min(x*t/c_f, headroom) depends only on the pixel and the exposure.
+  Each block computes it once for every distinct (phase stack, channel,
+  exposure) of the tap plan, over the stack rows the block's taps read
+  (the (k-1)//s halo rows included) at full stack width; a tap reads the
+  (i//s, j//s)-shifted view of its buffer, elementwise the discharge it
+  would compute alone.  The planes are then walked one at a time, with
+  the layer's planes ordered (pos_0, neg_0, pos_1, ...), through their own
+  taps in (column, row, channel) order: the first tap of a column is
+  copied into the CBL and the later ones add to it; the first column's
+  CBL is the plane's accumulator, each later one adds into it; then the
+  divide.  Copying where the hardware adds to an empty CBL is exact:
+  every discharge is >= +0.0, so 0.0 + dv == dv (a -0.0 photocurrent
+  could only turn a node's +0.0 into -0.0, an equal value).  Each channel's
+  two planes go to the caller as soon as they are done, so a block holds
+  two accumulators, one CBL and the shared discharges.
+* Position-major.  Every tap position (column, row, channel) computes
+  the discharge once for each distinct exposure t among the planes, into
+  scratch, and adds it into the CBL of every plane with that exposure
+  there; all 2*n accumulators and CBLs stay live.
+
+The walk follows from the tap plan: the channel-major one holds one
+block row per shared discharge plus three, the position-major one 2*n
+plus the most exposures at one position, and the channel-major walk runs
+when it holds no more.  It does for the layer at strides 1 and 2, where
+all taps read one stack: 57 shared discharges at k7s2 against 1,335
+per-position ones.  Odd strides >= 3 and stride 4 read several stacks
+at many offsets, small plane counts share little, and a run_mac_cycle
+batch gives each tap its own stack, so those keep the position-major
+walk.  The headroom min is skipped for an exposure t when
+fl(fl(x_max*t)/c_f) <= headroom, with x_max the brightest photocurrent:
+rounding is monotone, so no pixel of the frame can then reach the clamp,
+and min(dv, headroom) == dv.
 
 Bayer geometry: the mosaic is interpreted as four channels (R, G1, G2, B
 at even/even, even/odd, odd/even, odd/odd parities) held constant over
@@ -64,9 +90,10 @@ from .wtc import CounterConfig, match_ticks
 BAYER_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 N_CHANNELS = 4
 
-# A layer block's accumulators, CBL buffers and discharge scratch hold
-# about this many times parallel.ROW_BLOCK_NODES float64 values: 10 MiB
-# per thread at the default, 16k nodes for 32 planes.  Shorter numpy calls
+# A layer block's accumulators, CBL buffers and discharges hold about
+# this many times parallel.ROW_BLOCK_NODES float64 values: 10 MiB per
+# thread at the default, about 22k nodes for k7s2's 57 shared discharges
+# and 18k for its 32 planes walked position-major.  Shorter numpy calls
 # lose more to the interpreter lock than a second thread gains (see
 # parallel).
 _CBL_BLOCK_SCALE = 40
@@ -283,13 +310,13 @@ def run_signed_mac(
 
 
 def _discharge_plan(taps, k: int, t_step: float, unclamped) -> tuple:
-    """The layer kernel's work list, from tap_plan taps whose values are
-    counter ticks: per kernel column, its tap positions (i, ch) in
-    summation order.  Per position: its slice, its distinct exposures in
-    ascending order as an (m, 1, 1) array, how many of them unclamped(t)
-    holds for (the rest are the last ones, as the discharge grows with t),
-    and the (plane, exposure index) of each CBL add.  Returns (columns,
-    the largest m)."""
+    """The position-major walk's work list, from tap_plan taps whose
+    values are counter ticks: per kernel column, its tap positions (i, ch)
+    in summation order.  Per position: its slice, its distinct exposures
+    in ascending order as an (m, 1, 1) array, how many of them
+    unclamped(t) holds for (the rest are the last ones, as the discharge
+    grows with t), and the (plane, exposure index) of each CBL add.
+    Returns (columns, the largest m)."""
     exposures = []  # every position's distinct exposures, in order
     positions = []  # [column, slice, first, end, unclamped count, CBL adds]
     last = None
@@ -311,6 +338,38 @@ def _discharge_plan(taps, k: int, t_step: float, unclamped) -> tuple:
     return columns, max((end - first for _, _, first, end, _, _ in positions), default=0)
 
 
+def _shared_plan(slices, taps, n_planes: int, t_step: float, unclamped) -> tuple:
+    """The channel-major walk's work list, from the same taps.  Returns
+    (groups, reads, walks):
+    groups: per distinct (stack, channel), (stack, channel, its distinct
+        exposures in ascending order as an (m, 1, 1) array, how many of
+        them unclamped(t) holds);
+    reads: per distinct (slice, exposure), (group, exposure index, row
+        offset, column offset);
+    walks: per plane, its nonempty kernel columns in order, each the list
+        of its taps' reads in (row, channel) order."""
+    found = {}  # (id(stack), channel) -> (stack, channel, ticks)
+    read_index = {}  # (slice, tick) -> read index
+    walks = [{} for _ in range(n_planes)]
+    for j, _, _, tick, p, n in taps:
+        stack, ch = slices[n][:2]
+        found.setdefault((id(stack), ch), (stack, ch, set()))[2].add(tick)
+        walks[p].setdefault(j, []).append(read_index.setdefault((n, tick), len(read_index)))
+    groups = []
+    exposure_index = {}  # (id(stack), channel, tick) -> (group, exposure index)
+    for g, (stack, ch, ticks) in enumerate(found.values()):
+        ticks = sorted(ticks)
+        ts = [float(tick) * t_step for tick in ticks]
+        groups.append((stack, ch, np.array(ts)[:, None, None], sum(map(unclamped, ts))))
+        for e, tick in enumerate(ticks):
+            exposure_index[id(stack), ch, tick] = (g, e)
+    reads = []
+    for n, tick in read_index:
+        stack, ch, di, dj = slices[n]
+        reads.append((*exposure_index[id(stack), ch, tick], di, dj))
+    return groups, reads, [list(columns.values()) for columns in walks]
+
+
 def mac_node_voltages(
     cfg: ArrayConfig,
     params: PixelParams,
@@ -320,6 +379,7 @@ def mac_node_voltages(
     k: int,
     stride: int,
     emit=None,
+    row_multiple: int = 1,
 ):
     """ADC-input voltages of every output node for every magnitude plane;
     each plane is one polarity cycle.
@@ -329,13 +389,15 @@ def mac_node_voltages(
     photocurrents with frame_to_photocurrents.  magnitudes: one (4, k, k)
     plane or a stack of n planes (n, 4, k, k).  Each kernel tap integrates
     one slice of a phase stack; the module docstring gives the order of
-    the sums and how the planes share discharges.
+    the sums, how the planes share discharges and which walk runs.
 
-    Row blocks run on parallel.map_row_blocks threads.  With emit, every
-    block calls emit(r0, r1, volts) with the (n, r1 - r0, out_c) voltages
-    of its rows, which emit must consume before it returns, writing only
-    rows r0:r1 of its outputs; nothing is returned.  Without emit, returns
-    the (n, out_r, out_c) grid, or (out_r, out_c) for one plane.
+    Row blocks run on parallel.map_row_blocks threads, cut at multiples of
+    row_multiple rows.  With emit, every block calls emit(r0, r1, p0,
+    volts) once per pair of planes p0, p0 + 1 (p0 alone for the last of
+    an odd count), with their (2 or 1, r1 - r0, out_c) voltages, which
+    emit must consume before it returns, writing only rows r0:r1 of its
+    outputs; nothing is returned.  Without emit, returns the (n, out_r,
+    out_c) grid, or (out_r, out_c) for one plane.
     """
     mags = np.asarray(magnitudes)
     planes = mags if mags.ndim == 4 else mags[None]
@@ -354,9 +416,14 @@ def mac_node_voltages(
     x_max = 0.0
     for stack in stacks.values():
         x_max = max(x_max, float(currents(stack.max())))
-    columns, depth = _discharge_plan(
-        taps, k, wtc_cfg.t_step, lambda t: x_max * t / params.c_f <= params.headroom
+    multiply, divide, add, c_f, headroom = (
+        np.multiply, np.divide, np.add, params.c_f, params.headroom
     )
+
+    def unclamped(t):
+        return x_max * t / c_f <= headroom
+
+    columns, depth = _discharge_plan(taps, k, wtc_cfg.t_step, unclamped)
     extra = (k - 1) // stride
     n_planes = len(planes)
 
@@ -364,28 +431,29 @@ def mac_node_voltages(
     if emit is None:
         volts = np.empty((n_planes, out_r, out_c))
 
-        def emit(r0, r1, block_volts):
-            volts[:, r0:r1] = block_volts
+        def emit(r0, r1, p0, block_volts):
+            volts[p0 : p0 + len(block_volts), r0:r1] = block_volts
 
-    multiply, divide, add, c_f = np.multiply, np.divide, np.add, params.c_f
-
-    # Each worker thread keeps its block buffers: a fresh buffer per block
-    # costs a page fault per 4 KB, as much as a pass over the buffer.  Rows
-    # 0:n are the accumulators, n:2n the CBLs, then the discharges.
+    # Each worker thread keeps its block buffer: a fresh buffer per block
+    # costs a page fault per 4 KB, as much as a pass over the buffer.
     buffers = threading.local()
-    n_rows = 2 * n_planes + depth
 
-    def accumulate_block(r0: int, r1: int) -> None:
+    def block_buffer(size: int) -> np.ndarray:
+        if getattr(buffers, "size", 0) < size:
+            buffers.size = size
+            buffers.flat = np.empty(size)
+        return buffers.flat[:size]
+
+    def position_major(r0: int, r1: int) -> None:
+        # Rows 0:n are the accumulators, n:2n the CBLs, then the discharges.
         rows = r1 - r0
-        if getattr(buffers, "size", 0) < rows * out_c:
-            buffers.size = rows * out_c
-            buffers.flat = np.empty(n_rows * buffers.size)
-        block_buffer = buffers.flat[: n_rows * rows * out_c].reshape(n_rows, rows, out_c)
-        acc = block_buffer[:n_planes]
-        cbl = block_buffer[n_planes : 2 * n_planes]
-        scratch = block_buffer[2 * n_planes :]
+        n_rows = 2 * n_planes + depth
+        buffer = block_buffer(n_rows * rows * out_c).reshape(n_rows, rows, out_c)
+        acc = buffer[:n_planes]
+        cbl = buffer[n_planes : 2 * n_planes]
+        scratch = buffer[2 * n_planes :]
         # Row views made once per block keep each add call short.
-        row_views = list(block_buffer)
+        row_views = list(buffer)
         acc_rows = row_views[:n_planes]
         cbl_rows = row_views[n_planes : 2 * n_planes]
         dv_rows = row_views[2 * n_planes :]
@@ -406,19 +474,81 @@ def mac_node_voltages(
                 multiply(ts, views[n], dv)
                 divide(dv, c_f, dv)
                 if n_safe < len(ts):
-                    np.minimum(dv[n_safe:], params.headroom, out=dv[n_safe:])
+                    np.minimum(dv[n_safe:], headroom, out=dv[n_safe:])
                 for p, x in adds:
                     row = target[p]
                     add(row, dv_rows[x], row)
             if target is acc_rows:
                 target = cbl_rows
             else:
-                np.add(acc, cbl, out=acc)
-        np.divide(acc, cfg.divider, out=acc)
-        emit(r0, r1, acc)
+                add(acc, cbl, out=acc)
+        divide(acc, cfg.divider, acc)
+        for p0 in range(0, n_planes, 2):
+            emit(r0, r1, p0, acc[p0 : p0 + 2])
 
-    block_nodes = _CBL_BLOCK_SCALE * parallel.ROW_BLOCK_NODES // n_rows
-    parallel.map_row_blocks(accumulate_block, out_r, out_c, max(block_nodes, 1))
+    def channel_major(r0: int, r1: int) -> None:
+        # Everything is laid out in flat rows of `pitch` values: two
+        # accumulators and one CBL, then each group's discharges over the
+        # stack rows its taps read, halo included.  A tap's read is then
+        # one contiguous run, which numpy adds faster than a 2-D view.  The
+        # columns past out_c take sums of neighbouring discharges and are
+        # never emitted; the values they read past a stack's width or its
+        # last row are zeroed, so that no uninitialized value reaches an
+        # add.
+        rows = r1 - r0
+        nodes = rows * pitch
+        samples = [stack[ch, r0 : r1 + extra] for stack, ch, _, _ in groups]
+        # A run ends at most `extra` values past its discharge's last row.
+        sizes = [len(x) * pitch + extra for x in samples]
+        buffer = block_buffer(3 * nodes + sum(len(g[2]) * size for g, size in zip(groups, sizes)))
+        accs = buffer[: 2 * nodes].reshape(2, nodes)
+        cbl = buffer[2 * nodes : 3 * nodes]
+        discharges = []
+        start = 3 * nodes
+        for x, size, (_, _, ts, n_safe) in zip(samples, sizes, groups):
+            dv = buffer[start : start + len(ts) * size].reshape(len(ts), size)
+            start += dv.size
+            dv[:, size - extra :] = 0.0
+            grid = dv[:, : size - extra]
+            shaped = grid.reshape(len(ts), len(x), pitch)
+            shaped[:, :, x.shape[1] :] = 0.0
+            multiply(ts, currents(x), shaped[:, :, : x.shape[1]])
+            divide(grid, c_f, grid)
+            if n_safe < len(ts):
+                np.minimum(grid[n_safe:], headroom, out=grid[n_safe:])
+            discharges.append(dv)
+        views = [
+            discharges[g][e, di * pitch + dj : di * pitch + dj + nodes]
+            for g, e, di, dj in reads
+        ]
+        for p0 in range(0, n_planes, 2):
+            pair = accs[: min(2, n_planes - p0)]
+            for acc, walk in zip(pair, walks[p0 : p0 + 2]):
+                if not walk:
+                    acc.fill(0.0)
+                # The first column sums into the accumulator; each column's
+                # first tap is copied, not added: 0.0 + dv == dv.
+                target = acc
+                for first, *rest in walk:
+                    np.copyto(target, views[first])
+                    for read in rest:
+                        add(target, views[read], target)
+                    if target is cbl:
+                        add(acc, cbl, acc)
+                    target = cbl
+            divide(pair, cfg.divider, pair)
+            emit(r0, r1, p0, pair.reshape(len(pair), rows, pitch)[:, :, :out_c])
+
+    n_shared = len({(id(slices[n][0]), slices[n][1], tick) for _, _, _, tick, _, n in taps})
+    shared_rows = n_shared + min(n_planes, 2) + 1
+    if shared_rows <= 2 * n_planes + depth:
+        groups, reads, walks = _shared_plan(slices, taps, n_planes, wtc_cfg.t_step, unclamped)
+        pitch = max((stack.shape[2] for stack, _, _, _ in groups), default=out_c)
+        accumulate_block, n_rows = channel_major, shared_rows
+    else:
+        accumulate_block, n_rows = position_major, 2 * n_planes + depth
+    block_nodes = max(_CBL_BLOCK_SCALE * parallel.ROW_BLOCK_NODES // n_rows, 1)
+    parallel.map_row_blocks(accumulate_block, out_r, out_c, block_nodes, row_multiple)
     if volts is None:
         return None
     return volts if mags.ndim == 4 else volts[0]

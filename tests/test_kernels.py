@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from ctia_ipc import parallel
+from ctia_ipc import parallel, pixel_array
 from ctia_ipc.golden import RAW_MAX, polarity_codes
 from ctia_ipc.mapper import ConvSpec
 from ctia_ipc.metrics import MismatchSpec, monte_carlo
@@ -123,8 +123,9 @@ def reference_polarity_codes(channels_raw, mags, spec, code_scale, code_max, tap
 
 @pytest.fixture(autouse=True)
 def many_threaded_blocks(monkeypatch):
-    # Blocks of one row on three threads: the small test frames then cross
-    # many block boundaries.
+    # Blocks of one row (of p_s rows for polarity_codes, which cuts them
+    # at multiples of the pooling stride) on three threads: the small test
+    # frames then cross many block boundaries.
     monkeypatch.setattr(parallel, "ROW_BLOCK_NODES", 1)
     monkeypatch.setenv("CTIA_IPC_THREADS", "3")
 
@@ -211,3 +212,43 @@ def test_polarity_codes_bit_exact(k, s, p):
             got = np.concatenate([blocks[r0] for r0 in sorted(blocks)])
             assert got.shape == expected.shape
             assert np.array_equal(got, expected)
+
+
+# (k, s, magnitude levels, whether the distinct discharges fit the
+# channel-major walk, a ROW_BLOCK_NODES that gives each case blocks of 4
+# rows).  33 planes at k3s1 read at most 4 channels x 15 exposures of one
+# stack; at k3s3 every tap has its own stack, so they read hundreds.  At
+# k2s3 the taps read four stacks of two widths, which fit with a single
+# nonzero level.
+WALKS = [(3, 1, 16, True, 400), (3, 3, 16, False, 200), (2, 3, 2, True, 33)]
+
+
+@pytest.mark.parametrize("pixel_config", sorted(PIXEL_CONFIGS))
+@pytest.mark.parametrize("k, s, levels, shared, block_scale", WALKS)
+def test_both_walks_bit_exact(k, s, levels, shared, block_scale, pixel_config, monkeypatch):
+    pixel, wtc = PIXEL_CONFIGS[pixel_config]
+    rng = np.random.default_rng(10 * k + s)
+    raw = random_frame(rng, 44, 52)
+    # An odd plane count leaves a lone last plane; plane 5 has no taps.
+    mags = rng.integers(0, levels, (33, N_CHANNELS, k, k)) * (15 // (levels - 1))
+    mags[5] = 0
+    cfg = ArrayConfig(rows=44, cols=52)
+    channels = bayer_channel_view(frame_to_photocurrents(raw, pixel.i_max))
+    blocks, plans = [], []
+    row_blocks, shared_plan = parallel.row_blocks, pixel_array._shared_plan
+    monkeypatch.setattr(
+        parallel, "row_blocks", lambda *args: blocks.extend(row_blocks(*args)) or blocks
+    )
+    monkeypatch.setattr(
+        pixel_array, "_shared_plan", lambda *args: plans.append(1) or shared_plan(*args)
+    )
+    monkeypatch.setattr(parallel, "ROW_BLOCK_NODES", block_scale)
+    got = mac_node_voltages(cfg, pixel, wtc, photocurrent_channels(raw, 0, s), mags, k, s,
+                            row_multiple=2)
+    assert bool(plans) == shared
+    # More blocks than threads, of 4 rows but for a ragged last one.
+    assert len(blocks) > 3
+    assert {r1 - r0 for r0, r1 in blocks[:-1]} == {4} and blocks[-1][1] - blocks[-1][0] < 4
+    for plane, plane_mags in zip(got, mags):
+        expected = reference_mac_node_voltages(cfg, pixel, wtc, channels, plane_mags, k, s)
+        assert np.array_equal(plane, expected)

@@ -3,6 +3,8 @@ channel and one polarity at a time, as two full-grid tap loops per
 channel followed by the ADC periphery.  Codes and activations must be
 equal, not merely close."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -13,13 +15,18 @@ from ctia_ipc.adc import ADC_BITS, AdcConfig, maxpool
 from ctia_ipc.errors import ValidationError
 from ctia_ipc.golden import offset_codes
 from ctia_ipc.mapper import ConvSpec
-from ctia_ipc.pipeline import ChainConfig, simulate_layer
+from ctia_ipc.pipeline import ChainConfig, signed_code_dtype, simulate_layer
 from ctia_ipc.pixel import PixelParams, frame_to_photocurrents
-from ctia_ipc.pixel_array import ArrayConfig, bayer_channel_view
+from ctia_ipc.pixel_array import (
+    ArrayConfig,
+    bayer_channel_view,
+    mac_node_voltages,
+    photocurrent_channels,
+)
 from ctia_ipc.wtc import CounterConfig
 
 from conftest import random_frame, random_layer, small_chain
-from test_kernels import reference_mac_node_voltages
+from test_kernels import WALKS, reference_mac_node_voltages
 
 
 def loop_quantize(adc_cfg, v):
@@ -101,7 +108,8 @@ def test_block_pass_matches_per_channel_loop(
     )
     expected = loop_simulate_layer(frame, fused, spec, chain)
     with pytest.MonkeyPatch.context() as patch:
-        # Row blocks of one row.
+        # Row blocks of p_s rows, the fewest that pooling in the block
+        # pass allows.
         patch.setattr(parallel, "ROW_BLOCK_NODES", 1)
         patch.setenv("CTIA_IPC_THREADS", threads)
         activations, signed = simulate_layer(frame, fused, spec, chain, return_codes=True)
@@ -118,3 +126,61 @@ def test_rejects_non_integer_frames():
     frame = random_frame(rng, 16, 16).astype(float)
     with pytest.raises(ValidationError):
         simulate_layer(frame, fused, spec, small_chain(16, 16))
+
+
+@pytest.mark.parametrize("n_planes", [32, 33])
+@pytest.mark.parametrize("k, s, levels, shared, block_scale", WALKS)
+def test_emit_covers_every_plane_row_once(
+    k, s, levels, shared, block_scale, n_planes, monkeypatch
+):
+    monkeypatch.setattr(parallel, "ROW_BLOCK_NODES", block_scale)
+    monkeypatch.setenv("CTIA_IPC_THREADS", "3")
+    rng = np.random.default_rng(n_planes)
+    raw = random_frame(rng, 44, 52)
+    mags = rng.integers(0, levels, (n_planes, 4, k, k)) * (15 // (levels - 1))
+    chain = small_chain(44, 52)
+    phases = photocurrent_channels(raw, 0, s)
+    expected = mac_node_voltages(chain.array, chain.pixel, chain.wtc, phases, mags, k, s)
+    seen = np.zeros(expected.shape[:2], dtype=int)
+    lock = threading.Lock()
+
+    def emit(r0, r1, p0, volts):
+        assert p0 % 2 == 0 and volts.shape == (min(2, n_planes - p0), r1 - r0, expected.shape[2])
+        assert np.array_equal(volts, expected[p0 : p0 + len(volts), r0:r1])
+        with lock:
+            seen[p0 : p0 + len(volts), r0:r1] += 1
+
+    assert mac_node_voltages(
+        chain.array, chain.pixel, chain.wtc, phases, mags, k, s, emit, row_multiple=2
+    ) is None
+    assert (seen == 1).all()
+
+
+@pytest.mark.parametrize(
+    "bn_codes, dtype",
+    [
+        ([0], np.int8),
+        ([-65, 64], np.int8),
+        ([-66], np.int16),
+        ([65], np.int16),
+        ([1 << 15], np.int32),
+        ([-(1 << 40)], np.int64),
+    ],
+)
+def test_signed_code_dtype_is_narrowest(bn_codes, dtype):
+    assert signed_code_dtype(63, np.array(bn_codes)) == dtype
+
+
+def test_signed_codes_are_narrow_and_exact():
+    rng = np.random.default_rng(12)
+    spec = ConvSpec(k=3, s=1, c_o=4, p_s=3)
+    _, _, fused = random_layer(rng, spec, beta_bias=0.5)
+    frame = random_frame(rng, 30, 34)
+    chain = small_chain(30, 34)
+    bn_codes = offset_codes(fused, chain.calibration(fused.mag_max), chain.adc)
+    assert -65 <= bn_codes.min() and bn_codes.max() <= 64
+    activations, signed = simulate_layer(frame, fused, spec, chain, return_codes=True)
+    expected = loop_simulate_layer(frame, fused, spec, chain)
+    assert signed.dtype == np.int8
+    assert np.array_equal(activations, expected[0])
+    assert np.array_equal(signed, expected[1])
