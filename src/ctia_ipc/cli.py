@@ -67,7 +67,7 @@ def _write_manifest(cfg: RunConfig, mode: str, out_dir: str, artifacts: list, ex
 
 
 def _load_sensor_frame(cfg: RunConfig) -> np.ndarray:
-    frame = formats.load_pgm16(require_input(cfg.frame_path, "frame"))
+    frame = formats.load_pgm16(require_input(cfg, "frame_path"))
     if frame.shape != (cfg.array.rows, cfg.array.cols):
         raise ValidationError(
             f"frame is {frame.shape[0]}x{frame.shape[1]} but the array is "
@@ -77,7 +77,7 @@ def _load_sensor_frame(cfg: RunConfig) -> np.ndarray:
 
 
 def _load_layer(cfg: RunConfig):
-    weights, bn = formats.load_weights(require_input(cfg.weights_path, "weights"))
+    weights, bn = formats.load_weights(require_input(cfg, "weights_path"))
     expected = (cfg.conv.c_o, N_CHANNELS, cfg.conv.k, cfg.conv.k)
     if weights.shape != expected:
         raise ValidationError(
@@ -171,7 +171,7 @@ def _run_metrics(cfg: RunConfig, out_dir: str) -> int:
 
 def _transfer_samples(cfg: RunConfig):
     if cfg.transfer_samples_csv:
-        path = require_input(cfg.transfer_samples_csv, "transfer samples")
+        path = require_input(cfg, "transfer_samples_csv")
         return [tuple(row) for row in formats.read_csv(path, TRANSFER_HEADER)]
     # No external samples: sample the nominal single-unit chain.
     samples = []
@@ -241,9 +241,7 @@ _RUNNERS = {
 def run(cfg: RunConfig, mode: str) -> int:
     if mode not in _RUNNERS:
         raise ValidationError(f"unknown mode {mode!r}; choose from {', '.join(MODES)}")
-    out_dir = cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    return _RUNNERS[mode](cfg, out_dir)
+    return _RUNNERS[mode](cfg, cfg.out_dir)
 
 
 def main(argv=None) -> int:

@@ -1,7 +1,8 @@
 """Run configuration: one JSON document resolving every knob of a run.
 
-Any field may be omitted; defaults follow the module dataclasses.  The
-fully-resolved configuration is embedded in each run's manifest so the
+Any key may be omitted; defaults follow the module dataclasses.  KEYS
+declares every key once, and loading, validation and the fully-resolved
+view all follow it.  That view is embedded in each run's manifest so the
 artifact is exactly reproducible.
 """
 
@@ -31,13 +32,50 @@ MODES = (
     "readout",
 )
 
-_SECTION_FIELDS = {
-    "pixel": ("v_rst", "c_f", "i_max", "headroom"),
-    "wtc": ("t_step", "window"),
-    "array": ("rows", "cols", "c1", "c2", "c_f_acc"),
-    "adc": ("v_fs", "out_bits"),
-    "conv": ("k", "s", "p", "c_o", "n_b", "p_s", "weight_mag_bits"),
-    "mismatch": ("sigma_cap", "sigma_vrst", "sigma_gain", "trials"),
+# Each of these sections is one dataclass: its fields are its keys, and
+# its __post_init__ checks their ranges.
+_SECTIONS = {
+    "pixel": PixelParams,
+    "wtc": CounterConfig,
+    "array": ArrayConfig,
+    "adc": AdcConfig,
+    "conv": ConvSpec,
+    "mismatch": MismatchSpec,
+}
+# Dataclass fields the loader derives rather than reads: the BN offset
+# comes from the weights, the Monte Carlo seed from the top-level seed.
+_DERIVED_FIELDS = {(AdcConfig, "bn_offset_codes"), (MismatchSpec, "seed")}
+
+# Every document key: (section, key) -> (kind, bound, RunConfig attribute).
+# Section "" is the top level.  A key of a dataclass section sets a field
+# of the attribute named after the section.  Kinds:
+#   int     an integer that converts to a finite float64
+#   number  an integer or float that converts to a finite float64
+#   seed    an integer of any size
+#   text    a string, kept as given (so relative to the working directory)
+#   path    a string resolved against the config file's directory; an
+#           empty one keeps the default
+#   modes   a list whose items are drawn from the bound
+# A bound "> x" or ">= x" is a lower limit.
+KEYS = {
+    ("", "seed"): ("seed", ">= 0", "seed"),
+    ("", "power_per_pixel_w"): ("number", "> 0", "power_per_pixel_w"),
+    ("", "cycle_time_s"): ("number", ">= 0", "cycle_time_s"),
+    ("", "readout_exposure_s"): ("number", ">= 0", "readout_exposure_s"),
+    ("sweep", "modes"): ("modes", SWEEP_MODES, "sweep_modes"),
+    ("sweep", "x_points"): ("int", ">= 2", "sweep_x_points"),
+    ("transfer", "degree"): ("int", ">= 1", "transfer_fit_degree"),
+    ("transfer", "grid_points"): ("int", ">= 2", "transfer_grid_points"),
+    ("transfer", "samples_csv"): ("text", None, "transfer_samples_csv"),
+    ("verify", "max_within"): ("int", ">= 0", "verify_max_within"),
+    ("paths", "frame"): ("path", None, "frame_path"),
+    ("paths", "weights"): ("path", None, "weights_path"),
+    ("paths", "out_dir"): ("path", None, "out_dir"),
+} | {
+    (section, f.name): ("int" if type(f.default) is int else "number", None, section)
+    for section, cls in _SECTIONS.items()
+    for f in fields(cls)
+    if (cls, f.name) not in _DERIVED_FIELDS
 }
 
 
@@ -77,189 +115,134 @@ class RunConfig:
         return 15 * self.wtc.exposure_multiplier * self.wtc.t_step
 
     def resolved(self) -> dict:
-        """Fully-resolved key-value view for the run manifest."""
-        out = {
-            "pixel": {k: getattr(self.pixel, k) for k in _SECTION_FIELDS["pixel"]},
-            "wtc": {k: getattr(self.wtc, k) for k in _SECTION_FIELDS["wtc"]},
-            "array": {k: getattr(self.array, k) for k in _SECTION_FIELDS["array"]},
-            "adc": {k: getattr(self.adc, k) for k in _SECTION_FIELDS["adc"]},
-            "conv": {k: getattr(self.conv, k) for k in _SECTION_FIELDS["conv"]},
-            "mismatch": {k: getattr(self.mismatch, k) for k in _SECTION_FIELDS["mismatch"]},
-            "seed": self.seed,
-            "power_per_pixel_w": self.power_per_pixel_w,
-            "cycle_time_s": self.cycle_time(),
-            "readout_exposure_s": self.readout_exposure(),
-            "sweep_modes": list(self.sweep_modes),
-            "sweep_x_points": self.sweep_x_points,
-            "transfer_fit_degree": self.transfer_fit_degree,
-            "transfer_grid_points": self.transfer_grid_points,
-            "transfer_samples_csv": self.transfer_samples_csv,
-            "verify_max_within": self.verify_max_within,
-            "frame_path": self.frame_path,
-            "weights_path": self.weights_path,
-        }
+        """Fully-resolved key-value view for the run manifest: every key but
+        paths.out_dir, under its section or its flat attribute name, with
+        the cycle time and readout exposure as derived."""
+        out = {}
+        for (_, key), (_, _, attr) in KEYS.items():
+            if attr in _SECTIONS:
+                out.setdefault(attr, {})[key] = getattr(getattr(self, attr), key)
+            else:
+                out[attr] = getattr(self, attr)
+        del out["out_dir"]
+        out.update(
+            cycle_time_s=self.cycle_time(),
+            readout_exposure_s=self.readout_exposure(),
+            sweep_modes=list(self.sweep_modes),
+        )
         return out
 
 
-def _not_a_setting(value) -> bool:
-    """JSON true/false would pass as 1/0, and NaN/Infinity slip past range
-    checks; neither is a valid setting."""
-    return isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value))
+def _key_name(section: str, key: str) -> str:
+    return f"{section}.{key}" if section else key
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _build_section(cls, doc: dict, section: str, problems: list, extra: dict | None = None):
-    raw = doc.get(section, {})
-    if not isinstance(raw, dict):
-        problems.append(f"section '{section}' must be an object")
-        raw = {}
-    allowed = set(_SECTION_FIELDS[section])
-    unknown = set(raw) - allowed
-    for key in sorted(unknown):
-        problems.append(f"unknown key '{section}.{key}'")
-    int_fields = {f.name for f in fields(cls) if type(f.default) is int}
-    kwargs = {}
-    for key in sorted(allowed & set(raw)):
-        if _not_a_setting(raw[key]):
-            problems.append(f"'{section}.{key}' must be a finite number, got {raw[key]!r}")
-        elif key in int_fields and not _is_int(raw[key]):
-            problems.append(f"'{section}.{key}' must be an integer, got {raw[key]!r}")
-        else:
-            kwargs[key] = raw[key]
-    if extra:
-        kwargs.update(extra)
+def _is_finite(value) -> bool:
+    """JSON true/false would pass as 1/0, and NaN/Infinity slip past range
+    checks; neither is a valid setting, nor is an integer beyond float64."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
     try:
-        return cls(**kwargs)
-    except (ValidationError, TypeError) as exc:
-        problems.append(f"section '{section}': {exc}")
-        return cls() if not extra else cls(**extra)
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _is_path(value) -> bool:
+    return isinstance(value, str) and "\0" not in value
+
+
+# kind -> (what a value must be, test of the value)
+_KINDS = {
+    "int": ("a finite integer", lambda v: _is_int(v) and _is_finite(v)),
+    "number": ("a finite number", _is_finite),
+    "seed": ("an integer", _is_int),
+    "text": ("a path string", _is_path),
+    "path": ("a path string", _is_path),
+    "modes": ("a subset of", lambda v: isinstance(v, list)),
+}
+
+
+def _within(value, bound) -> bool:
+    if bound is None:
+        return True
+    if isinstance(bound, tuple):
+        return all(item in bound for item in value)
+    op, low = bound.split()
+    return value > float(low) if op == ">" else value >= float(low)
+
+
+def _read_document(path: str | None) -> dict:
+    if path is None:
+        return {}
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers bad UTF-8 and integers too long to parse.
+        raise FormatError(f"config is not valid JSON: {exc}", getattr(exc, "pos", -1))
+    if not isinstance(doc, dict):
+        raise ValidationError("config document must be a JSON object")
+    return doc
 
 
 def load_config(path: str | None, seed_override: int | None = None, out_override: str | None = None) -> RunConfig:
     """Build a RunConfig from a JSON file (or pure defaults when path is
     None), applying CLI overrides.  Collects every validation problem."""
-    doc = {}
-    if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"config is not valid JSON: {exc}", exc.pos)
-        if not isinstance(doc, dict):
-            raise ValidationError("config document must be a JSON object")
-    problems: list = []
-    known = set(_SECTION_FIELDS) | {
-        "seed",
-        "power_per_pixel_w",
-        "cycle_time_s",
-        "readout_exposure_s",
-        "sweep",
-        "transfer",
-        "verify",
-        "paths",
-    }
-    for key in sorted(set(doc) - known):
-        problems.append(f"unknown top-level key '{key}'")
-
-    seed = doc.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
-        problems.append(f"seed must be an integer >= 0, got {seed!r}")
-        seed = 0
-
-    pixel = _build_section(PixelParams, doc, "pixel", problems)
-    wtc = _build_section(CounterConfig, doc, "wtc", problems)
-    array = _build_section(ArrayConfig, doc, "array", problems)
-    adc = _build_section(AdcConfig, doc, "adc", problems)
-    conv = _build_section(ConvSpec, doc, "conv", problems)
-    mismatch = _build_section(
-        MismatchSpec, doc, "mismatch", problems, extra={"seed": seed}
-    )
-
-    cfg = RunConfig(
-        pixel=pixel, wtc=wtc, array=array, adc=adc, conv=conv, mismatch=mismatch
-    )
-    cfg.seed = seed
-    for name in ("power_per_pixel_w", "cycle_time_s", "readout_exposure_s"):
-        if name in doc:
-            value = doc[name]
-            if _not_a_setting(value) or not isinstance(value, (int, float)) or value < 0:
-                problems.append(f"{name} must be a finite nonnegative number, got {value!r}")
-            else:
-                setattr(cfg, name, float(value))
-
-    sweep = doc.get("sweep", {})
-    if not isinstance(sweep, dict):
-        problems.append("section 'sweep' must be an object")
-        sweep = {}
-    modes = sweep.get("modes", list(SWEEP_MODES))
-    if not isinstance(modes, list) or not all(m in SWEEP_MODES for m in modes):
-        problems.append(f"sweep.modes must be a subset of {list(SWEEP_MODES)}")
-    else:
-        cfg.sweep_modes = tuple(modes)
-    x_points = sweep.get("x_points", cfg.sweep_x_points)
-    if not _is_int(x_points) or x_points < 2:
-        problems.append("sweep.x_points must be an integer >= 2")
-    else:
-        cfg.sweep_x_points = x_points
-
-    transfer = doc.get("transfer", {})
-    if not isinstance(transfer, dict):
-        problems.append("section 'transfer' must be an object")
-        transfer = {}
-    degree = transfer.get("degree", cfg.transfer_fit_degree)
-    if not _is_int(degree) or degree < 1:
-        problems.append("transfer.degree must be an integer >= 1")
-    else:
-        cfg.transfer_fit_degree = degree
-    grid = transfer.get("grid_points", cfg.transfer_grid_points)
-    if not _is_int(grid) or grid < 2:
-        problems.append("transfer.grid_points must be an integer >= 2")
-    else:
-        cfg.transfer_grid_points = grid
-    cfg.transfer_samples_csv = str(transfer.get("samples_csv", ""))
-
-    verify = doc.get("verify", {})
-    if not isinstance(verify, dict):
-        problems.append("section 'verify' must be an object")
-        verify = {}
-    max_within = verify.get("max_within", cfg.verify_max_within)
-    if not _is_int(max_within) or max_within < 0:
-        problems.append("verify.max_within must be an integer >= 0")
-    else:
-        cfg.verify_max_within = max_within
-
-    paths = doc.get("paths", {})
-    if not isinstance(paths, dict):
-        problems.append("section 'paths' must be an object")
-        paths = {}
+    doc = _read_document(path)
     base = os.path.dirname(os.path.abspath(path)) if path else os.getcwd()
+    sections = {section for section, _ in KEYS} - {""}
+    given = {}
+    problems: list = []
+    for name, value in doc.items():
+        if name not in sections:
+            given[("", name)] = value
+        elif isinstance(value, dict):
+            given.update(((name, key), v) for key, v in value.items())
+        else:
+            problems.append(f"section '{name}' must be an object")
 
-    def _resolve(name):
-        value = paths.get(name, "")
-        if not value:
-            return ""
-        return value if os.path.isabs(value) else os.path.join(base, value)
-
-    cfg.frame_path = _resolve("frame")
-    cfg.weights_path = _resolve("weights")
-    out_dir = paths.get("out_dir", "")
-    if out_dir:
-        cfg.out_dir = out_dir if os.path.isabs(out_dir) else os.path.join(base, out_dir)
+    cfg = RunConfig()
+    section_kwargs = {section: {} for section in _SECTIONS}
+    for (section, key), value in given.items():
+        name = _key_name(section, key)
+        if (section, key) not in KEYS:
+            problems.append(f"unknown key '{name}'")
+            continue
+        kind, bound, attr = KEYS[(section, key)]
+        what, accepts = _KINDS[kind]
+        if not (accepts(value) and _within(value, bound)):
+            limit = f" {list(bound) if isinstance(bound, tuple) else bound}" if bound else ""
+            problems.append(f"{name} must be {what}{limit}, got {value!r}")
+        elif attr in _SECTIONS:
+            section_kwargs[attr][key] = value
+        elif kind == "number":
+            setattr(cfg, attr, float(value))
+        elif kind == "modes":
+            setattr(cfg, attr, tuple(value))
+        elif kind == "path":
+            if value:
+                setattr(cfg, attr, os.path.join(base, value))
+        else:
+            setattr(cfg, attr, value)
 
     if seed_override is not None and seed_override < 0:
         problems.append(f"--seed must be >= 0, got {seed_override}")
     elif seed_override is not None:
         cfg.seed = seed_override
-        cfg.mismatch = MismatchSpec(
-            sigma_cap=cfg.mismatch.sigma_cap,
-            sigma_vrst=cfg.mismatch.sigma_vrst,
-            sigma_gain=cfg.mismatch.sigma_gain,
-            trials=cfg.mismatch.trials,
-            seed=seed_override,
-        )
+    section_kwargs["mismatch"]["seed"] = cfg.seed
+    for section, cls in _SECTIONS.items():
+        try:
+            setattr(cfg, section, cls(**section_kwargs[section]))
+        except ValidationError as exc:
+            problems.append(f"section '{section}': {exc}")
+    for name, value in (("cycle_time_s", cfg.cycle_time()), ("readout_exposure_s", cfg.readout_exposure())):
+        if not math.isfinite(value):
+            problems.append(f"{name} derived from wtc.t_step={cfg.wtc.t_step!r} is not finite")
     if out_override is not None:
         cfg.out_dir = out_override
     if problems:
@@ -267,9 +250,12 @@ def load_config(path: str | None, seed_override: int | None = None, out_override
     return cfg
 
 
-def require_input(path: str, role: str) -> str:
+def require_input(cfg: RunConfig, attr: str) -> str:
+    """The existing file named by the path key that sets cfg.<attr>."""
+    name = next(_key_name(*key) for key, (_, _, a) in KEYS.items() if a == attr)
+    path = getattr(cfg, attr)
     if not path:
-        raise ValidationError(f"this mode requires paths.{role} in the config")
+        raise ValidationError(f"this mode requires {name} in the config")
     if not os.path.exists(path):
-        raise ValidationError(f"paths.{role} does not exist: {path}")
+        raise ValidationError(f"{name} does not exist: {path}")
     return path

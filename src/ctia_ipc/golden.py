@@ -35,16 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adc import AdcConfig, maxpool, relu_requantize
+from .adc import _BOUNDARY_GUARD, AdcConfig, maxpool, relu_requantize
 from .errors import DimensionError, ValidationError
 from .mapper import ConvSpec, FusedLayer, output_dims
 from .pixel import RAW_MAX, PixelParams
 from . import parallel
 from .pixel_array import ArrayConfig, N_CHANNELS, photocurrent_channels, tap_grid, tap_plan
 from .wtc import CounterConfig
-
-# Same code-boundary guard the ADC uses for its ramp comparison.
-_BOUNDARY_GUARD = 1e-9
 
 # float64 holds every integer below 2^53 exactly.
 _EXACT_FLOAT_LIMIT = 1 << 53

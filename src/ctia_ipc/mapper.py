@@ -27,9 +27,6 @@ import numpy as np
 from .errors import ScheduleError, ValidationError
 from .pixel_array import N_CHANNELS
 
-POSITIVE = "positive"
-NEGATIVE = "negative"
-
 
 @dataclass(frozen=True)
 class ConvSpec:

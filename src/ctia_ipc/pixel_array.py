@@ -241,7 +241,6 @@ def run_mac_cycle(
     wtc_cfg: CounterConfig,
     region,
     magnitudes,
-    polarity: str = "positive",
 ):
     """Output-node ADC-input voltages for one polarity cycle.
 
@@ -257,8 +256,6 @@ def run_mac_cycle(
     node sums in the same order as a field run alone.  Returns a float for
     one region, an (n,) float64 array for a batch.
     """
-    if polarity not in ("positive", "negative"):
-        raise ValidationError(f"polarity must be positive or negative, got {polarity!r}")
     x = np.asarray(region, dtype=float)
     mags = np.asarray(magnitudes)
     fields = x if x.ndim == 4 else x[None]
@@ -304,8 +301,8 @@ def run_signed_mac(
 ) -> MacCycleResult:
     """Both polarity cycles of one output node."""
     return MacCycleResult(
-        v_pos=run_mac_cycle(cfg, params, wtc_cfg, region, pos_magnitudes, "positive"),
-        v_neg=run_mac_cycle(cfg, params, wtc_cfg, region, neg_magnitudes, "negative"),
+        v_pos=run_mac_cycle(cfg, params, wtc_cfg, region, pos_magnitudes),
+        v_neg=run_mac_cycle(cfg, params, wtc_cfg, region, neg_magnitudes),
     )
 
 
