@@ -11,6 +11,7 @@ LSBs, and max pooling reduces the output grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,12 +59,8 @@ class AdcConfig:
         return (1 << self.out_bits) - 1
 
 
-def quantize(cfg: AdcConfig, v):
-    """Counter value when the ramp crosses v: min(floor(v / lsb), 63).
-
-    Accepts scalars or arrays.  Charge-bitline voltages are nonnegative by
-    construction, so negative input is an invalid analog state.
-    """
+def _counts(cfg: AdcConfig, v, dtype) -> np.ndarray:
+    """min(floor(v / lsb), code_max) of every voltage, as a dtype array."""
     arr = np.asarray(v, dtype=float)
     if arr.size:
         # min and max are NaN when any element is, so one pair checks all.
@@ -74,19 +71,53 @@ def quantize(cfg: AdcConfig, v):
             raise StateError("quantize: negative voltage on the ADC input")
     code = np.divide(arr, cfg.lsb, out=np.empty(arr.shape))
     code += _BOUNDARY_GUARD
-    np.floor(code, out=code)
     np.minimum(code, cfg.code_max, out=code)
+    # Every count is now finite and >= 0, where truncation is floor.
+    return code.astype(dtype)
+
+
+def signed_code_dtype(code_max: int, bn_codes) -> type:
+    """The narrowest integer dtype that holds every signed CDS count,
+    [-code_max + min(bn_codes), code_max + max(bn_codes)]."""
+    lo = -code_max + int(np.min(bn_codes))
+    hi = code_max + int(np.max(bn_codes))
+    for dtype in (np.int8, np.int16, np.int32):
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            return dtype
+    return np.int64
+
+
+@functools.lru_cache(maxsize=256)
+def _cds_dtype(code_max: int, bn_offset_codes: int) -> np.dtype:
+    # One lookup per counter preload, not one per conversion block.
+    return np.promote_types(np.int16, signed_code_dtype(code_max, bn_offset_codes))
+
+
+def quantize(cfg: AdcConfig, v):
+    """Counter value when the ramp crosses v: min(floor(v / lsb), 63).
+
+    Accepts scalars or arrays.  Charge-bitline voltages are nonnegative by
+    construction, so negative input is an invalid analog state.
+    """
+    code = _counts(cfg, v, np.int64)
     if code.ndim == 0:
         return int(code)
-    return code.astype(np.int64)
+    return code
 
 
 def cds_signed(cfg: AdcConfig, v_pos, v_neg):
     """Signed CDS result: up-count on the positive-weight sample, down-count
-    on the negative-weight sample, starting from the BN preload."""
-    code = quantize(cfg, v_pos)
-    code -= quantize(cfg, v_neg)
+    on the negative-weight sample, starting from the BN preload.
+
+    Counts are int16, or the wider signed_code_dtype when the preload needs
+    it; a scalar pair gives an int."""
+    dtype = _cds_dtype(cfg.code_max, cfg.bn_offset_codes)
+    code = _counts(cfg, v_pos, dtype)
+    code -= _counts(cfg, v_neg, dtype)
     code += cfg.bn_offset_codes
+    if code.ndim == 0:
+        return int(code)
     return code
 
 

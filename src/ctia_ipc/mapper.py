@@ -236,11 +236,12 @@ def build_schedule(spec: ConvSpec, rows: int, cols: int) -> Schedule:
     and at most max_parallel = floor((cols - k + 2p) / (s*pitch)) of them
     run per cycle.  In each output row, phase phi < pitch holds the
     ceil((out_c - phi) / pitch) output columns phi, phi + pitch, ...,
-    split into ceil(that / max_parallel) cycles.  Phase 0 holds at least
-    max_parallel columns, so the leading cycle carries exactly
-    max_parallel windows and max_parallel * k^2 * 4 active pixels.  Every
-    output node is covered exactly once.  The counts are closed form: no
-    cycle is enumerated.
+    split into ceil(that / max_parallel) cycles: with a, b = divmod(out_c,
+    pitch), the first b phases hold a + 1 columns and the others a.  Phase
+    0 holds at least max_parallel columns, so the leading cycle carries
+    exactly max_parallel windows and max_parallel * k^2 * 4 active pixels.
+    Every output node is covered exactly once.  The counts are closed
+    form: neither a cycle nor a phase is enumerated.
     """
     if rows + 2 * spec.p < spec.k or cols + 2 * spec.p < spec.k:
         raise ScheduleError(
@@ -249,12 +250,11 @@ def build_schedule(spec: ConvSpec, rows: int, cols: int) -> Schedule:
     (out_r, out_c), _ = output_dims(spec, rows, cols)
     pitch = math.lcm(spec.k, spec.s)
     max_parallel = max(1, (cols - spec.k + 2 * spec.p) // (spec.s * pitch))
+    a, b = divmod(out_c, pitch)
     return Schedule(
         spec=spec,
         out_rows=out_r,
         out_cols=out_c,
         max_parallel=max_parallel,
-        cycles_per_row=sum(
-            -(-len(range(phase, out_c, pitch)) // max_parallel) for phase in range(pitch)
-        ),
+        cycles_per_row=b * -(-(a + 1) // max_parallel) + (pitch - b) * -(-a // max_parallel),
     )

@@ -145,9 +145,17 @@ def metrics_report(
     power_per_pixel: float,
     cycle_time: float,
 ) -> MetricsReport:
-    br_printed, br_bits = bandwidth_reduction(spec, rows, cols)
-    estimate = energy_estimate(spec, rows, cols, power_per_pixel, schedule, cycle_time)
-    return MetricsReport(
+    """The metrics of one frame.  Raises ValidationError, naming the
+    settings, when a figure leaves the float range, which JSON cannot
+    hold."""
+    try:
+        br_printed, br_bits = bandwidth_reduction(spec, rows, cols)
+        estimate = energy_estimate(spec, rows, cols, power_per_pixel, schedule, cycle_time)
+    except OverflowError:
+        raise ValidationError(
+            "metrics: array.rows x array.cols x conv.c_o gives counts beyond the float range"
+        ) from None
+    report = MetricsReport(
         br_printed=br_printed,
         br_bits=br_bits,
         activation_count_cycle0=schedule.cycle0_active_pixels,
@@ -157,6 +165,16 @@ def metrics_report(
         gops=estimate.gops,
         gops_per_watt=estimate.gops_per_watt,
     )
+    beyond = [
+        name for name, value in report.to_dict().items()
+        if isinstance(value, float) and not math.isfinite(value)
+    ]
+    if beyond:
+        raise ValidationError(
+            f"metrics: {', '.join(beyond)} beyond the float range; the figures scale "
+            "with power_per_pixel_w, cycle_time_s and array.rows x array.cols x conv.c_o"
+        )
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,26 @@
 Carlo share.
 
 CTIA_IPC_THREADS caps the worker count (0 or unset = one per CPU).  The
-count is further capped at the CPU count and at the number of row blocks,
-so no setting starts more threads than there is hardware or work for.
+count is further capped at the CPU count and at the number of tasks (row
+blocks, or a team's channel pairs), so no setting starts more threads
+than there is hardware or work for.
 
 The layer kernels (the simulator's MAC and the golden model) split their
-output grid into row blocks.  Each block is computed whole by one thread
-and written only to its own rows.  The simulator keeps every node's
-summation order and the golden model's sums are exact integers, so
-results are bit-identical at any worker count.  Monte Carlo runs on the
-calling thread, in chunks of trials cut by row_blocks.  Each trial draws
-from its own (seed, trial) stream, seeded from the words that
-metrics.trial_seed_words derives for all trials in one pass, so neither
-the chunking nor the worker count can change a sample.
+output grid into row blocks, written only to their own rows.
+map_row_blocks hands each block whole to one thread: the golden model
+and the MAC's position-major walk run there.  map_blocks_team instead
+walks the blocks in order with a team of threads that all work on every
+block, in steps closed by a barrier: the MAC's channel-major walk has
+the team compute a block's shared discharges together, then each member
+walk its own planes over them (see pixel_array).  The simulator keeps
+every node's summation order and the golden model's sums are exact
+integers, so results are bit-identical at any worker count.
+
+Monte Carlo runs on the calling thread, in chunks of trials cut by
+row_blocks.  Each trial draws from its own (seed, trial) stream, seeded
+from the words that metrics.trial_seed_words derives for all trials in
+one pass, so neither the chunking nor the worker count can change a
+sample.
 
 The threads gain only inside numpy calls, which release the interpreter
 lock; every call takes it back, and a thread waiting for it loses more
@@ -26,7 +34,10 @@ whole block.  Halving its budget, to blocks of about 11k nodes at k7s2
 and k3s1, made 2-thread simulate_layer runs on the full demo frame
 slower than 1-thread ones on that host (k7s2 0.65 s against 0.51 s,
 k3s1 0.92 s against 0.83 s), where the full budget gives 0.43 s and
-0.69 s on 2 threads.
+0.69 s on 2 threads.  A team holds the shared discharges once, not once
+per thread, so in the same memory its blocks are about twice as long at
+2 threads: there k3s1 took 0.56-0.63 s against 0.75-0.82 s (best of 5)
+with one block per thread.
 
 Both layer kernels cut their row blocks at multiples of the pooling
 stride, so that each block pools whole windows; row_blocks takes that
@@ -36,6 +47,7 @@ multiple.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from .errors import ValidationError
@@ -87,3 +99,50 @@ def map_row_blocks(
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # list() reads every result, so a worker's exception is raised here.
         list(pool.map(lambda block: fn(*block), blocks))
+
+
+def map_blocks_team(steps, blocks, workers: int) -> None:
+    """Walk blocks in order with a team of `workers` threads that all work
+    on every block: for each (r0, r1) of blocks, every member w calls
+    step(w, r0, r1) for each step of steps in turn, and a barrier closes
+    each step, so that a step reads whatever the steps before it wrote.
+    The calling thread is member 0; with one worker it runs every step
+    alone, in order.  A member that raises aborts the barrier, the others
+    stop at their next wait, and the first exception is raised here once
+    every member has finished."""
+    if workers == 1:
+        for r0, r1 in blocks:
+            for step in steps:
+                step(0, r0, r1)
+        return
+    barrier = threading.Barrier(workers)
+    errors = []
+
+    def member(w: int) -> None:
+        try:
+            for r0, r1 in blocks:
+                for step in steps:
+                    step(w, r0, r1)
+                    barrier.wait()
+        except threading.BrokenBarrierError:
+            pass
+        except BaseException as exc:
+            errors.append(exc)
+            barrier.abort()
+
+    team = [threading.Thread(target=member, args=(w,)) for w in range(1, workers)]
+    try:
+        for thread in team:
+            thread.start()
+        member(0)
+    except BaseException:
+        # Only a thread that failed to start lands here; the started ones
+        # would wait for it at the barrier.
+        barrier.abort()
+        raise
+    finally:
+        for thread in team:
+            if thread.ident is not None:
+                thread.join()
+    if errors:
+        raise errors[0]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adc import AdcConfig, cds_signed, maxpool, quantize, relu_requantize
+from .adc import AdcConfig, cds_signed, maxpool, quantize, relu_requantize, signed_code_dtype
 from .errors import DimensionError, ValidationError
 from .golden import CalibrationMap, offset_codes
 from .mapper import ConvSpec, FusedLayer, output_dims
@@ -43,18 +43,6 @@ class ChainConfig:
 
     def calibration(self, mag_max: int) -> CalibrationMap:
         return CalibrationMap.derive(self.pixel, self.wtc, self.array, self.adc, mag_max)
-
-
-def signed_code_dtype(code_max: int, bn_codes) -> type:
-    """The narrowest integer dtype that holds every signed CDS count,
-    [-code_max + min(bn_codes), code_max + max(bn_codes)]."""
-    lo = -code_max + int(np.min(bn_codes))
-    hi = code_max + int(np.max(bn_codes))
-    for dtype in (np.int8, np.int16, np.int32):
-        info = np.iinfo(dtype)
-        if info.min <= lo and hi <= info.max:
-            return dtype
-    return np.int64
 
 
 def simulate_layer(

@@ -86,7 +86,13 @@ def integrate(params: PixelParams, photocurrent, exposure):
 def frame_to_photocurrents(raw, i_max: float) -> np.ndarray:
     """Per-pixel photocurrents: i_max * raw / RAW_MAX (full scale maps to
     exactly i_max)."""
-    return (np.asarray(raw).astype(float) / RAW_MAX) * i_max
+    # One fresh buffer, divided and scaled in place: the layer kernel
+    # converts every block's rows, and two temporaries per call add to
+    # its peak memory.
+    current = np.array(raw, dtype=float)
+    current /= RAW_MAX
+    current *= i_max
+    return current
 
 
 @dataclass(frozen=True)

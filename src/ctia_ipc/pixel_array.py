@@ -21,10 +21,10 @@ the CBL buffers then add into the plane's accumulator in column order
 before the single divide: that is the switching matrix.  Monte Carlo sums
 its perturbed taps in the same order.
 
-The layer kernel makes one pass over row blocks of its output grid, on
-separate threads, and walks each block one of two ways.  Both keep every
-plane's float operations and their order, so the result is bit-identical
-at any block size, thread count or walk.
+The layer kernel makes one pass over row blocks of its output grid and
+walks each block one of two ways.  Both keep every plane's float
+operations and their order, so the result is bit-identical at any block
+size, thread count or walk.
 
 * Channel-major.  All output channels read the same pixel exposures, and
   a weight only picks which exposure a tap gets, so a discharge
@@ -41,12 +41,19 @@ at any block size, thread count or walk.
   divide.  Copying where the hardware adds to an empty CBL is exact:
   every discharge is >= +0.0, so 0.0 + dv == dv (a -0.0 photocurrent
   could only turn a node's +0.0 into -0.0, an equal value).  Each channel's
-  two planes go to the caller as soon as they are done, so a block holds
-  two accumulators, one CBL and the shared discharges.
+  two planes go to the caller as soon as they are done.  A team of W
+  threads (parallel.map_blocks_team) shares every block: the members
+  split the (stack, channel) groups and compute the shared discharges;
+  after a barrier member w walks channel pairs w, w + W, ... with its own
+  two accumulators and one CBL.  A block holds the shared discharges once
+  and three rows per member, so in the memory of W one-thread blocks it
+  holds W / (n_shared + 3W) of the budget in nodes: at W = 2 about twice
+  a one-thread block, and at W = 1 exactly one.
 * Position-major.  Every tap position (column, row, channel) computes
   the discharge once for each distinct exposure t among the planes, into
   scratch, and adds it into the CBL of every plane with that exposure
-  there; all 2*n accumulators and CBLs stay live.
+  there; all 2*n accumulators and CBLs stay live.  Each block is walked
+  whole by one thread of parallel.map_row_blocks.
 
 The walk follows from the tap plan: the channel-major one holds one
 block row per shared discharge plus three, the position-major one 2*n
@@ -91,11 +98,11 @@ BAYER_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 N_CHANNELS = 4
 
 # A layer block's accumulators, CBL buffers and discharges hold about
-# this many times parallel.ROW_BLOCK_NODES float64 values: 10 MiB per
-# thread at the default, about 22k nodes for k7s2's 57 shared discharges
-# and 18k for its 32 planes walked position-major.  Shorter numpy calls
-# lose more to the interpreter lock than a second thread gains (see
-# parallel).
+# this many times parallel.ROW_BLOCK_NODES float64 values per thread: 10
+# MiB at the default.  For k7s2's 57 shared discharges that is about 22k
+# nodes on one thread and 42k on a team of two; for its 32 planes walked
+# position-major, 18k per thread.  Shorter numpy calls lose more to the
+# interpreter lock than a second thread gains (see parallel).
 _CBL_BLOCK_SCALE = 40
 
 
@@ -388,12 +395,15 @@ def mac_node_voltages(
     one slice of a phase stack; the module docstring gives the order of
     the sums, how the planes share discharges and which walk runs.
 
-    Row blocks run on parallel.map_row_blocks threads, cut at multiples of
-    row_multiple rows.  With emit, every block calls emit(r0, r1, p0,
+    Row blocks are cut at multiples of row_multiple rows and run on
+    threads: whole on parallel.map_row_blocks threads in the
+    position-major walk, shared by a parallel.map_blocks_team team in the
+    channel-major one.  With emit, every block calls emit(r0, r1, p0,
     volts) once per pair of planes p0, p0 + 1 (p0 alone for the last of
     an odd count), with their (2 or 1, r1 - r0, out_c) voltages, which
     emit must consume before it returns, writing only rows r0:r1 of its
-    outputs; nothing is returned.  Without emit, returns the (n, out_r,
+    outputs for planes p0, p0 + 1: two threads may emit for one block at
+    once.  Nothing is returned.  Without emit, returns the (n, out_r,
     out_c) grid, or (out_r, out_c) for one plane.
     """
     mags = np.asarray(magnitudes)
@@ -483,69 +493,107 @@ def mac_node_voltages(
         for p0 in range(0, n_planes, 2):
             emit(r0, r1, p0, acc[p0 : p0 + 2])
 
-    def channel_major(r0: int, r1: int) -> None:
-        # Everything is laid out in flat rows of `pitch` values: two
-        # accumulators and one CBL, then each group's discharges over the
-        # stack rows its taps read, halo included.  A tap's read is then
-        # one contiguous run, which numpy adds faster than a 2-D view.  The
-        # columns past out_c take sums of neighbouring discharges and are
-        # never emitted; the values they read past a stack's width or its
-        # last row are zeroed, so that no uninitialized value reaches an
-        # add.
-        rows = r1 - r0
-        nodes = rows * pitch
-        samples = [stack[ch, r0 : r1 + extra] for stack, ch, _, _ in groups]
-        # A run ends at most `extra` values past its discharge's last row.
-        sizes = [len(x) * pitch + extra for x in samples]
-        buffer = block_buffer(3 * nodes + sum(len(g[2]) * size for g, size in zip(groups, sizes)))
-        accs = buffer[: 2 * nodes].reshape(2, nodes)
-        cbl = buffer[2 * nodes : 3 * nodes]
-        discharges = []
-        start = 3 * nodes
-        for x, size, (_, _, ts, n_safe) in zip(samples, sizes, groups):
-            dv = buffer[start : start + len(ts) * size].reshape(len(ts), size)
-            start += dv.size
-            dv[:, size - extra :] = 0.0
-            grid = dv[:, : size - extra]
-            shaped = grid.reshape(len(ts), len(x), pitch)
-            shaped[:, :, x.shape[1] :] = 0.0
-            multiply(ts, currents(x), shaped[:, :, : x.shape[1]])
-            divide(grid, c_f, grid)
-            if n_safe < len(ts):
-                np.minimum(grid[n_safe:], headroom, out=grid[n_safe:])
-            discharges.append(dv)
-        views = [
-            discharges[g][e, di * pitch + dj : di * pitch + dj + nodes]
-            for g, e, di, dj in reads
-        ]
-        for p0 in range(0, n_planes, 2):
-            pair = accs[: min(2, n_planes - p0)]
-            for acc, walk in zip(pair, walks[p0 : p0 + 2]):
-                if not walk:
-                    acc.fill(0.0)
-                # The first column sums into the accumulator; each column's
-                # first tap is copied, not added: 0.0 + dv == dv.
-                target = acc
-                for first, *rest in walk:
-                    np.copyto(target, views[first])
-                    for read in rest:
-                        add(target, views[read], target)
-                    if target is cbl:
-                        add(acc, cbl, acc)
-                    target = cbl
-            divide(pair, cfg.divider, pair)
-            emit(r0, r1, p0, pair.reshape(len(pair), rows, pitch)[:, :, :out_c])
-
     n_shared = len({(id(slices[n][0]), slices[n][1], tick) for _, _, _, tick, _, n in taps})
-    shared_rows = n_shared + min(n_planes, 2) + 1
-    if shared_rows <= 2 * n_planes + depth:
-        groups, reads, walks = _shared_plan(slices, taps, n_planes, wtc_cfg.t_step, unclamped)
-        pitch = max((stack.shape[2] for stack, _, _, _ in groups), default=out_c)
-        accumulate_block, n_rows = channel_major, shared_rows
+    # A channel-major walker holds its accumulators and one CBL.
+    private = min(n_planes, 2) + 1
+    if n_shared + private > 2 * n_planes + depth:
+        n_rows = 2 * n_planes + depth
+        block_nodes = max(_CBL_BLOCK_SCALE * parallel.ROW_BLOCK_NODES // n_rows, 1)
+        parallel.map_row_blocks(position_major, out_r, out_c, block_nodes, row_multiple)
     else:
-        accumulate_block, n_rows = position_major, 2 * n_planes + depth
-    block_nodes = max(_CBL_BLOCK_SCALE * parallel.ROW_BLOCK_NODES // n_rows, 1)
-    parallel.map_row_blocks(accumulate_block, out_r, out_c, block_nodes, row_multiple)
+        groups, reads, walks = _shared_plan(slices, taps, n_planes, wtc_cfg.t_step, unclamped)
+        workers = parallel.worker_count((n_planes + 1) // 2)
+        # The team holds as many values as `workers` single-walker blocks.
+        block_nodes = max(
+            _CBL_BLOCK_SCALE * parallel.ROW_BLOCK_NODES * workers
+            // (n_shared + private * workers),
+            1,
+        )
+        blocks = parallel.row_blocks(out_r, out_c, block_nodes, row_multiple)
+        pitch = max((stack.shape[2] for stack, _, _, _ in groups), default=out_c)
+
+        def layout(r0: int, r1: int) -> tuple:
+            # Everything is laid out in flat rows of `pitch` values: each
+            # member's accumulators and CBL, then each group's discharges
+            # over the stack rows its taps read, halo included.  A tap's
+            # read is then one contiguous run, which numpy adds faster than
+            # a 2-D view.  The columns past out_c take sums of neighbouring
+            # discharges and are never emitted; the values they read past
+            # a stack's width or its last row are zeroed, so that no
+            # uninitialized value reaches an add.
+            nodes = (r1 - r0) * pitch
+            heights = [len(stack[ch, r0 : r1 + extra]) for stack, ch, _, _ in groups]
+            # A run ends at most `extra` values past its discharge's last row.
+            sizes = [h * pitch + extra for h in heights]
+            n_values = private * workers * nodes
+            n_values += sum(g[2].size * size for g, size in zip(groups, sizes))
+            nonlocal team_buffer
+            if team_buffer.size < n_values:
+                team_buffer = np.empty(n_values)
+            walkers = team_buffer[: private * workers * nodes].reshape(workers, private, nodes)
+            start = walkers.size
+            dvs, discharges = [], []
+            for h, size, (stack, _, ts, _) in zip(heights, sizes, groups):
+                dv = team_buffer[start : start + len(ts) * size].reshape(len(ts), size)
+                start += dv.size
+                grid = dv[:, : size - extra]
+                shaped = grid.reshape(len(ts), h, pitch)
+                width = stack.shape[2]
+                dvs.append(dv)
+                # The halo tail, the columns past the stack's width, the
+                # samples' place, and the discharges over whole rows.
+                discharges.append((dv[:, size - extra :], shaped[:, :, width:], shaped[:, :, :width], grid))
+            views = [
+                dvs[g][e, di * pitch + dj : di * pitch + dj + nodes] for g, e, di, dj in reads
+            ]
+            return walkers, discharges, views
+
+        # The first block is the largest, so its layout sizes the buffer.
+        team_buffer = np.empty(0)
+        shapes, layouts = {}, {}
+        for r0, r1 in blocks:
+            shape = (r1 - r0, *(len(stack[ch, r0 : r1 + extra]) for stack, ch, _, _ in groups))
+            if shape not in shapes:
+                shapes[shape] = layout(r0, r1)
+            layouts[r0] = shapes[shape]
+
+        def discharge(w: int, r0: int, r1: int) -> None:
+            # Member w computes the shared discharges of groups w,
+            # w + workers, ...
+            for g in range(w, len(groups), workers):
+                stack, ch, ts, n_safe = groups[g]
+                tail, pad, target, grid = layouts[r0][1][g]
+                tail.fill(0.0)
+                pad.fill(0.0)
+                multiply(ts, currents(stack[ch, r0 : r1 + extra]), target)
+                divide(grid, c_f, grid)
+                if n_safe < len(ts):
+                    np.minimum(grid[n_safe:], headroom, out=grid[n_safe:])
+
+        def walk(w: int, r0: int, r1: int) -> None:
+            # Member w walks channel pairs w, w + workers, ... with its own
+            # accumulators and CBL.
+            walkers, _, views = layouts[r0]
+            accs, cbl = walkers[w, :-1], walkers[w, -1]
+            for p0 in range(2 * w, n_planes, 2 * workers):
+                pair = accs[: min(2, n_planes - p0)]
+                for acc, plane_walk in zip(pair, walks[p0 : p0 + 2]):
+                    if not plane_walk:
+                        acc.fill(0.0)
+                    # The first column sums into the accumulator; each
+                    # column's first tap is copied, not added: 0.0 + dv == dv.
+                    target = acc
+                    for first, *rest in plane_walk:
+                        np.copyto(target, views[first])
+                        for read in rest:
+                            add(target, views[read], target)
+                        if target is cbl:
+                            add(acc, cbl, acc)
+                        target = cbl
+                divide(pair, cfg.divider, pair)
+                emit(r0, r1, p0, pair.reshape(len(pair), r1 - r0, pitch)[:, :, :out_c])
+
+        parallel.map_blocks_team((discharge, walk), blocks, workers)
     if volts is None:
         return None
     return volts if mags.ndim == 4 else volts[0]

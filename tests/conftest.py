@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -53,3 +55,24 @@ def random_layer(rng, spec: ConvSpec, beta_bias=0.0):
 
 def random_frame(rng, rows=64, cols=64):
     return rng.integers(0, 65536, size=(rows, cols), dtype=np.uint16)
+
+
+def call_within(seconds, fn, *args):
+    """fn(*args) on a daemon thread: its result, or its exception raised
+    here.  Fails the test when fn is still running after `seconds`, so a
+    hang shows as a failure."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["result"] = fn(*args)
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]

@@ -85,6 +85,17 @@ class TestCdsSigned:
         assert cds_signed(cfg, 0.03, 0.0) == 3 - 5
         assert relu_requantize(cfg, cds_signed(cfg, 0.03, 0.0)) == 0
 
+    @pytest.mark.parametrize(
+        "bn, dtype", [(0, np.int16), (-100, np.int16), (1 << 15, np.int32), (-(1 << 40), np.int64)]
+    )
+    def test_grid_counts_narrow_and_exact(self, bn, dtype):
+        # int16 counts, widened only as far as the preload needs.
+        cfg = AdcConfig(bn_offset_codes=bn)
+        v = np.random.default_rng(3).uniform(0, 0.7, (2, 5, 7))
+        code = cds_signed(cfg, v[0], v[1])
+        assert code.dtype == dtype
+        assert np.array_equal(code, quantize(cfg, v[0]) - quantize(cfg, v[1]) + bn)
+
     @given(
         a=st.floats(0, 0.64),
         b=st.floats(0, 0.64),

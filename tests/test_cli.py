@@ -11,7 +11,7 @@ from ctia_ipc.cli import main
 from ctia_ipc.formats import load_pgm16, save_pgm16, save_weights
 from ctia_ipc.mapper import BnParams
 
-from conftest import random_frame
+from conftest import call_within, random_frame
 
 
 def make_inputs(tmp_path, rows=64, cols=64, c_o=2, k=3, seed=0):
@@ -112,6 +112,44 @@ class TestConfigHoles:
         assert main(["montecarlo", "--seed", "-1", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "--seed must be >= 0" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+class TestMetricsRange:
+    """metrics on accepted configs whose figures are huge: finite figures
+    are written, figures beyond the float range exit 1 naming the
+    setting and leave no artifact."""
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"array": {"rows": 1024, "cols": 10**200}},
+            {"array": {"rows": 200000, "cols": 200000}, "conv": {"k": 99991, "s": 99989}},
+        ],
+    )
+    def test_large_geometry_written(self, tmp_path, document):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(document))
+        out = tmp_path / "o"
+        assert call_within(30, main, ["metrics", "--config", str(config), "--out", str(out)]) == 0
+        report = json.loads((out / "metrics.json").read_text())
+        assert report["activation_count_cycle0"] > 0
+
+    @pytest.mark.parametrize(
+        "document, field",
+        [
+            ({"array": {"rows": 10**200, "cols": 10**200}}, "array.rows"),
+            ({"power_per_pixel_w": 1e308}, "power_per_pixel_w"),
+            ({"cycle_time_s": 1e308}, "cycle_time_s"),
+        ],
+    )
+    def test_beyond_float_range_rejected(self, tmp_path, capsys, document, field):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(document))
+        out = tmp_path / "o"
+        assert main(["metrics", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
         assert not out.exists()
 
 

@@ -216,11 +216,11 @@ def test_polarity_codes_bit_exact(k, s, p):
 
 # (k, s, magnitude levels, whether the distinct discharges fit the
 # channel-major walk, a ROW_BLOCK_NODES that gives each case blocks of 4
-# rows).  33 planes at k3s1 read at most 4 channels x 15 exposures of one
-# stack; at k3s3 every tap has its own stack, so they read hundreds.  At
-# k2s3 the taps read four stacks of two widths, which fit with a single
-# nonzero level.
-WALKS = [(3, 1, 16, True, 400), (3, 3, 16, False, 200), (2, 3, 2, True, 33)]
+# rows, on a team of 2 or 3 threads in the channel-major walk).  33 planes
+# at k3s1 read at most 4 channels x 15 exposures of one stack; at k3s3
+# every tap has its own stack, so they read hundreds.  At k2s3 the taps
+# read four stacks of two widths, which fit with a single nonzero level.
+WALKS = [(3, 1, 16, True, 168), (3, 3, 16, False, 200), (2, 3, 2, True, 20)]
 
 
 @pytest.mark.parametrize("pixel_config", sorted(PIXEL_CONFIGS))

@@ -15,6 +15,8 @@ from ctia_ipc.mapper import (
     quantize_weights,
 )
 
+from conftest import call_within
+
 
 def conv_reference(x, weights):
     """Nested-loop dense convolution, stride 1, no padding; x is
@@ -208,6 +210,26 @@ class TestSchedule:
         assert sched.cycle0_active_pixels == len(cycles[0][1]) * 7 * 7 * 4
         with pytest.raises(ScheduleError):
             build_schedule(ConvSpec(k=7, s=1, p=0, c_o=1), 6, 8)
+
+    def test_closed_form_matches_reference_grid(self):
+        # One output row per p, every pitch phase from empty to several
+        # max_parallel chunks deep.
+        for k in range(1, 9):
+            for s in range(1, 5):
+                for p in range(4):
+                    spec = ConvSpec(k=k, s=s, p=p, c_o=1)
+                    rows = max(k - 2 * p, 1)
+                    for cols in range(max(k - 2 * p, 1), 90, 3):
+                        sched = build_schedule(spec, rows, cols)
+                        assert sched.n_cycles() == len(reference_cycles(spec, rows, cols))
+
+    def test_large_coprime_kernel_and_stride(self):
+        # pitch = lcm(k, s) is about 10^10 phases, of which two hold a
+        # column: one cycle each.
+        spec = ConvSpec(k=99991, s=99989, c_o=1)
+        sched = call_within(10, build_schedule, spec, 200000, 200000)
+        assert (sched.out_rows, sched.out_cols, sched.max_parallel) == (2, 2, 1)
+        assert sched.cycles_per_row == 2 and sched.n_cycles() == 4
 
     @given(
         cols=st.integers(16, 96),

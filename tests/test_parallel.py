@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -6,8 +9,18 @@ from ctia_ipc.errors import ValidationError
 from ctia_ipc.golden import golden_layer
 from ctia_ipc.mapper import ConvSpec
 from ctia_ipc.pipeline import simulate_layer
+from ctia_ipc.pixel import PixelParams, frame_to_photocurrents
+from ctia_ipc.pixel_array import (
+    N_CHANNELS,
+    ArrayConfig,
+    bayer_channel_view,
+    mac_node_voltages,
+    photocurrent_channels,
+)
+from ctia_ipc.wtc import CounterConfig
 
-from conftest import random_frame, random_layer, small_chain
+from conftest import call_within, random_frame, random_layer, small_chain
+from test_kernels import reference_mac_node_voltages
 
 
 class RecordingExecutor:
@@ -79,3 +92,92 @@ def test_layer_identical_across_threads_and_row_blocks(monkeypatch):
     assert len(parallel.row_blocks(31, 31)) == 11
     for a, b in zip(*runs):
         assert np.array_equal(a, b)
+
+
+class TestTeam:
+    """The channel-major walk on a team of threads that share each block:
+    bit-exact at any team size, and an exception ends every member."""
+
+    # 7 planes, the last alone in its pair, plane 3 without a tap: 4
+    # channel pairs, enough for a team of 3.  Three nonzero magnitudes
+    # give at most 12 shared discharges, so the channel-major walk runs.
+    N_PLANES = 7
+
+    @staticmethod
+    def layer(k, s):
+        rng = np.random.default_rng(31 * k + s)
+        raw = random_frame(rng, 40, 46)
+        mags = rng.integers(0, 4, (TestTeam.N_PLANES, N_CHANNELS, k, k)) * 5
+        mags[3] = 0
+        return raw, mags
+
+    @pytest.fixture
+    def teams(self, monkeypatch):
+        # Each team's size and blocks, as mac_node_voltages hands them over.
+        seen = []
+        team = parallel.map_blocks_team
+
+        def recording(steps, blocks, workers):
+            seen.append((workers, list(blocks)))
+            return team(steps, blocks, workers)
+
+        monkeypatch.setattr(parallel, "map_blocks_team", recording)
+        # Blocks of one row_multiple: 4 rows, and 2 for the last of 38.
+        monkeypatch.setattr(parallel, "ROW_BLOCK_NODES", 1)
+        return seen
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    @pytest.mark.parametrize("k, s", [(3, 1), (5, 2)])
+    def test_bit_exact(self, four_cpus, teams, monkeypatch, threads, k, s):
+        monkeypatch.setenv("CTIA_IPC_THREADS", threads)
+        raw, mags = self.layer(k, s)
+        pixel, wtc = PixelParams(), CounterConfig()
+        cfg = ArrayConfig(rows=40, cols=46)
+        # Up to 3 members on fewer cores, switching threads every
+        # microsecond: a member that reads a block before it is whole, or
+        # writes into one still being read, changes the voltages.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = call_within(
+                30, mac_node_voltages, cfg, pixel, wtc, photocurrent_channels(raw, 0, s),
+                mags, k, s, None, 4,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        [(workers, blocks)] = teams
+        assert workers == int(threads)
+        assert len(blocks) > workers
+        assert {r1 - r0 for r0, r1 in blocks[:-1]} == {4} and blocks[-1][1] - blocks[-1][0] < 4
+        channels = bayer_channel_view(frame_to_photocurrents(raw, pixel.i_max))
+        for plane, plane_mags in zip(got, mags):
+            expected = reference_mac_node_voltages(cfg, pixel, wtc, channels, plane_mags, k, s)
+            assert np.array_equal(plane, expected)
+
+    # Channel pair p0 is walked by member p0 // 2 % 3: the calling thread
+    # for p0 = 0, a started thread for p0 = 2.
+    @pytest.mark.parametrize("failing_pair", [0, 2])
+    def test_raising_emit_ends_the_team(self, four_cpus, teams, monkeypatch, failing_pair):
+        monkeypatch.setenv("CTIA_IPC_THREADS", "3")
+        raw, mags = self.layer(3, 1)
+        emitted = []
+
+        def emit(r0, r1, p0, volts):
+            if p0 == failing_pair and r0 >= 8:
+                raise RuntimeError(f"emit failed at pair {p0}")
+            emitted.append((r0, p0))
+
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match=f"emit failed at pair {failing_pair}"):
+            call_within(
+                30, mac_node_voltages, ArrayConfig(rows=40, cols=46), PixelParams(),
+                CounterConfig(), photocurrent_channels(raw, 0, 1), mags, 3, 1, emit, 4,
+            )
+        assert teams[0][0] == 3
+        assert set(threading.enumerate()) == before
+        # The blocks before the failing one were emitted whole, and no
+        # member walked past the block that failed.
+        assert {(r0, p0) for r0, p0 in emitted if r0 < 8} == {
+            (r0, p0) for r0 in (0, 4) for p0 in range(0, self.N_PLANES, 2)
+        }
+        assert max(r0 for r0, _ in emitted) <= 8
