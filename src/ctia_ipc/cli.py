@@ -138,7 +138,7 @@ def _run_montecarlo(cfg: RunConfig, out_dir: str) -> int:
     formats.write_csv(
         os.path.join(out_dir, "montecarlo.csv"),
         MC_HEADER,
-        ((t, v) for t, v in enumerate(result.samples)),
+        enumerate(result.samples.tolist()),
     )
     summary = {
         "trials": int(result.samples.size),
@@ -173,16 +173,17 @@ def _transfer_samples(cfg: RunConfig):
     if cfg.transfer_samples_csv:
         path = require_input(cfg, "transfer_samples_csv")
         return [tuple(row) for row in formats.read_csv(path, TRANSFER_HEADER)]
-    # No external samples: sample the nominal single-unit chain.
-    samples = []
+    # No external samples: sample the nominal single-unit chain, every
+    # weight level at once.
     mag_max = cfg.conv.mag_max
-    chain = cfg.chain()
     x_grid = np.linspace(0.0, 1.0, cfg.transfer_grid_points)
     x_norms = x_grid.tolist()
-    for mag in range(mag_max + 1):
-        _, v_adc_in, _ = sweep_window_chain(chain, 1, mag, x_grid)
-        samples.extend((mag / mag_max, x, v) for x, v in zip(x_norms, v_adc_in.tolist()))
-    return samples
+    _, v_adc_in, _ = sweep_window_chain(cfg.chain(), 1, np.arange(mag_max + 1), x_grid)
+    return [
+        (mag / mag_max, x, v)
+        for mag, volts in enumerate(v_adc_in.tolist())
+        for x, v in zip(x_norms, volts)
+    ]
 
 
 def _run_export_transfer(cfg: RunConfig, out_dir: str) -> int:
@@ -211,12 +212,20 @@ def _run_export_transfer(cfg: RunConfig, out_dir: str) -> int:
 
 
 def _run_readout(cfg: RunConfig, out_dir: str) -> int:
-    raw = _load_sensor_frame(cfg)
-    photocurrents = frame_to_photocurrents(raw, cfg.pixel.i_max)
-    volts = readout_frame(cfg.pixel, photocurrents, cfg.readout_exposure())
-    # Voltages are clamped at headroom, so headroom spans the full code range.
-    codes = np.rint(volts / cfg.pixel.headroom * 65535).astype(np.uint16)
-    formats.save_pgm16(os.path.join(out_dir, "readout.pgm"), codes)
+    # Neither the raw frame nor the photocurrents outlive their call: each
+    # is a full-frame buffer, and readout sets the chain's peak memory.
+    volts = readout_frame(
+        cfg.pixel,
+        frame_to_photocurrents(_load_sensor_frame(cfg), cfg.pixel.i_max),
+        cfg.readout_exposure(),
+    )
+    # Voltages are clamped at headroom, so headroom spans the full code
+    # range.  Scaled and rounded in place, with the roundings of
+    # rint(volts / headroom * 65535).
+    volts /= cfg.pixel.headroom
+    volts *= 65535
+    np.rint(volts, out=volts)
+    formats.save_pgm16(os.path.join(out_dir, "readout.pgm"), volts.astype(np.uint16))
     _write_manifest(
         cfg,
         "readout",

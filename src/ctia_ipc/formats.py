@@ -113,7 +113,12 @@ def save_pgm16(path, samples) -> None:
         raise ValidationError(f"PGM samples must be in [0, {PGM_MAXVAL}]")
     rows, cols = arr.shape
     header = f"P5\n{cols} {rows}\n{PGM_MAXVAL}\n".encode("ascii")
-    atomic_write_bytes(path, header + arr.astype(">u2").tobytes())
+    # The file's bytes are built in one buffer: the big-endian samples are
+    # cast straight into it after the header, with no copy of the frame.
+    data = bytearray(len(header) + 2 * arr.size)
+    data[: len(header)] = header
+    np.frombuffer(data, dtype=">u2", offset=len(header)).reshape(arr.shape)[...] = arr
+    atomic_write_bytes(path, data)
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +241,35 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+_INTEGRAL = (int, np.integer, np.bool_)
+_REAL = (float, np.floating)
+
+
+def _format_column(column: tuple):
+    """_format_cell of every cell of a column, in one pass when the column
+    holds only numbers of one kind: str(int(v)) is _format_cell's text for
+    every bool and integer, repr(float(v)) for every float."""
+    types = set(map(type, column))
+    if all(issubclass(t, _REAL) for t in types):
+        return map(repr, map(float, column))
+    if all(issubclass(t, _INTEGRAL) for t in types):
+        return map(str, map(int, column))
+    return map(_format_cell, column)
+
+
 def write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
+    """Write header and rows as CSV text, formatted column by column: bools
+    as 1 or 0, integers as decimals, floats by repr, anything else by
+    str.  Every row must be as wide as the header."""
     width = len(header)
-    for row in rows:
-        cells = [_format_cell(v) for v in row]
-        if len(cells) != width:
-            raise ValidationError(f"CSV row width {len(cells)} != header width {width}")
-        lines.append(",".join(cells))
+    rows = [tuple(row) for row in rows]
+    bad = next((len(row) for row in rows if len(row) != width), None)
+    if bad is not None:
+        raise ValidationError(f"CSV row width {bad} != header width {width}")
+    # zip(*rows) takes the rows apart into columns, zip(*columns) puts the
+    # formatted cells back together; a zero-width table has empty rows.
+    cells = zip(*map(_format_column, zip(*rows))) if width else [()] * len(rows)
+    lines = [",".join(header), *map(",".join, cells)]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

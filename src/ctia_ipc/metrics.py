@@ -324,18 +324,34 @@ def _mc_trials(
     c_f_acc), then per-pixel gain, feedback cap, and reset-level offset.
     A trial's value depends only on its row, so not on which chunk
     computes it.
+
+    The arithmetic runs in place, in z's own slices, with the operations
+    and their order of gain = 1 + sigma_gain*z, current = i_max*x_norm*gain,
+    dv = max(min(current*exposure / (c_f*cap), headroom) + vrst_off, 0).
+    Float addition and multiplication commute exactly, so gain *= (i_max
+    * x_norm) rounds as (i_max * x_norm) * gain does.
     """
-    g_c1, g_c2, g_cf = (1.0 + mm.sigma_cap * z[:, :3]).T
-    pixel_draws = z[:, 3:].reshape(-1, 3, N_CHANNELS, k, k)
-    gain = 1.0 + mm.sigma_gain * pixel_draws[:, 0]
-    cap = 1.0 + mm.sigma_cap * pixel_draws[:, 1]
-    vrst_off = mm.sigma_vrst * pixel_draws[:, 2]
+    caps = z[:, :3]
+    caps *= mm.sigma_cap
+    caps += 1.0
+    g_c1, g_c2, g_cf = caps.T
+    dv, cap, vrst_off = z[:, 3:].reshape(-1, 3, N_CHANNELS, k, k).transpose(1, 0, 2, 3, 4)
 
     pixel = chain.pixel
     exposure = magnitude * chain.wtc.exposure_multiplier * chain.wtc.t_step
-    current = pixel.i_max * x_norm * gain
-    dv = np.minimum(current * exposure / (pixel.c_f * cap), pixel.headroom) + vrst_off
-    dv = np.maximum(dv, 0.0)
+    # The gain slice becomes the discharge.
+    dv *= mm.sigma_gain
+    dv += 1.0
+    dv *= pixel.i_max * x_norm
+    dv *= exposure
+    cap *= mm.sigma_cap
+    cap += 1.0
+    cap *= pixel.c_f
+    dv /= cap
+    np.minimum(dv, pixel.headroom, out=dv)
+    vrst_off *= mm.sigma_vrst
+    dv += vrst_off
+    np.maximum(dv, 0.0, out=dv)
     array = chain.array
     divider = charge_share_divider(array.c1 * g_c1, array.c2 * g_c2, array.c_f_acc * g_cf)
     # The MAC kernel's order: a CBL per column in (row, channel) order,
@@ -447,13 +463,16 @@ def linearity_sweep(
 
     Single-unit modes use a 1x1 window; multiwindow runs all-equal k x k
     windows for k in {3, 5, 7}.  Weight levels cover the full 16-level WTC
-    range.  Every x-point of one (k, magnitude) shares a weight plane, so
-    each is one sweep_window_chain call.  Returns SweepRow records matching
-    the CSV column contract mode,k,w_norm,x_norm,v_cbl,v_adc_in,code.
+    range.  Every (level, x-point) of one k is one sweep_window_chain
+    call, which the single-unit modes share.  Returns SweepRow records
+    matching the CSV column contract mode,k,w_norm,x_norm,v_cbl,v_adc_in,code.
     """
     mag_max = 15
     x_grid = np.linspace(0.0, 1.0, x_points)
     x_norms = x_grid.tolist()
+    levels = np.arange(mag_max + 1)
+    # outputs[k] = (v_cbl, v_adc_in, code) nested lists, [level][x index].
+    outputs = {}
     rows = []
     for mode in modes:
         if mode == "multiwindow":
@@ -463,22 +482,19 @@ def linearity_sweep(
             kernel_sizes = (unit_k,)
             order = _sweep_order(mode, x_points)
         for k in kernel_sizes:
-            # outputs[m] = (v_cbl, v_adc_in, code) lists over the x grid.
-            outputs = [
-                [a.tolist() for a in sweep_window_chain(chain, k, m, x_grid)]
-                for m in range(mag_max + 1)
-            ]
+            if k not in outputs:
+                outputs[k] = [a.tolist() for a in sweep_window_chain(chain, k, levels, x_grid)]
+            v_cbl, v_adc_in, code = outputs[k]
             for m, i in order:
-                v_cbl, v_adc_in, code = (column[i] for column in outputs[m])
                 rows.append(
                     SweepRow(
                         mode=mode,
                         k=k,
                         w_norm=m / mag_max,
                         x_norm=x_norms[i],
-                        v_cbl=v_cbl,
-                        v_adc_in=v_adc_in,
-                        code=code,
+                        v_cbl=v_cbl[m][i],
+                        v_adc_in=v_adc_in[m][i],
+                        code=code[m][i],
                     )
                 )
     return rows

@@ -108,14 +108,18 @@ def simulate_layer(
     return activations
 
 
-def sweep_window_chain(chain: ChainConfig, k: int, magnitude: int, x_norms):
-    """All-equal k x k windows through the analog chain, one per x_norm.
+def sweep_window_chain(chain: ChainConfig, k: int, magnitudes, x_norms):
+    """All-equal k x k windows through the analog chain, one per (weight
+    level, x_norm).
 
     Every tap of a window carries the same magnitude and normalized input.
-    The windows share one weight plane, so they run as the nodes of one
-    batched run_mac_cycle call and one quantize call.  x_norms is 1-D;
-    returns arrays (v_cbl of one column, v_adc_in, digital code), one entry
-    per x_norm.  This is the primitive behind the linearity sweeps.
+    The windows of one x_norm are the nodes of a batch, and every level is
+    one weight plane of a stack, so all of them run as one run_mac_cycle
+    call and one quantize call.  magnitudes is a level or an array of
+    levels, x_norms is 1-D; returns arrays (v_cbl of one column, v_adc_in,
+    digital code) of shape magnitudes.shape + x_norms.shape: one row per
+    level, with one entry per x_norm.  This is the primitive behind the
+    linearity sweeps and the transfer samples.
     """
     x = np.asarray(x_norms, dtype=float)
     if x.ndim != 1:
@@ -123,10 +127,12 @@ def sweep_window_chain(chain: ChainConfig, k: int, magnitude: int, x_norms):
     # min and max are NaN when any element is.
     if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
         raise ValidationError(f"x_norm must be in [0, 1], got values in [{x.min()}, {x.max()}]")
+    levels = np.asarray(magnitudes, dtype=np.int64)
     currents = chain.pixel.i_max * x
     fields = np.broadcast_to(currents[:, None, None, None], (x.size, 4, k, k))
-    mags = np.full((4, k, k), magnitude, dtype=np.int64)
-    v_adc_in = run_mac_cycle(chain.array, chain.pixel, chain.wtc, fields, mags)
+    planes = np.broadcast_to(levels.reshape(-1, 1, 1, 1, 1), (levels.size, 1, 4, k, k))
+    v_adc_in = run_mac_cycle(chain.array, chain.pixel, chain.wtc, fields, planes)
+    v_adc_in = v_adc_in.reshape(levels.shape + x.shape)
     v_cbl = v_adc_in * chain.array.divider / k
     codes = quantize(chain.adc, v_adc_in)
     return v_cbl, v_adc_in, codes

@@ -77,9 +77,13 @@ def integrate(params: PixelParams, photocurrent, exposure):
         raise ValidationError("integrate: photocurrent must be >= 0")
     if np.any(t < 0):
         raise ValidationError("integrate: exposure must be >= 0")
-    dv = np.minimum(i * t / params.c_f, params.headroom)
+    # One fresh buffer, divided and clamped in place: a readout frame is a
+    # full-frame array, and each temporary would add its size to the peak.
+    dv = i * t
     if dv.ndim == 0:
-        return float(dv)
+        return float(np.minimum(dv / params.c_f, params.headroom))
+    dv /= params.c_f
+    np.minimum(dv, params.headroom, out=dv)
     return dv
 
 

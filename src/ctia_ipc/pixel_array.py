@@ -12,14 +12,15 @@ counter.
 
 mac_node_voltages is the one MAC, and every path uses it: the layer runs
 it once over the whole frame for all 2*c_o polarity planes, run_mac_cycle
-once over a batch of receptive fields that share one weight plane.  The
-batch is laid out as stride-k phase stacks with one node per field: phase
-(i, j) holds pixel (i, j) of every field, so at stride k each tap reads
-its node's own pixel.  It sums in the hardware's order.  Each kernel
-column's taps add into one CBL buffer per plane in (row, channel) order;
-the CBL buffers then add into the plane's accumulator in column order
-before the single divide: that is the switching matrix.  Monte Carlo sums
-its perturbed taps in the same order.
+once over a batch of receptive fields and a stack of weight planes, each
+plane run over every field.  The batch is laid out as stride-k phase
+stacks with one node per field: phase (i, j) holds pixel (i, j) of every
+field, so at stride k each tap reads its node's own pixel.  It sums in
+the hardware's order.  Each kernel column's taps add into one CBL buffer
+per plane in (row, channel) order; the CBL buffers then add into the
+plane's accumulator in column order before the single divide: that is
+the switching matrix.  Monte Carlo sums its perturbed taps in the same
+order.
 
 The layer kernel makes one pass over row blocks of its output grid and
 walks each block one of two ways.  Both keep every plane's float
@@ -142,6 +143,10 @@ def bayer_phase_stacks(frame: np.ndarray, stride: int) -> tuple:
     quad containing (r, c); for an even stride (a + stride*q) & ~1 does
     not depend on the low bit of a, so phases a and a ^ 1 (and likewise
     b and b ^ 1) are one shared array.  Requires even dimensions.
+
+    Stride 1 fills each quad from a strided view of its color, an even
+    stride copies one strided slice per color, and an odd stride >= 3
+    gathers the rows and columns by index.
     """
     arr = np.asarray(frame)
     if arr.ndim != 2:
@@ -164,7 +169,20 @@ def bayer_phase_stacks(frame: np.ndarray, stride: int) -> tuple:
             col_base = np.arange(b, cols, stride) & ~1
             stack = np.empty((N_CHANNELS, row_base.size, col_base.size), dtype=arr.dtype)
             for ch, (dr, dc) in enumerate(BAYER_OFFSETS):
-                stack[ch] = arr[np.ix_(row_base + dr, col_base + dc)]
+                if stride == 1:
+                    # Each color sample fills its 2x2 quad: both columns of
+                    # the quad's top row, then the top row into the bottom.
+                    quads = stack[ch].reshape(rows // 2, 2, cols // 2, 2)
+                    samples = arr[dr::2, dc::2]
+                    quads[:, 0, :, 0] = samples
+                    quads[:, 0, :, 1] = samples
+                    quads[:, 1] = quads[:, 0]
+                elif stride % 2 == 0:
+                    # Rows a + stride*q are even, so the quad rows are the
+                    # samples' own: one strided slice per color.
+                    stack[ch] = arr[a + dr :: stride, b + dc :: stride]
+                else:
+                    stack[ch] = arr[np.ix_(row_base + dr, col_base + dc)]
             stacks[key] = stack
     return tuple(
         tuple(stacks[a & shared, b & shared] for b in range(stride)) for a in range(stride)
@@ -249,36 +267,47 @@ def run_mac_cycle(
     region,
     magnitudes,
 ):
-    """Output-node ADC-input voltages for one polarity cycle.
+    """Output-node ADC-input voltages for polarity cycles.
 
     region: (4, k, k) photocurrents of one node's receptive field, or a
         batch (n, 4, k, k) of n nodes' fields.
     magnitudes: (4, k, k) unsigned weight magnitudes for this polarity
         (cells belonging to the other polarity hold 0), shared by every
-        field of a batch.
+        field of a batch; or a stack (m, 1, 4, k, k) of m such planes,
+        each run over every field.
 
-    Validates the fields and runs mac_node_voltages on them as stride-k
-    phase stacks, one node per field: phases[i][j][ch, 0, q] is field q's
-    pixel (ch, i, j), so tap (i, j) reads each node's own pixel and every
-    node sums in the same order as a field run alone.  Returns a float for
-    one region, an (n,) float64 array for a batch.
+    Validates the fields and runs mac_node_voltages once, on them as
+    stride-k phase stacks with one node per field and on every plane:
+    phases[i][j][ch, 0, q] is field q's pixel (ch, i, j), so tap (i, j)
+    reads each node's own pixel.  Every (plane, field) sums in the same
+    order as that field run alone on that plane, so the result is
+    bit-identical to one call per field and plane.  The result has the
+    shapes broadcast: a float for one region and one plane, (n,) for a
+    batch on one plane, (m, n) for a batch on a stack, (m, 1) for one
+    region on a stack.
     """
     x = np.asarray(region, dtype=float)
     mags = np.asarray(magnitudes)
     fields = x if x.ndim == 4 else x[None]
     if fields.ndim != 4 or fields.shape[1] != N_CHANNELS or fields.shape[2] != fields.shape[3]:
         raise ScheduleError(f"region must be (4, k, k) or (n, 4, k, k), got {x.shape}")
-    if mags.shape != fields.shape[1:]:
-        raise ScheduleError(f"weight plane shape {mags.shape} != field shape {fields.shape[1:]}")
+    k = fields.shape[2]
+    stack = mags.ndim == 5 and len(mags) > 0 and mags.shape[1] == 1
+    if mags.shape[-3:] != fields.shape[1:] or not (mags.ndim == 3 or stack):
+        raise ScheduleError(
+            f"weight planes must be (4, k, k) or (m, 1, 4, k, k) with m >= 1, for the "
+            f"fields' k = {k}; got {mags.shape}"
+        )
     # min and max are NaN when any element is.
     if x.size and not (x.min() >= 0 and math.isfinite(x.max())):
         raise ValidationError("photocurrents must be finite and >= 0")
-    k = fields.shape[2]
     # (k, k, 4, n): each phase stack is one contiguous (4, 1, n) slice.
     stacks = np.ascontiguousarray(fields.transpose(2, 3, 1, 0))
     phases = tuple(tuple(stacks[i, j][:, None] for j in range(k)) for i in range(k))
-    volts = mac_node_voltages(cfg, params, wtc_cfg, phases, mags, k, k)[0]
-    return volts if x.ndim == 4 else float(volts[0])
+    planes = mags[:, 0] if mags.ndim == 5 else mags[None]
+    volts = mac_node_voltages(cfg, params, wtc_cfg, phases, planes, k, k)[:, 0]
+    volts = volts.reshape(np.broadcast_shapes(mags.shape[:-3], x.shape[:-3]))
+    return float(volts) if volts.ndim == 0 else volts
 
 
 @dataclass(frozen=True)

@@ -380,6 +380,27 @@ class TestMonteCarloArtifacts:
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+@pytest.mark.parametrize(
+    "overrides, digest",
+    [
+        ({}, "efd2a305e89d2c4e53c61ae471c264c4290897bdb9355821f492688a4ffcd110"),
+        (
+            # 87% of the pixels reach the headroom clamp.
+            {"pixel": {"c_f": 1e-15}, "wtc": {"window": 3}},
+            "7229dc8ee708aa4e7b8ff2da1c6f0ed3c42218919b91be0b6fd92dd7dbf9450e",
+        ),
+    ],
+    ids=["default", "clamping"],
+)
+def test_readout_artifact_unchanged(tmp_path, overrides, digest):
+    # The digests come from the readout that built a fresh buffer per step.
+    config_path = make_inputs(tmp_path)
+    config_path.write_text(json.dumps(dict(json.loads(config_path.read_text()), **overrides)))
+    out = tmp_path / "out"
+    assert main(["readout", "--config", str(config_path), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "readout.pgm").read_bytes()).hexdigest() == digest
+
+
 def test_start_up_leaves_numpy_random_unimported():
     # numpy.random costs about 13 ms to import; only montecarlo draws.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

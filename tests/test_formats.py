@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctia_ipc.errors import FormatError, ValidationError
 from ctia_ipc.formats import (
@@ -163,6 +166,62 @@ class TestCsv:
         path = tmp_path / "t.csv"
         write_csv(path, ("v",), [(0.1,)])
         assert path.read_text().splitlines()[1] == "0.1"
+
+
+def reference_cell(value) -> str:
+    """write_csv's per-cell rules."""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1e-310, 2.5e-308]),
+)
+CELLS = {
+    "real": st.one_of(_FLOATS, _FLOATS.map(np.float64), st.floats(width=32).map(np.float32)),
+    "integral": st.one_of(
+        st.booleans(),
+        st.booleans().map(np.bool_),
+        st.integers(),
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),
+        st.integers(0, 255).map(np.uint8),
+    ),
+    "text": st.text(st.characters(codec="utf-8"), max_size=6),
+}
+CELLS["mixed"] = st.one_of(*CELLS.values())
+
+
+@st.composite
+def tables(draw):
+    """A header and rows whose columns hold one kind of cell or a mix."""
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=5))
+    rows = draw(st.lists(st.tuples(*(CELLS[kind] for kind in kinds)), max_size=12))
+    return tuple(f"c{i}" for i in range(len(kinds))), rows
+
+
+class TestCsvColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(table=tables())
+    def test_cells_follow_per_cell_rules(self, tmp_path_factory, table):
+        header, rows = table
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        write_csv(path, header, iter(rows))
+        lines = [",".join(header)] + [",".join(map(reference_cell, row)) for row in rows]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("bad", [(1.0,), (1.0, 2.0, 3.0), ()])
+    def test_wrong_width_rejected(self, tmp_path, bad):
+        path = tmp_path / "t.csv"
+        rows = [(0.5, 1), (0.25, 2), bad, (0.125, 3)]
+        with pytest.raises(ValidationError, match=f"row width {len(bad)} != header width 2"):
+            write_csv(path, ("a", "b"), rows)
+        assert not path.exists()
 
 
 class TestJson:

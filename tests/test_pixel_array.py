@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ctia_ipc.errors import ScheduleError, StateError, ValidationError
 from ctia_ipc.pixel import PixelParams, integrate
 from ctia_ipc.pixel_array import (
+    BAYER_OFFSETS,
     ArrayConfig,
     MacCycleResult,
     bayer_channel_view,
@@ -192,6 +193,24 @@ class TestBayerView:
                 if stride % 2 == 0:
                     assert phases[a][b] is phases[a ^ 1][b]
                     assert phases[a][b] is phases[a][b ^ 1]
+
+    @pytest.mark.parametrize("stride", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int64, np.float64])
+    @pytest.mark.parametrize("shape", [(2, 2), (6, 10), (14, 18), (16, 8)])
+    def test_phase_stacks_match_gather(self, stride, dtype, shape):
+        # Each stack against a gather of its rows and columns by index.
+        frame = np.random.default_rng(sum(shape)).integers(0, 65536, shape).astype(dtype)
+        rows, cols = shape
+        phases = bayer_phase_stacks(frame, stride)
+        for a in range(stride):
+            for b in range(stride):
+                row_base = np.arange(a, rows, stride) & ~1
+                col_base = np.arange(b, cols, stride) & ~1
+                expected = np.stack([
+                    frame[np.ix_(row_base + dr, col_base + dc)] for dr, dc in BAYER_OFFSETS
+                ])
+                assert phases[a][b].dtype == dtype
+                assert np.array_equal(phases[a][b], expected)
 
     def test_window_bounds(self):
         phases = bayer_phase_stacks(np.zeros((8, 8)), 1)

@@ -1,7 +1,8 @@
 """The characterization chain's batched kernel calls against per-point
 loops: a batch of receptive fields in one run_mac_cycle call against one
-call per field, and the sweeps against the chain run one window at a time
-through the scalar tap loop.  Results must be equal, not merely close."""
+call per field, a stack of weight planes against one call per plane, and
+the sweeps against the chain run one window at a time through the scalar
+tap loop.  Results must be equal, not merely close."""
 
 import math
 
@@ -52,6 +53,52 @@ def test_batch_equals_one_field_calls(k, n, name, seed, zero_frac):
     assert all(type(v) is float for v in singles)
     assert got.tolist() == singles
     assert singles[0] == reference_run_mac_cycle(chain.array, pixel, chain.wtc, fields[0], mags)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+@pytest.mark.parametrize("name", ["default", "clamped"])
+def test_plane_stack_equals_one_plane_calls(k, name):
+    chain = pixel_chain(name)
+    pixel = chain.pixel
+    rng = np.random.default_rng(k)
+    x = rng.uniform(0, 1, (12, N_CHANNELS, k, k))
+    x[rng.random(x.shape) < 0.2] = 0.0
+    x[rng.random(x.shape) < 0.2] = 1.0
+    # A dark field and a full-scale one, where the clamped pixel clamps.
+    x[0], x[1] = 0.0, 1.0
+    fields = x * pixel.i_max
+    # Every level, all-equal planes and mixed ones, and an all-zero plane.
+    planes = np.concatenate([
+        np.broadcast_to(np.arange(16)[:, None, None, None, None], (16, 1, N_CHANNELS, k, k)),
+        rng.integers(0, 16, (5, 1, N_CHANNELS, k, k)),
+    ])
+    got = run_mac_cycle(chain.array, pixel, chain.wtc, fields, planes)
+    assert got.shape == (len(planes), len(fields)) and got.dtype == np.float64
+    singles = [run_mac_cycle(chain.array, pixel, chain.wtc, fields, plane[0]) for plane in planes]
+    assert np.array_equal(got, np.array(singles))
+    # One region on a stack keeps its broadcast (m, 1) shape.
+    one = run_mac_cycle(chain.array, pixel, chain.wtc, fields[1], planes)
+    assert np.array_equal(one, got[:, 1:2])
+
+
+@pytest.mark.parametrize("mag_shape", [(0, 1, N_CHANNELS, 3, 3), (2, 2, N_CHANNELS, 3, 3)])
+def test_bad_plane_stack_rejected(mag_shape):
+    chain = small_chain()
+    with pytest.raises(ScheduleError):
+        run_mac_cycle(chain.array, chain.pixel, chain.wtc, np.zeros((5, N_CHANNELS, 3, 3)),
+                      np.ones(mag_shape, dtype=int))
+
+
+@pytest.mark.parametrize("name", ["default", "clamped"])
+def test_level_axis_equals_one_level_calls(name):
+    chain = pixel_chain(name)
+    x = np.linspace(0.0, 1.0, 7)
+    got = sweep_window_chain(chain, 3, np.arange(16), x)
+    for level in range(16):
+        single = sweep_window_chain(chain, 3, level, x)
+        for stacked, alone in zip(got, single):
+            assert stacked.shape == (16, 7) and alone.shape == (7,)
+            assert np.array_equal(stacked[level], alone)
 
 
 def reference_sweep_point(chain, k, magnitude, x_norm):
