@@ -28,18 +28,14 @@ from .pipeline import ChainConfig, simulate_layer
 from .pixel import (
     FitResult,
     PixelParams,
-    TransferModel,
-    eval_transfer,
     fit_transfer,
     integrate,
 )
 from .pixel_array import (
     ArrayConfig,
-    MacCycleResult,
     bayer_channel_view,
     readout_frame,
     run_mac_cycle,
-    run_signed_mac,
 )
 from .wtc import CounterConfig, match_ticks, match_time
 

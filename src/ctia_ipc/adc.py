@@ -78,9 +78,19 @@ def _counts(cfg: AdcConfig, v, dtype) -> np.ndarray:
 
 def signed_code_dtype(code_max: int, bn_codes) -> type:
     """The narrowest integer dtype that holds every signed CDS count,
-    [-code_max + min(bn_codes), code_max + max(bn_codes)]."""
-    lo = -code_max + int(np.min(bn_codes))
-    hi = code_max + int(np.max(bn_codes))
+    [-code_max + min(bn_codes), code_max + max(bn_codes)].  A channel's
+    preload that is not finite, or whose counts int64 cannot hold, raises
+    ValidationError."""
+    codes = np.ravel(bn_codes).tolist()
+    widest = np.iinfo(np.int64)
+    for ch, code in enumerate(codes):
+        # Python compares ints and floats exactly; NaN fails both tests.
+        if not widest.min + code_max <= code <= widest.max - code_max:
+            raise ValidationError(
+                f"BN preload of channel {ch} is {code!r} codes; its signed counts do not fit int64"
+            )
+    lo = -code_max + int(min(codes))
+    hi = code_max + int(max(codes))
     for dtype in (np.int8, np.int16, np.int32):
         info = np.iinfo(dtype)
         if info.min <= lo and hi <= info.max:

@@ -14,25 +14,19 @@ CPU); the count is also capped at the CPU count.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import formats
-from .config import MODES, RunConfig, load_config, require_input
-from .errors import (
-    FormatError,
-    SimError,
-    ValidationError,
-    VerificationError,
-)
+from .config import RunConfig, load_config, require_input
+from .errors import FormatError, SimError, ValidationError
 from .golden import compare_runs, golden_layer
 from .mapper import build_schedule, fuse_and_quantize
 from .metrics import linearity_sweep, metrics_report, monte_carlo
 from .pipeline import simulate_layer, sweep_window_chain
-from .pixel import fit_transfer, fit_transfer_model, frame_to_photocurrents
+from .pixel import fit_transfer_model, frame_to_photocurrents
 from .pixel_array import N_CHANNELS, readout_frame
 
 EXIT_OK = 0
@@ -188,25 +182,9 @@ def _transfer_samples(cfg: RunConfig):
 
 def _run_export_transfer(cfg: RunConfig, out_dir: str) -> int:
     samples = _transfer_samples(cfg)
-    fit = fit_transfer(samples)
     model = fit_transfer_model(samples, degree=cfg.transfer_fit_degree)
     formats.write_csv(os.path.join(out_dir, "transfer_samples.csv"), TRANSFER_HEADER, samples)
-    doc = {
-        "kind": model.kind,
-        "slope": model.slope,
-        "intercept": model.intercept,
-        "clamp_lo": model.clamp_lo,
-        # An unbounded clamp has no JSON number; null stands for it.
-        "clamp_hi": model.clamp_hi if math.isfinite(model.clamp_hi) else None,
-        "coeffs": list(model.coeffs),
-        "fit": {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "r_squared": fit.r_squared,
-            "residual_rms": fit.residual_rms,
-        },
-    }
-    formats.write_json(os.path.join(out_dir, "transfer_model.json"), doc)
+    formats.write_json(os.path.join(out_dir, "transfer_model.json"), model)
     _write_manifest(cfg, "export-transfer", out_dir, ["transfer_samples.csv", "transfer_model.json"])
     return EXIT_OK
 
@@ -249,7 +227,7 @@ _RUNNERS = {
 
 def run(cfg: RunConfig, mode: str) -> int:
     if mode not in _RUNNERS:
-        raise ValidationError(f"unknown mode {mode!r}; choose from {', '.join(MODES)}")
+        raise ValidationError(f"unknown mode {mode!r}; choose from {', '.join(_RUNNERS)}")
     return _RUNNERS[mode](cfg, cfg.out_dir)
 
 
@@ -258,7 +236,7 @@ def main(argv=None) -> int:
         prog="ctia-ipc-sim",
         description="Behavioral simulator for a CTIA-based in-pixel computing accelerator",
     )
-    parser.add_argument("mode", choices=MODES, help="run mode")
+    parser.add_argument("mode", choices=_RUNNERS, help="run mode")
     parser.add_argument("--config", help="JSON run configuration (defaults when omitted)")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", help="override the output directory")
@@ -269,9 +247,6 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"ctia-ipc-sim: format error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except VerificationError as exc:
-        print(f"ctia-ipc-sim: verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
     except SimError as exc:
         print(f"ctia-ipc-sim: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

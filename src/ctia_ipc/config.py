@@ -22,16 +22,6 @@ from .pixel import PixelParams
 from .pixel_array import ArrayConfig
 from .wtc import CounterConfig
 
-MODES = (
-    "simulate",
-    "verify",
-    "sweep",
-    "montecarlo",
-    "metrics",
-    "export-transfer",
-    "readout",
-)
-
 # Each of these sections is one dataclass: its fields are its keys, and
 # its __post_init__ checks their ranges.
 _SECTIONS = {
@@ -177,6 +167,8 @@ def _within(value, bound) -> bool:
 
 
 def _read_document(path: str | None) -> dict:
+    """The JSON object in the file at path ({} for None); the weight
+    document is read this way too."""
     if path is None:
         return {}
     try:
@@ -184,9 +176,9 @@ def _read_document(path: str | None) -> dict:
             doc = json.load(handle)
     except (ValueError, RecursionError) as exc:
         # ValueError also covers bad UTF-8 and integers too long to parse.
-        raise FormatError(f"config is not valid JSON: {exc}", getattr(exc, "pos", -1))
+        raise FormatError(f"{path} is not valid JSON: {exc}", getattr(exc, "pos", -1))
     if not isinstance(doc, dict):
-        raise ValidationError("config document must be a JSON object")
+        raise ValidationError(f"{path} must hold a JSON object")
     return doc
 
 

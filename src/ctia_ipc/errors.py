@@ -33,7 +33,3 @@ class FormatError(SimError):
     def __init__(self, message: str, offset: int = -1):
         super().__init__(message if offset < 0 else f"{message} (byte offset {offset})")
         self.offset = offset
-
-
-class VerificationError(SimError):
-    """A golden-model comparison violated its configured thresholds."""

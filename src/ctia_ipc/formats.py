@@ -14,6 +14,7 @@ import tempfile
 
 import numpy as np
 
+from .config import _is_finite, _is_int, _read_document
 from .errors import FormatError, ValidationError
 from .mapper import BnParams
 from .pixel_array import N_CHANNELS
@@ -125,19 +126,23 @@ def save_pgm16(path, samples) -> None:
 # Weight + BN document (JSON)
 # ---------------------------------------------------------------------------
 
+def _number_array(value):
+    """value as an object array, and the indices of its elements that are
+    not finite numbers by the config loader's test (no bool, NaN,
+    infinity, string or integer beyond float64).  A ragged list's rows
+    are such elements."""
+    arr = np.array(value, dtype=object)
+    return arr, [idx for idx, item in np.ndenumerate(arr) if not _is_finite(item)]
+
+
 def load_weights(path):
     """Load (weights, BnParams) from a weight document.
 
-    Validation reports every violation found, not only the first.
+    The document is read as a config is.  Validation reports every
+    violation found, not only the first.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"weight document is not valid JSON: {exc}", exc.pos)
+    doc = _read_document(path)
     problems = []
-    if not isinstance(doc, dict):
-        raise ValidationError("weight document must be a JSON object")
     shape = doc.get("shape")
     if not isinstance(shape, dict):
         problems.append("missing or invalid 'shape' object")
@@ -145,7 +150,7 @@ def load_weights(path):
     dims = {}
     for name in ("c_o", "c_in", "k"):
         value = shape.get(name)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        if not (_is_int(value) and _is_finite(value) and value >= 1):
             problems.append(f"shape.{name} must be a positive integer, got {value!r}")
         else:
             dims[name] = value
@@ -156,22 +161,16 @@ def load_weights(path):
         problems.append("missing 'weights' array")
     elif len(dims) == 3:
         expected = (dims["c_o"], dims["c_in"], dims["k"], dims["k"])
-        try:
-            weights = np.asarray(doc["weights"], dtype=float)
-        except (TypeError, ValueError):
-            problems.append("weights are not a rectangular numeric array")
-        if weights is not None and weights.shape != expected:
-            problems.append(f"weights shape {weights.shape} != declared {expected}")
-            weights = None
-        if weights is not None:
-            bad = np.argwhere(~np.isfinite(weights))
-            for idx in bad:
-                ch, plane, i, j = (int(v) for v in idx)
-                problems.append(
-                    f"non-finite weight at channel {ch}, plane {plane}, tap ({i}, {j})"
-                )
-            if bad.size:
-                weights = None
+        arr, bad = _number_array(doc["weights"])
+        if arr.shape != expected:
+            problems.append(f"weights shape {arr.shape} != declared {expected}")
+        elif bad:
+            problems.extend(
+                f"weight at channel {ch}, plane {plane}, tap ({i}, {j}) is not a finite number"
+                for ch, plane, i, j in bad
+            )
+        else:
+            weights = arr.astype(float)
     bn_doc = doc.get("bn")
     bn = None
     if not isinstance(bn_doc, dict):
@@ -179,23 +178,17 @@ def load_weights(path):
     else:
         arrays = {}
         for name in ("gamma", "beta", "mu", "sigma_sq"):
-            value = bn_doc.get(name)
-            try:
-                arr = np.asarray(value, dtype=float)
-            except (TypeError, ValueError):
-                problems.append(f"bn.{name} is not a numeric array")
-                continue
+            arr, bad = _number_array(bn_doc.get(name))
             if arr.ndim != 1 or ("c_o" in dims and arr.shape != (dims["c_o"],)):
                 problems.append(
                     f"bn.{name} must be a length-c_o array, got shape {arr.shape}"
                 )
-                continue
-            if not np.all(np.isfinite(arr)):
-                problems.append(f"bn.{name} contains non-finite values")
-                continue
-            arrays[name] = arr
+            elif bad:
+                problems.append(f"bn.{name} must hold finite numbers")
+            else:
+                arrays[name] = arr.astype(float)
         epsilon = bn_doc.get("epsilon")
-        if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool) or not epsilon > 0:
+        if not (_is_finite(epsilon) and epsilon > 0):
             problems.append(f"bn.epsilon must be a positive number, got {epsilon!r}")
         elif len(arrays) == 4:
             if np.any(arrays["sigma_sq"] < 0):
@@ -274,22 +267,34 @@ def write_csv(path, header, rows) -> None:
 
 
 def read_csv(path, expected_header):
-    """Read a CSV written by write_csv; header must match exactly."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle]
+    """Read a CSV written by write_csv; header must match exactly.  A file
+    that is not UTF-8 text, or a cell that is not a number, raises
+    FormatError naming the line."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"CSV line {line} is not UTF-8 text", exc.start)
     if not lines:
         raise FormatError("empty CSV file", 0)
     header = lines[0].split(",")
     if header != list(expected_header):
         raise FormatError(f"CSV header {header} != expected {list(expected_header)}", 0)
     rows = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         cells = line.split(",")
         if len(cells) != len(header):
-            raise FormatError(f"CSV row width {len(cells)} != header width {len(header)}")
-        rows.append([float(cell) for cell in cells])
+            raise FormatError(
+                f"CSV line {number}: row width {len(cells)} != header width {len(header)}"
+            )
+        try:
+            rows.append([float(cell) for cell in cells])
+        except ValueError:
+            raise FormatError(f"CSV line {number} has a cell that is not a number: {line!r}")
     return rows
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adc import _BOUNDARY_GUARD, AdcConfig, maxpool, relu_requantize
+from .adc import _BOUNDARY_GUARD, AdcConfig, maxpool, relu_requantize, signed_code_dtype
 from .errors import DimensionError, ValidationError
 from .mapper import ConvSpec, FusedLayer, output_dims
 from .pixel import RAW_MAX, PixelParams
@@ -98,12 +98,17 @@ def offset_codes(fused: FusedLayer, cal: CalibrationMap, adc_cfg: AdcConfig) -> 
     The fused offset B lives in the network's accumulator units; one such
     unit equals volts_per_unit_product / (mag_max * weight_scale) volts.
     With an all-zero weight tensor there is no voltage scale to map
-    through, so the preload degenerates to zero.
+    through, so the preload degenerates to zero.  A preload that is not
+    finite, or whose signed counts int64 cannot hold, raises
+    ValidationError naming its channel.
     """
     if fused.weight_scale == 0.0:
         return np.zeros(fused.offsets.shape, dtype=np.int64)
     volts = fused.offsets * cal.volts_per_unit_product / (fused.mag_max * fused.weight_scale)
-    return np.rint(volts / adc_cfg.lsb).astype(np.int64)
+    codes = np.rint(volts / adc_cfg.lsb)
+    # Checked before the cast, which would wrap such a preload silently.
+    signed_code_dtype(adc_cfg.code_max, codes)
+    return codes.astype(np.int64)
 
 
 def polarity_codes(

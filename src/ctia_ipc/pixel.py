@@ -11,14 +11,15 @@ Monte Carlo analysis, never here.
 activation and exposure time encodes the weight, so the discharge
 magnitude is proportional to their product until the headroom clamp
 engages.  `fit_transfer` recovers the affine transfer curve from sampled
-(weight, input, voltage) triples; the fitted model is what an external
-training framework consumes in place of the first convolution layer.
+(weight, input, voltage) triples; `fit_transfer_model` builds from it the
+model document an external training framework consumes in place of the
+first convolution layer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -26,9 +27,6 @@ from .errors import FitError, ValidationError
 
 # Full-scale raw sensor sample (16-bit); it maps to exactly i_max.
 RAW_MAX = 65535
-
-IDEAL_LINEAR = "ideal-linear"
-FITTED_POLYNOMIAL = "fitted-polynomial"
 
 
 @dataclass(frozen=True)
@@ -100,50 +98,6 @@ def frame_to_photocurrents(raw, i_max: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TransferModel:
-    """Transfer curve from normalized weight*input product to volts.
-
-    kind "ideal-linear" evaluates clamp(slope * (w*x) + intercept); kind
-    "fitted-polynomial" evaluates clamp(poly(w*x)) with ``coeffs`` in
-    highest-degree-first order (numpy polyval convention).
-    """
-
-    kind: str = IDEAL_LINEAR
-    slope: float = 1.0
-    intercept: float = 0.0
-    clamp_lo: float = 0.0
-    clamp_hi: float = 1.0
-    coeffs: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in (IDEAL_LINEAR, FITTED_POLYNOMIAL):
-            raise ValidationError(f"unknown transfer kind {self.kind!r}")
-        if self.clamp_lo > self.clamp_hi:
-            raise ValidationError("transfer clamp_lo must be <= clamp_hi")
-        if not self.clamp_lo <= self.intercept <= self.clamp_hi:
-            raise ValidationError("transfer intercept must lie within the clamp range")
-        if self.kind == FITTED_POLYNOMIAL and len(self.coeffs) == 0:
-            raise ValidationError("fitted-polynomial transfer needs coefficients")
-
-
-def eval_transfer(model: TransferModel, w_norm, x_norm):
-    """Evaluate the transfer model at normalized weight/input values."""
-    w = np.asarray(w_norm, dtype=float)
-    x = np.asarray(x_norm, dtype=float)
-    if not np.all(np.isfinite(w)) or not np.all(np.isfinite(x)):
-        raise ValidationError("eval_transfer: inputs must be finite")
-    product = w * x
-    if model.kind == IDEAL_LINEAR:
-        v = model.slope * product + model.intercept
-    else:
-        v = np.polyval(model.coeffs, product)
-    v = np.clip(v, model.clamp_lo, model.clamp_hi)
-    if v.ndim == 0:
-        return float(v)
-    return v
-
-
-@dataclass(frozen=True)
 class FitResult:
     slope: float
     intercept: float
@@ -154,71 +108,88 @@ class FitResult:
 def fit_transfer(samples) -> FitResult:
     """Least-squares line through (w_norm * x_norm, volts) samples.
 
-    ``samples`` is an iterable of (w_norm, x_norm, volts) triples.  Raises
-    FitError when fewer than two distinct abscissae are present.
+    ``samples`` is an iterable of (w_norm, x_norm, volts) triples, which
+    must be finite.  Raises FitError when fewer than two distinct
+    abscissae are present or when a fitted number is not finite.
     """
     arr = np.asarray(list(samples), dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValidationError("fit_transfer expects (w_norm, x_norm, volts) triples")
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+    if bad.size:
+        raise ValidationError(
+            f"transfer samples must be finite; sample {bad[0]} is {tuple(arr[bad[0]].tolist())}"
+        )
     if arr.shape[0] < 2:
         raise FitError("fit_transfer needs at least 2 samples")
-    product = arr[:, 0] * arr[:, 1]
-    volts = arr[:, 2]
-    if np.ptp(product) == 0:
-        raise FitError("all sample abscissae identical; fit is degenerate")
-    slope, intercept = np.polyfit(product, volts, 1)
-    residuals = volts - (slope * product + intercept)
-    ss_res = float(np.dot(residuals, residuals))
-    centered = volts - volts.mean()
-    ss_tot = float(np.dot(centered, centered))
-    # Flat-but-consistent data is a perfect fit, not 0/0; the floor absorbs
-    # the one-ulp noise a constant column picks up from the mean.
-    vscale = float(np.max(np.abs(volts))) if volts.size else 0.0
-    flat_floor = (16 * np.finfo(float).eps * max(vscale, 1e-300)) ** 2 * arr.shape[0]
-    r_squared = 1.0 if ss_tot <= flat_floor else 1.0 - ss_res / ss_tot
-    return FitResult(
+    # Overflow anywhere below ends in a number that is not finite, which
+    # is rejected, so numpy's warnings about it would only add noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = arr[:, 0] * arr[:, 1]
+        volts = arr[:, 2]
+        span = np.ptp(product)
+        if span == 0:
+            raise FitError("all sample abscissae identical; fit is degenerate")
+        if not math.isfinite(span):
+            raise FitError("sample products w_norm * x_norm overflow float64")
+        slope, intercept = np.polyfit(product, volts, 1)
+        residuals = volts - (slope * product + intercept)
+        ss_res = float(np.dot(residuals, residuals))
+        centered = volts - volts.mean()
+        ss_tot = float(np.dot(centered, centered))
+        # Flat-but-consistent data is a perfect fit, not 0/0; the floor absorbs
+        # the one-ulp noise a constant column picks up from the mean.
+        vscale = float(np.max(np.abs(volts))) if volts.size else 0.0
+        flat_floor = (16 * np.finfo(float).eps * max(vscale, 1e-300)) ** 2 * arr.shape[0]
+        r_squared = 1.0 if ss_tot <= flat_floor else 1.0 - ss_res / ss_tot
+    fit = FitResult(
         slope=float(slope),
         intercept=float(intercept),
         r_squared=r_squared,
         residual_rms=math.sqrt(ss_res / arr.shape[0]),
     )
+    if not all(map(math.isfinite, astuple(fit))):
+        raise FitError(f"transfer fit is not finite: {fit}")
+    return fit
 
 
-def fit_transfer_model(samples, degree: int = 1, clamp_lo: float = 0.0, clamp_hi: float = float("inf")) -> TransferModel:
-    """Fit a polynomial transfer model of the given degree to samples.
+def fit_transfer_model(samples, degree: int = 1) -> dict:
+    """The transfer_model.json document of a polynomial fit to samples.
 
-    Degree 1 yields an ideal-linear model; higher degrees yield a
-    fitted-polynomial model (the hook for curves extracted from external
-    circuit-simulator data).
+    Degree 1 gives kind "ideal-linear", the line of fit_transfer, with no
+    coeffs.  Higher degrees give kind "fitted-polynomial" (the hook for
+    curves extracted from external circuit-simulator data): coeffs
+    highest degree first, with slope and intercept their last two.  Either
+    way the model reads volts = max(poly(w*x), clamp_lo) with clamp_lo =
+    min(0, intercept) and no upper clamp (clamp_hi null), and "fit" holds
+    the linear fit.  Raises FitError when a fitted number is not finite.
     """
     if degree < 1:
         raise ValidationError("transfer fit degree must be >= 1")
-    if degree == 1:
-        fit = fit_transfer(samples)
-        lo = min(clamp_lo, fit.intercept)
-        hi = max(clamp_hi, fit.intercept)
-        return TransferModel(
-            kind=IDEAL_LINEAR,
-            slope=fit.slope,
-            intercept=fit.intercept,
-            clamp_lo=lo,
-            clamp_hi=hi,
-        )
     arr = np.asarray(list(samples), dtype=float)
-    if arr.shape[0] <= degree:
-        raise FitError(f"need more than {degree} samples for a degree-{degree} fit")
-    product = arr[:, 0] * arr[:, 1]
-    if np.ptp(product) == 0:
-        raise FitError("all sample abscissae identical; fit is degenerate")
-    coeffs = np.polyfit(product, arr[:, 2], degree)
-    intercept = float(coeffs[-1])
-    lo = min(clamp_lo, intercept)
-    hi = max(clamp_hi, intercept)
-    return TransferModel(
-        kind=FITTED_POLYNOMIAL,
-        slope=float(coeffs[-2]),
-        intercept=intercept,
-        clamp_lo=lo,
-        clamp_hi=hi,
-        coeffs=tuple(float(c) for c in coeffs),
-    )
+    fit = fit_transfer(arr)
+    coeffs = []
+    slope, intercept = fit.slope, fit.intercept
+    if degree > 1:
+        if arr.shape[0] <= degree:
+            raise FitError(f"need more than {degree} samples for a degree-{degree} fit")
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = np.polyfit(arr[:, 0] * arr[:, 1], arr[:, 2], degree).tolist()
+        slope, intercept = coeffs[-2], coeffs[-1]
+    if not all(map(math.isfinite, coeffs)):
+        raise FitError(f"degree-{degree} transfer fit is not finite: {coeffs}")
+    return {
+        "kind": "fitted-polynomial" if coeffs else "ideal-linear",
+        "slope": slope,
+        "intercept": intercept,
+        # In this argument order a -0.0 intercept still gives 0.0.
+        "clamp_lo": min(0.0, intercept),
+        "clamp_hi": None,
+        "coeffs": coeffs,
+        "fit": {
+            "slope": fit.slope,
+            "intercept": fit.intercept,
+            "r_squared": fit.r_squared,
+            "residual_rms": fit.residual_rms,
+        },
+    }

@@ -89,7 +89,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ScheduleError, StateError, ValidationError
+from .errors import DimensionError, ScheduleError, ValidationError
 from . import parallel
 from .pixel import RAW_MAX, PixelParams, frame_to_photocurrents, integrate
 from .wtc import CounterConfig, match_ticks
@@ -308,38 +308,6 @@ def run_mac_cycle(
     volts = mac_node_voltages(cfg, params, wtc_cfg, phases, planes, k, k)[:, 0]
     volts = volts.reshape(np.broadcast_shapes(mags.shape[:-3], x.shape[:-3]))
     return float(volts) if volts.ndim == 0 else volts
-
-
-@dataclass(frozen=True)
-class MacCycleResult:
-    """ADC inputs of one output node's two polarity cycles.
-
-    Each cycle accumulates magnitudes only, so both voltages are
-    nonnegative; their signed difference exists only as a counter value
-    after CDS.
-    """
-
-    v_pos: float
-    v_neg: float
-
-    def __post_init__(self):
-        if self.v_pos < 0 or self.v_neg < 0:
-            raise StateError("polarity-cycle voltages accumulate magnitudes only")
-
-
-def run_signed_mac(
-    cfg: ArrayConfig,
-    params: PixelParams,
-    wtc_cfg: CounterConfig,
-    region,
-    pos_magnitudes,
-    neg_magnitudes,
-) -> MacCycleResult:
-    """Both polarity cycles of one output node."""
-    return MacCycleResult(
-        v_pos=run_mac_cycle(cfg, params, wtc_cfg, region, pos_magnitudes),
-        v_neg=run_mac_cycle(cfg, params, wtc_cfg, region, neg_magnitudes),
-    )
 
 
 def _discharge_plan(taps, k: int, t_step: float, unclamped) -> tuple:

@@ -16,7 +16,7 @@ from ctia_ipc.mapper import BnParams, ConvSpec, build_schedule, fuse_bn
 from ctia_ipc.metrics import MismatchSpec, bandwidth_reduction, linearity_sweep, monte_carlo
 from ctia_ipc.pipeline import simulate_layer
 from ctia_ipc.pixel import PixelParams, fit_transfer
-from ctia_ipc.pixel_array import ArrayConfig, run_signed_mac
+from ctia_ipc.pixel_array import ArrayConfig, run_mac_cycle
 from ctia_ipc.wtc import CounterConfig, match_ticks, match_time
 
 from conftest import random_frame, random_layer, small_chain
@@ -121,8 +121,9 @@ def test_criterion_6_signed_cds():
                     pos[0, 0, 0] = w
                 elif w < 0:
                     neg[0, 0, 0] = -w
-                cycles = run_signed_mac(array, pixel, wtc, region, pos, neg)
-                code = cds_signed(adc, cycles.v_pos, cycles.v_neg)
+                v_pos = run_mac_cycle(array, pixel, wtc, region, pos)
+                v_neg = run_mac_cycle(array, pixel, wtc, region, neg)
+                code = cds_signed(adc, v_pos, v_neg)
                 ideal = (w / 15) * x * lsb_per_unit
                 assert abs(code - ideal) <= 1 + 1e-9, f"w={w} x={x}: {code} vs {ideal}"
 

@@ -115,6 +115,78 @@ class TestConfigHoles:
         assert not out.exists()
 
 
+class TestInputDefects:
+    """Malformed weight documents, transfer-sample files and BN preloads
+    exit 1 or 3 with a message, never a traceback, and leave no
+    artifact."""
+
+    def verify_with_weights(self, tmp_path, capsys, edit):
+        config_path = make_inputs(tmp_path, rows=16, cols=16)
+        weights = tmp_path / "weights.json"
+        weights.write_bytes(edit(weights.read_bytes()))
+        out = tmp_path / "o"
+        code = main(["verify", "--config", str(config_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and not out.exists()
+        return code, err
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"\xff\xfe{", b"[" * 100_000, b'{"shape": {"k": ' + b"1" * 5000 + b"}}"],
+        ids=["not-utf8", "deep-nesting", "long-integer"],
+    )
+    def test_unreadable_weight_document(self, tmp_path, capsys, data):
+        code, err = self.verify_with_weights(tmp_path, capsys, lambda _: data)
+        assert code == 3 and "not valid JSON" in err
+
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            (("weights", 0, 0, 0, 0), 10**401, "weight at channel 0, plane 0, tap (0, 0)"),
+            (("bn", "gamma", 0), 10**401, "bn.gamma"),
+            (("bn", "epsilon"), 10**401, "bn.epsilon"),
+            # The preload of 1e30 wrapped to -2^63 in both the simulator
+            # and the oracle, so verify passed.
+            (("bn", "beta", 1), 1e30, "channel 1"),
+        ],
+        ids=["huge-weight", "huge-gamma", "huge-epsilon", "bn-preload"],
+    )
+    def test_weight_number_out_of_range(self, tmp_path, capsys, keys, value, message):
+        def edit(data):
+            doc = json.loads(data)
+            target = doc
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]] = value
+            return json.dumps(doc).encode()
+
+        code, err = self.verify_with_weights(tmp_path, capsys, edit)
+        assert code == 1 and message in err
+
+    @pytest.mark.parametrize(
+        "body, code, message",
+        [
+            (b"0.0,1.0,0.1\n1.0,1.0,abc\n", 3, "line 3"),
+            (b"0.0,1.0,0.1\n1.0,,0.2\n", 3, "line 3"),
+            (b"0.0,1.0,0.1\n1.0,1.0,\xff\n", 3, "line 3"),
+            (b"0.0,1.0,0.1\n0.5,1.0,nan\n1.0,1.0,0.3\n", 1, "finite"),
+            (b"0.0,1.0,-1e308\n0.5,1.0,1e308\n1.0,1.0,-1e308\n", 1, "finite"),
+            (b"0.0,1.0,0.0\n1e200,1e200,1.0\n1.0,1.0,2.0\n", 1, "overflow"),
+        ],
+        ids=["text-cell", "empty-cell", "not-utf8", "nan-sample", "overflowing-fit", "overflowing-product"],
+    )
+    def test_transfer_samples(self, tmp_path, capsys, body, code, message):
+        samples = tmp_path / "samples.csv"
+        samples.write_bytes(b"w_norm,x_norm,volts\n" + body)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"transfer": {"samples_csv": str(samples)}}))
+        out = tmp_path / "o"
+        assert main(["export-transfer", "--config", str(config), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestMetricsRange:
     """metrics on accepted configs whose figures are huge: finite figures
     are written, figures beyond the float range exit 1 naming the

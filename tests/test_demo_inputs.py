@@ -65,29 +65,44 @@ CLAMPING = {"pixel": {"c_f": 1e-15}, "wtc": {"window": 3}}
 
 
 @pytest.mark.parametrize(
-    "overrides, sweep_digest, transfer_digest",
+    "overrides, sweep_digest, transfer_digest, model_digests",
     [
         (
             {},
             "53b3abf347cdbdbeba001a0aa3ddce1bf5028c214ed1c6f18649811ec03ad031",
             "aa09345a752a2255dee8340c57307e8702987944901e74ad72a44145fb05c9e8",
+            {
+                1: "f6197d96e78734ad8845073026b535bfade92ec9792012097d00cd0ec1a7cedf",
+                2: "699ca7de11f4ab74e8b5ad0d70f25885cb24228272f802fb5061bd0d9c58bf88",
+            },
         ),
         (
             CLAMPING,
             "2f9da57048ec560dcf4d0222130c1309e0e72ca0c12d0261e74e8b64e8e68816",
             "034ff453d00fe6940051712b84847dbfa00d06201f112524135a29a1ed4691ab",
+            {
+                1: "c7651843fe954b09d65d46cf6fb436b62a6955d18ac4a455f1db0a43195f3679",
+                2: "b9e62ce4dc0cd36bc6e4243400aa1b13ae65e8c419f1293db2d35fff9bac57a6",
+            },
         ),
     ],
     ids=["default", "clamping"],
 )
-def test_characterization_artifacts_unchanged(tmp_path, overrides, sweep_digest, transfer_digest):
+def test_characterization_artifacts_unchanged(
+    tmp_path, overrides, sweep_digest, transfer_digest, model_digests
+):
     run_script(tmp_path, "--rows", "16", "--cols", "20", "--seed", "0")
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(dict(json.loads(config_path.read_text()), **overrides)))
-    for mode, name, digest in (
-        ("sweep", "sweep.csv", sweep_digest),
-        ("export-transfer", "transfer_samples.csv", transfer_digest),
-    ):
-        out_dir = tmp_path / mode
+    config = dict(json.loads(config_path.read_text()), **overrides)
+
+    def run(mode, out_name, document):
+        config_path.write_text(json.dumps(document))
+        out_dir = tmp_path / out_name
         assert main([mode, "--config", str(config_path), "--out", str(out_dir)]) == 0
-        assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest
+        return lambda name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+
+    assert run("sweep", "sweep", config)("sweep.csv") == sweep_digest
+    for degree, model_digest in model_digests.items():
+        digest = run("export-transfer", f"transfer{degree}", dict(config, transfer={"degree": degree}))
+        assert digest("transfer_samples.csv") == transfer_digest
+        assert digest("transfer_model.json") == model_digest

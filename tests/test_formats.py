@@ -70,6 +70,56 @@ class TestPgm:
             save_pgm16(tmp_path / "x.pgm", np.array([[-1]]))
 
 
+# Weight-document fields and values that broke load_weights: integers
+# beyond float64, bools, non-finite floats, strings, nesting of any shape.
+WEIGHT_PATHS = [
+    (),
+    ("shape",),
+    ("shape", "c_o"),
+    ("shape", "c_in"),
+    ("shape", "k"),
+    ("weights",),
+    ("weights", 1),
+    ("weights", 0, 2),
+    ("weights", 1, 3, 0, 0),
+    ("bn",),
+    *(("bn", name) for name in ("gamma", "beta", "mu", "sigma_sq", "epsilon")),
+    *(("bn", name, 1) for name in ("gamma", "beta", "mu", "sigma_sq")),
+]
+_WEIGHT_SCALARS = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.integers(-2, 3),
+    st.floats(),
+    st.text(max_size=4),
+    st.sampled_from([10**400, -(10**400), 2**64, 1e308, -1e308]),
+)
+WEIGHT_VALUES = st.one_of(
+    _WEIGHT_SCALARS,
+    st.lists(_WEIGHT_SCALARS, max_size=3),
+    st.lists(st.lists(_WEIGHT_SCALARS, max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=3), _WEIGHT_SCALARS, max_size=2),
+)
+RAW_DOCUMENTS = [
+    b"\xff\xfe{",
+    b"[" * 100_000,
+    b'{"shape": {"k": ' + b"1" * 5000 + b"}}",
+]
+
+
+def _replaced(doc, keys, value):
+    """doc with the item at keys set to value, when every container on the
+    way exists; doc unchanged otherwise."""
+    if not keys:
+        return value
+    head, rest = keys[0], keys[1:]
+    if isinstance(doc, dict) or (isinstance(doc, list) and isinstance(head, int) and head < len(doc)):
+        if isinstance(doc, dict) and rest and head not in doc:
+            return doc
+        doc[head] = _replaced(doc[head], rest, value) if rest else value
+    return doc
+
+
 class TestWeights:
     def _bn(self, c_o):
         return BnParams(
@@ -141,6 +191,31 @@ class TestWeights:
         with pytest.raises(FormatError):
             load_weights(path)
 
+    @settings(max_examples=300, deadline=None)
+    @given(edits=st.lists(st.tuples(st.sampled_from(WEIGHT_PATHS), WEIGHT_VALUES), max_size=3))
+    def test_any_edit_loads_or_is_rejected(self, tmp_path_factory, edits):
+        path = tmp_path_factory.mktemp("weights") / "w.json"
+        save_weights(path, np.ones((2, 4, 1, 1)), self._bn(2))
+        doc = json.loads(path.read_text())
+        for keys, value in edits:
+            doc = _replaced(doc, keys, value)
+        path.write_text(json.dumps(doc))
+        try:
+            weights, bn = load_weights(path)
+        except (ValidationError, FormatError):
+            return
+        assert np.all(np.isfinite(weights)) and np.isfinite(bn.epsilon)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.one_of(st.binary(max_size=32), st.sampled_from(RAW_DOCUMENTS)))
+    def test_any_bytes_load_or_are_rejected(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("weights") / "w.json"
+        path.write_bytes(data)
+        try:
+            load_weights(path)
+        except (ValidationError, FormatError):
+            pass
+
 
 class TestCsv:
     def test_roundtrip(self, tmp_path):
@@ -205,6 +280,14 @@ def tables(draw):
     return tuple(f"c{i}" for i in range(len(kinds))), rows
 
 
+CSV_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from(["abc", "", "nan", "-inf", "1e999", " 1", "1_0", "\x00", "9" * 401]),
+    st.text(max_size=4),
+)
+
+
 class TestCsvColumns:
     @settings(max_examples=300, deadline=None)
     @given(table=tables())
@@ -222,6 +305,26 @@ class TestCsvColumns:
         with pytest.raises(ValidationError, match=f"row width {len(bad)} != header width 2"):
             write_csv(path, ("a", "b"), rows)
         assert not path.exists()
+
+
+class TestCsvReader:
+    """read_csv returns rows or raises FormatError, whatever the file
+    holds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(st.lists(CSV_CELLS, min_size=2, max_size=4), max_size=4),
+        tail=st.binary(max_size=4),
+    )
+    def test_any_file_reads_or_is_rejected(self, tmp_path_factory, rows, tail):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        text = "\n".join(["a,b,c", *map(",".join, rows)])
+        path.write_bytes(text.encode("utf-8", "surrogatepass") + tail)
+        try:
+            loaded = read_csv(path, ("a", "b", "c"))
+        except FormatError:
+            return
+        assert all(len(row) == 3 for row in loaded)
 
 
 class TestJson:

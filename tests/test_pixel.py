@@ -4,16 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctia_ipc.errors import FitError, ValidationError
-from ctia_ipc.pixel import (
-    FITTED_POLYNOMIAL,
-    IDEAL_LINEAR,
-    PixelParams,
-    TransferModel,
-    eval_transfer,
-    fit_transfer,
-    fit_transfer_model,
-    integrate,
-)
+from ctia_ipc.pixel import PixelParams, fit_transfer, fit_transfer_model, integrate
 
 
 class TestParams:
@@ -97,22 +88,6 @@ class TestIntegrate:
 
 
 class TestTransfer:
-    def test_zero_weight(self):
-        m = TransferModel(kind=IDEAL_LINEAR, slope=1.0, intercept=0.0, clamp_hi=2.0)
-        assert eval_transfer(m, 0.0, 0.7) == 0.0
-
-    def test_identity_case(self):
-        m = TransferModel(kind=IDEAL_LINEAR, slope=1.0, intercept=0.0, clamp_hi=2.0)
-        assert eval_transfer(m, 1.0, 1.0) == 1.0
-
-    def test_clamping(self):
-        m = TransferModel(kind=IDEAL_LINEAR, slope=10.0, intercept=0.0, clamp_hi=1.0)
-        assert eval_transfer(m, 1.0, 1.0) == 1.0
-
-    def test_invalid_clamp_order(self):
-        with pytest.raises(ValidationError):
-            TransferModel(clamp_lo=1.0, clamp_hi=0.0, intercept=1.0)
-
     def test_polynomial_roundtrip_against_integrate(self, pixel, wtc_cfg):
         # Samples from the nominal device land within residual_rms of the
         # fitted polynomial model.
@@ -122,11 +97,39 @@ class TestTransfer:
             for x in np.linspace(0.0, 1.0, 11):
                 v = integrate(pixel, pixel.i_max * x, (mag / 15) * t_full)
                 samples.append((mag / 15, x, v))
-        model = fit_transfer_model(samples, degree=2, clamp_hi=float("inf"))
-        assert model.kind == FITTED_POLYNOMIAL
+        doc = fit_transfer_model(samples, degree=2)
+        assert doc["kind"] == "fitted-polynomial"
         fit = fit_transfer(samples)
         for w, x, v in samples[:: 7]:
-            assert abs(eval_transfer(model, w, x) - v) <= max(3 * fit.residual_rms, 1e-12)
+            model_v = max(np.polyval(doc["coeffs"], w * x), doc["clamp_lo"])
+            assert abs(model_v - v) <= max(3 * fit.residual_rms, 1e-12)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_document_fields(self, degree):
+        samples = [
+            (w, x, 0.3 * w * x - 0.05 * (w * x) ** 2 - 0.01)
+            for w in (0.0, 0.5, 1.0)
+            for x in (0.2, 0.6, 0.9)
+        ]
+        doc = fit_transfer_model(samples, degree=degree)
+        fit = fit_transfer(samples)
+        assert doc["fit"] == {
+            "slope": fit.slope,
+            "intercept": fit.intercept,
+            "r_squared": fit.r_squared,
+            "residual_rms": fit.residual_rms,
+        }
+        if degree == 1:
+            assert doc["kind"] == "ideal-linear" and doc["coeffs"] == []
+            assert (doc["slope"], doc["intercept"]) == (fit.slope, fit.intercept)
+        else:
+            assert doc["kind"] == "fitted-polynomial" and len(doc["coeffs"]) == degree + 1
+            assert (doc["slope"], doc["intercept"]) == tuple(doc["coeffs"][-2:])
+        assert doc["clamp_lo"] == min(0.0, doc["intercept"]) and doc["clamp_hi"] is None
+
+    def test_too_few_samples_for_degree(self):
+        with pytest.raises(FitError, match="degree-3"):
+            fit_transfer_model([(0.0, 1.0, 0.0), (0.5, 1.0, 1.0), (1.0, 1.0, 2.0)], degree=3)
 
 
 class TestFitTransfer:

@@ -5,19 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctia_ipc.errors import ScheduleError, StateError, ValidationError
+from ctia_ipc.errors import ScheduleError, ValidationError
 from ctia_ipc.pixel import PixelParams, integrate
 from ctia_ipc.pixel_array import (
     BAYER_OFFSETS,
     ArrayConfig,
-    MacCycleResult,
     bayer_channel_view,
     bayer_phase_stacks,
     charge_share_divider,
     mac_node_voltages,
     readout_frame,
     run_mac_cycle,
-    run_signed_mac,
     tap_grid,
     tap_plan,
 )
@@ -283,11 +281,11 @@ class TestRunMacCycle:
         mask = rng.integers(0, 2, (4, 3, 3)).astype(bool)
         pos = np.where(mask, mags, 0)
         neg = np.where(~mask, mags, 0)
-        result = run_signed_mac(self.cfg, self.pixel, self.wtc, region, pos, neg)
-        assert result.v_pos >= 0 and result.v_neg >= 0
-        assert result.v_pos == run_mac_cycle(self.cfg, self.pixel, self.wtc, region, pos)
-        with pytest.raises(StateError):
-            MacCycleResult(v_pos=-0.1, v_neg=0.0)
+        stack = np.stack([pos, neg])[:, None]
+        v_pos, v_neg = run_mac_cycle(self.cfg, self.pixel, self.wtc, region, stack)[:, 0]
+        assert v_pos >= 0 and v_neg >= 0
+        assert v_pos == run_mac_cycle(self.cfg, self.pixel, self.wtc, region, pos)
+        assert v_neg == run_mac_cycle(self.cfg, self.pixel, self.wtc, region, neg)
 
     def test_window_order_invisible(self):
         # Windows of one cycle are independent; evaluation order cannot matter.
