@@ -29,19 +29,19 @@ def main() -> int:
     print(f"frame {COLS}x{ROWS}, k={spec.k} s={spec.s} p={spec.p} "
           f"c_o={spec.c_o} N_b={spec.n_b} p_s={spec.p_s}")
     print()
-    print(f"bandwidth reduction (bit ratio)    : {report.br_bits:10.4f}   "
+    print(f"bandwidth reduction (bit ratio)    : {report['br_bits']:10.4f}   "
           f"[reference {REFERENCE['paper_br']}]")
-    print(f"bandwidth reduction (closed form)  : {report.br_printed:10.4f}   "
+    print(f"bandwidth reduction (closed form)  : {report['br_printed']:10.4f}   "
           f"[the printed estimate; does not reach the reference figure]")
-    print(f"cycle-0 parallel activations       : {report.activation_count_cycle0:10d}   "
+    print(f"cycle-0 parallel activations       : {report['activation_count_cycle0']:10d}   "
           f"[= floor({COLS - spec.k}/{spec.s * math.lcm(spec.k, spec.s)}) * {spec.k}^2 * 4]")
-    print(f"operations per frame               : {report.total_ops:10d}")
+    print(f"operations per frame               : {report['total_ops']:10d}")
     print(f"schedule cycles (1 channel pass)   : {schedule.n_cycles():10d}")
-    print(f"frame time (all channels, 2 cycles): {report.frame_time:10.4f} s")
-    print(f"energy per frame                   : {report.energy:10.4f} J")
-    print(f"throughput                         : {report.gops / 1e9:10.4f} GOPS    "
+    print(f"frame time (all channels, 2 cycles): {report['frame_time_s']:10.4f} s")
+    print(f"energy per frame                   : {report['energy_j']:10.4f} J")
+    print(f"throughput                         : {report['gops'] / 1e9:10.4f} GOPS    "
           f"[measured reference {REFERENCE['paper_gops'] / 1e9} GOPS]")
-    print(f"efficiency                         : {report.gops_per_watt / 1e9:10.4f} GOPS/W  "
+    print(f"efficiency                         : {report['gops_per_watt'] / 1e9:10.4f} GOPS/W  "
           f"[measured reference {REFERENCE['paper_gops_w'] / 1e9} GOPS/W]")
     print()
     print("The throughput/efficiency rows are behavioral-schedule estimates;")

@@ -15,7 +15,6 @@ from .mapper import (
     quantize_weights,
 )
 from .metrics import (
-    MetricsReport,
     MismatchSpec,
     bandwidth_reduction,
     energy_estimate,

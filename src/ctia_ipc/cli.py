@@ -24,7 +24,7 @@ from .config import RunConfig, load_config, require_input
 from .errors import FormatError, SimError, ValidationError
 from .golden import compare_runs, golden_layer
 from .mapper import build_schedule, fuse_and_quantize
-from .metrics import linearity_sweep, metrics_report, monte_carlo
+from .metrics import SWEEP_HEADER, linearity_sweep, metrics_report, monte_carlo
 from .pipeline import simulate_layer, sweep_window_chain
 from .pixel import fit_transfer_model, frame_to_photocurrents
 from .pixel_array import N_CHANNELS, readout_frame
@@ -34,7 +34,6 @@ EXIT_VALIDATION = 1
 EXIT_VERIFY = 2
 EXIT_IO = 3
 
-SWEEP_HEADER = ("mode", "k", "w_norm", "x_norm", "v_cbl", "v_adc_in", "code")
 MC_HEADER = ("trial", "v_adc_in")
 TRANSFER_HEADER = ("w_norm", "x_norm", "volts")
 
@@ -105,43 +104,26 @@ def _run_verify(cfg: RunConfig, out_dir: str) -> int:
     cal = chain.calibration(fused.mag_max)
     gold_out = golden_layer(frame, fused, cfg.conv, chain.adc, cal)
     report = compare_runs(sim_out, gold_out, cfg.verify_max_within)
-    formats.write_json(os.path.join(out_dir, "verify_report.json"), report.to_dict())
+    formats.write_json(os.path.join(out_dir, "verify_report.json"), report)
     _write_manifest(cfg, "verify", out_dir, ["verify_report.json"])
-    line = (
-        f"verify: max|delta|={report.max_abs_delta} exact={report.fraction_exact:.6f} "
-        f"within1={report.fraction_within_1:.6f} nodes={report.n_nodes} "
-        f"-> {'PASS' if report.passed else 'FAIL'}"
+    print(
+        f"verify: max|delta|={report['max_abs_delta']} exact={report['fraction_exact']:.6f} "
+        f"within1={report['fraction_within_1']:.6f} nodes={report['n_nodes']} "
+        f"-> {'PASS' if report['passed'] else 'FAIL'}"
     )
-    print(line)
-    return EXIT_OK if report.passed else EXIT_VERIFY
+    return EXIT_OK if report["passed"] else EXIT_VERIFY
 
 
 def _run_sweep(cfg: RunConfig, out_dir: str) -> int:
     rows = linearity_sweep(cfg.chain(), modes=cfg.sweep_modes, x_points=cfg.sweep_x_points)
-    formats.write_csv(
-        os.path.join(out_dir, "sweep.csv"),
-        SWEEP_HEADER,
-        ((r.mode, r.k, r.w_norm, r.x_norm, r.v_cbl, r.v_adc_in, r.code) for r in rows),
-    )
+    formats.write_csv(os.path.join(out_dir, "sweep.csv"), SWEEP_HEADER, rows)
     _write_manifest(cfg, "sweep", out_dir, ["sweep.csv"])
     return EXIT_OK
 
 
 def _run_montecarlo(cfg: RunConfig, out_dir: str) -> int:
-    result = monte_carlo(cfg.chain(), cfg.mismatch, k=cfg.conv.k)
-    formats.write_csv(
-        os.path.join(out_dir, "montecarlo.csv"),
-        MC_HEADER,
-        enumerate(result.samples.tolist()),
-    )
-    summary = {
-        "trials": int(result.samples.size),
-        "nominal_v": result.nominal,
-        "mean_v": result.mean,
-        "std_v": result.std,
-        "hist_counts": result.hist_counts.tolist(),
-        "hist_edges": result.hist_edges.tolist(),
-    }
+    samples, summary = monte_carlo(cfg.chain(), cfg.mismatch, k=cfg.conv.k)
+    formats.write_csv(os.path.join(out_dir, "montecarlo.csv"), MC_HEADER, enumerate(samples.tolist()))
     formats.write_json(os.path.join(out_dir, "montecarlo_summary.json"), summary)
     _write_manifest(cfg, "montecarlo", out_dir, ["montecarlo.csv", "montecarlo_summary.json"])
     return EXIT_OK
@@ -157,9 +139,9 @@ def _run_metrics(cfg: RunConfig, out_dir: str) -> int:
         cfg.power_per_pixel_w,
         cfg.cycle_time(),
     )
-    formats.write_json(os.path.join(out_dir, "metrics.json"), report.to_dict())
+    formats.write_json(os.path.join(out_dir, "metrics.json"), report)
     _write_manifest(cfg, "metrics", out_dir, ["metrics.json"])
-    print(f"br_bits={report.br_bits:.4f} br_printed={report.br_printed:.4f}")
+    print(f"br_bits={report['br_bits']:.4f} br_printed={report['br_printed']:.4f}")
     return EXIT_OK
 
 

@@ -172,11 +172,14 @@ def _read_document(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        # newline="" keeps \r\n, so that character offsets map to bytes.
+        with open(path, "r", encoding="utf-8", newline="") as handle:
             doc = json.load(handle)
     except (ValueError, RecursionError) as exc:
         # ValueError also covers bad UTF-8 and integers too long to parse.
-        raise FormatError(f"{path} is not valid JSON: {exc}", getattr(exc, "pos", -1))
+        text = getattr(exc, "doc", None)
+        offset = len(text[: exc.pos].encode("utf-8")) if text is not None else -1
+        raise FormatError(f"{path} is not valid JSON: {exc}", offset)
     if not isinstance(doc, dict):
         raise ValidationError(f"{path} must hold a JSON object")
     return doc

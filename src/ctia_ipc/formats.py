@@ -67,11 +67,14 @@ def _next_token(data: bytes, pos: int):
 
 def _int_token(data: bytes, pos: int, what: str):
     token, offset, pos = _next_token(data, pos)
+    # Decimal digits only: int() also takes a sign, underscores and
+    # non-ASCII digits.  It raises ValueError past its digit limit.
     try:
-        value = int(token)
+        if token.isdigit():
+            return int(token), offset, pos
     except ValueError:
-        raise FormatError(f"PGM {what} is not an integer: {token!r}", offset)
-    return value, offset, pos
+        pass
+    raise FormatError(f"PGM {what} is not a decimal integer: {token!r}", offset)
 
 
 def load_pgm16(path) -> np.ndarray:

@@ -209,31 +209,9 @@ def golden_layer(
     return activations
 
 
-@dataclass(frozen=True)
-class CompareReport:
-    """Element-wise comparison of simulator output against the oracle."""
-
-    max_abs_delta: int
-    fraction_exact: float
-    fraction_within_1: float
-    n_nodes: int
-    max_within: int
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "max_abs_delta": self.max_abs_delta,
-            "fraction_exact": self.fraction_exact,
-            "fraction_within_1": self.fraction_within_1,
-            "n_nodes": self.n_nodes,
-            "max_within": self.max_within,
-            "passed": self.passed,
-        }
-
-
-def compare_runs(sim_out: np.ndarray, gold_out: np.ndarray, max_within: int = 1) -> CompareReport:
-    """Compare activation grids; passes when every node is within
-    max_within codes of the oracle."""
+def compare_runs(sim_out: np.ndarray, gold_out: np.ndarray, max_within: int = 1) -> dict:
+    """Compare activation grids, as the verify_report.json document; it
+    passes when every node is within max_within codes of the oracle."""
     sim = np.asarray(sim_out)
     gold = np.asarray(gold_out)
     if sim.shape != gold.shape:
@@ -242,11 +220,11 @@ def compare_runs(sim_out: np.ndarray, gold_out: np.ndarray, max_within: int = 1)
     np.abs(delta, out=delta)
     n = delta.size
     within = float(np.count_nonzero(delta <= max_within)) / n
-    return CompareReport(
-        max_abs_delta=int(delta.max()) if n else 0,
-        fraction_exact=float(np.count_nonzero(delta == 0)) / n,
-        fraction_within_1=float(np.count_nonzero(delta <= 1)) / n,
-        n_nodes=n,
-        max_within=max_within,
-        passed=bool(within == 1.0),
-    )
+    return {
+        "max_abs_delta": int(delta.max()) if n else 0,
+        "fraction_exact": float(np.count_nonzero(delta == 0)) / n,
+        "fraction_within_1": float(np.count_nonzero(delta <= 1)) / n,
+        "n_nodes": n,
+        "max_within": max_within,
+        "passed": bool(within == 1.0),
+    }

@@ -113,7 +113,12 @@ def fuse_bn(weights: np.ndarray, bn: BnParams):
         raise ValidationError(
             f"BN arrays must have length c_o={w.shape[0]}, got {bn.gamma.shape}"
         )
-    inv_std = 1.0 / np.sqrt(bn.sigma_sq + bn.epsilon)
+    with np.errstate(over="ignore"):
+        variance = bn.sigma_sq + bn.epsilon
+    beyond = np.flatnonzero(~np.isfinite(variance))
+    if beyond.size:
+        raise ValidationError(f"BN sigma_sq + epsilon of channel {beyond[0]} is not finite")
+    inv_std = 1.0 / np.sqrt(variance)
     scale = bn.gamma * inv_std
     offsets = bn.beta - bn.gamma * bn.mu * inv_std
     scaled = w * scale[:, None, None, None]
@@ -166,6 +171,11 @@ def quantize_weights(scaled_weights: np.ndarray, offsets: np.ndarray, mag_max: i
             mag_max=mag_max,
         )
     scale = peak / mag_max
+    if scale == 0.0:
+        raise ValidationError(
+            f"quantize_weights: largest fused weight {peak!r} is too small for a "
+            f"quantization step (max|w| / {mag_max} underflows to 0)"
+        )
     mags = np.rint(np.abs(w) / scale).astype(np.int64)
     mags = np.clip(mags, 0, mag_max).astype(np.uint8)
     pos = np.where(w > 0, mags, 0).astype(np.uint8)

@@ -27,7 +27,7 @@ constructs a SeedSequence; each trial's PCG64 is seeded from its row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,14 +72,6 @@ def default_cycle_time(wtc_t_step: float, window: int, adc_ticks: int = 64) -> f
     return (15 * (1 << window) + adc_ticks) * wtc_t_step
 
 
-@dataclass(frozen=True)
-class EnergyEstimate:
-    frame_time: float
-    energy: float
-    gops: float
-    gops_per_watt: float
-
-
 def energy_estimate(
     spec: ConvSpec,
     rows: int,
@@ -87,8 +79,9 @@ def energy_estimate(
     power_per_pixel: float,
     schedule: Schedule,
     cycle_time: float,
-) -> EnergyEstimate:
-    """Frame time, energy, and throughput from the cycle schedule.
+) -> dict:
+    """Frame time, energy, and throughput from the cycle schedule, as the
+    metrics.json keys frame_time_s, energy_j, gops and gops_per_watt.
 
     The schedule covers one channel pass; the layer repeats it for each of
     the c_o output channels, and every cycle runs twice (positive and
@@ -100,41 +93,13 @@ def energy_estimate(
     frame_time = n_cycles * cycle_time * 2
     active_total = schedule.total_active_pixels() * spec.c_o
     energy = active_total * power_per_pixel * cycle_time * 2
-    ops = op_count(spec, rows, cols)
-    gops = ops / frame_time
-    avg_power = energy / frame_time
-    return EnergyEstimate(
-        frame_time=frame_time,
-        energy=energy,
-        gops=gops,
-        gops_per_watt=gops / avg_power,
-    )
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    br_printed: float
-    br_bits: float
-    activation_count_cycle0: int
-    total_ops: int
-    frame_time: float
-    energy: float
-    gops: float
-    gops_per_watt: float
-    reference: dict = field(default_factory=lambda: dict(REFERENCE))
-
-    def to_dict(self) -> dict:
-        return {
-            "br_printed": self.br_printed,
-            "br_bits": self.br_bits,
-            "activation_count_cycle0": self.activation_count_cycle0,
-            "total_ops": self.total_ops,
-            "frame_time_s": self.frame_time,
-            "energy_j": self.energy,
-            "gops": self.gops,
-            "gops_per_watt": self.gops_per_watt,
-            "reference": dict(self.reference),
-        }
+    gops = op_count(spec, rows, cols) / frame_time
+    return {
+        "frame_time_s": frame_time,
+        "energy_j": energy,
+        "gops": gops,
+        "gops_per_watt": gops / (energy / frame_time),
+    }
 
 
 def metrics_report(
@@ -144,10 +109,10 @@ def metrics_report(
     schedule: Schedule,
     power_per_pixel: float,
     cycle_time: float,
-) -> MetricsReport:
-    """The metrics of one frame.  Raises ValidationError, naming the
-    settings, when a figure leaves the float range, which JSON cannot
-    hold."""
+) -> dict:
+    """The metrics.json document of one frame.  Raises ValidationError,
+    naming the settings, when a figure leaves the float range, which JSON
+    cannot hold."""
     try:
         br_printed, br_bits = bandwidth_reduction(spec, rows, cols)
         estimate = energy_estimate(spec, rows, cols, power_per_pixel, schedule, cycle_time)
@@ -155,18 +120,16 @@ def metrics_report(
         raise ValidationError(
             "metrics: array.rows x array.cols x conv.c_o gives counts beyond the float range"
         ) from None
-    report = MetricsReport(
-        br_printed=br_printed,
-        br_bits=br_bits,
-        activation_count_cycle0=schedule.cycle0_active_pixels,
-        total_ops=op_count(spec, rows, cols),
-        frame_time=estimate.frame_time,
-        energy=estimate.energy,
-        gops=estimate.gops,
-        gops_per_watt=estimate.gops_per_watt,
-    )
+    report = {
+        "br_printed": br_printed,
+        "br_bits": br_bits,
+        "activation_count_cycle0": schedule.cycle0_active_pixels,
+        "total_ops": op_count(spec, rows, cols),
+        **estimate,
+        "reference": dict(REFERENCE),
+    }
     beyond = [
-        name for name, value in report.to_dict().items()
+        name for name, value in report.items()
         if isinstance(value, float) and not math.isfinite(value)
     ]
     if beyond:
@@ -215,16 +178,6 @@ class MismatchSpec:
             )
         if self.seed < 0:
             raise ValidationError(f"mismatch seed must be >= 0, got {self.seed}")
-
-
-@dataclass(frozen=True)
-class McResult:
-    samples: np.ndarray
-    nominal: float
-    mean: float
-    std: float
-    hist_counts: np.ndarray
-    hist_edges: np.ndarray
 
 
 # numpy's SeedSequence: a pool of 4 uint32 words, filled and mixed by
@@ -373,9 +326,10 @@ def monte_carlo(
     magnitude: int = 8,
     x_norm: float = 0.5,
     hist_bins: int = 30,
-) -> McResult:
+) -> tuple:
     """Mismatch distribution of the ADC-input voltage at a fixed weight and
-    photocurrent.  Deterministic given mm.seed.
+    photocurrent, as (samples, summary): the per-trial volts and the
+    montecarlo_summary.json document.  Deterministic given mm.seed.
 
     Trial t draws from np.random.default_rng([mm.seed, t]), bit for bit:
     its PCG64 is seeded from row t of trial_seed_words, computed for all
@@ -419,29 +373,21 @@ def monte_carlo(
     # A near-degenerate spread still needs resolvable bin edges.
     span = max(span, 32 * np.finfo(float).eps * scale)
     counts, edges = np.histogram(samples, bins=hist_bins, range=(mean - span, mean + span))
-    return McResult(
-        samples=samples,
-        nominal=nominal,
-        mean=mean,
-        std=std,
-        hist_counts=counts,
-        hist_edges=edges,
-    )
+    return samples, {
+        "trials": int(samples.size),
+        "nominal_v": nominal,
+        "mean_v": mean,
+        "std_v": std,
+        "hist_counts": counts.tolist(),
+        "hist_edges": edges.tolist(),
+    }
 
 
 # ---------------------------------------------------------------------------
 # Linearity sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepRow:
-    mode: str
-    k: int
-    w_norm: float
-    x_norm: float
-    v_cbl: float
-    v_adc_in: float
-    code: int
+SWEEP_HEADER = ("mode", "k", "w_norm", "x_norm", "v_cbl", "v_adc_in", "code")
 
 
 def _sweep_order(mode: str, x_points: int):
@@ -464,8 +410,8 @@ def linearity_sweep(
     Single-unit modes use a 1x1 window; multiwindow runs all-equal k x k
     windows for k in {3, 5, 7}.  Weight levels cover the full 16-level WTC
     range.  Every (level, x-point) of one k is one sweep_window_chain
-    call, which the single-unit modes share.  Returns SweepRow records
-    matching the CSV column contract mode,k,w_norm,x_norm,v_cbl,v_adc_in,code.
+    call, which the single-unit modes share.  Returns the sweep.csv rows,
+    tuples in SWEEP_HEADER order.
     """
     mag_max = 15
     x_grid = np.linspace(0.0, 1.0, x_points)
@@ -485,16 +431,8 @@ def linearity_sweep(
             if k not in outputs:
                 outputs[k] = [a.tolist() for a in sweep_window_chain(chain, k, levels, x_grid)]
             v_cbl, v_adc_in, code = outputs[k]
-            for m, i in order:
-                rows.append(
-                    SweepRow(
-                        mode=mode,
-                        k=k,
-                        w_norm=m / mag_max,
-                        x_norm=x_norms[i],
-                        v_cbl=v_cbl[m][i],
-                        v_adc_in=v_adc_in[m][i],
-                        code=code[m][i],
-                    )
-                )
+            rows.extend(
+                (mode, k, m / mag_max, x_norms[i], v_cbl[m][i], v_adc_in[m][i], code[m][i])
+                for m, i in order
+            )
     return rows

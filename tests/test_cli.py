@@ -163,6 +163,52 @@ class TestInputDefects:
         code, err = self.verify_with_weights(tmp_path, capsys, edit)
         assert code == 1 and message in err
 
+    @staticmethod
+    def _subnormal_weights(doc):
+        doc["weights"] = np.full(np.shape(doc["weights"]), 5e-324).tolist()
+        doc["bn"].update(gamma=[1.0, 1.0], sigma_sq=[1.0, 1.0], epsilon=1e-300)
+
+    @staticmethod
+    def _overflowing_variance(doc):
+        doc["bn"]["sigma_sq"][1] = 1e308
+        doc["bn"]["epsilon"] = 1e308
+
+    # Each of these layers quantized to all-zero magnitudes, and verify
+    # passed on it.
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_subnormal_weights, "largest fused weight 5e-324"),
+            (_overflowing_variance, "channel 1"),
+        ],
+        ids=["subnormal-weights", "overflowing-variance"],
+    )
+    def test_layer_that_quantizes_to_nothing(self, tmp_path, capsys, edit, message):
+        def rewrite(data):
+            doc = json.loads(data)
+            edit(doc)
+            return json.dumps(doc).encode()
+
+        code, err = self.verify_with_weights(tmp_path, capsys, rewrite)
+        assert code == 1 and message in err
+
+    @pytest.mark.parametrize(
+        "data, offset",
+        [
+            ('{"ééé": x}'.encode(), 11),
+            (b'{\r\n"a":\r\n x}', 10),
+        ],
+        ids=["multibyte", "crlf"],
+    )
+    def test_json_error_names_byte_offset(self, tmp_path, capsys, data, offset):
+        config = tmp_path / "c.json"
+        config.write_bytes(data)
+        out = tmp_path / "o"
+        assert main(["metrics", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"(byte offset {offset})" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "body, code, message",
         [

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctia_ipc.errors import FormatError, ValidationError
@@ -18,6 +18,42 @@ from ctia_ipc.formats import (
 )
 from ctia_ipc.mapper import BnParams
 from ctia_ipc.pixel import frame_to_photocurrents
+
+
+# PGM header parts: tokens a loader must reject next to well-formed ones,
+# and separators with comments.  Decimal digits are the only integer
+# syntax the format has.
+_PGM_BAD_TOKENS = [b"x", b"1.5", b"+3", b"1_6", b"0x4", b"\xd9\xa3", b"1" * 5000]
+_PGM_SEPARATORS = [b" ", b"\n", b"\t", b"\r\n", b"\x0b\x0c", b"\n# a comment\n", b" #x\r", b"#\n"]
+
+
+@st.composite
+def pgm_documents(draw):
+    """(bytes, header length, declared (height, width) or None): a header
+    of magic, width, height and maxval, a raster that is short, exact or
+    long, and sometimes a cut inside the header."""
+    magic = draw(st.sampled_from([b"P5", b"P5", b"P2", b"P6", b"p5", b""]))
+    dims = [
+        draw(st.one_of(st.integers(-1, 5), st.sampled_from([2**40, 10**30]), st.sampled_from(_PGM_BAD_TOKENS)))
+        for _ in range(2)
+    ]
+    maxval = draw(st.one_of(st.just(65535), st.sampled_from([0, 1, 255, 65534, 65536]), st.sampled_from(_PGM_BAD_TOKENS)))
+    tokens = [magic] + [str(v).encode() if isinstance(v, int) else v for v in (*dims, maxval)]
+    header = draw(st.sampled_from(_PGM_SEPARATORS[:2] + [b"# lead\n"]))
+    for i, token in enumerate(tokens):
+        header += token + (draw(st.sampled_from(_PGM_SEPARATORS)) if i < 3 else b"")
+    header += draw(st.sampled_from([b"\n", b" ", b"\r", b"\t"]))
+    width, height = dims
+    small = all(isinstance(v, int) and 1 <= v <= 5 for v in dims)
+    full = 2 * width * height if small else 60
+    size = draw(st.one_of(st.just(full), st.integers(0, full + 3)))
+    raster = draw(st.binary(min_size=size, max_size=size))
+    cut = draw(st.booleans())
+    if cut:
+        header = header[: draw(st.integers(0, len(header)))]
+        raster = b""
+    well_formed = magic == b"P5" and small and maxval == 65535 and not cut
+    return header + raster, len(header), (height, width) if well_formed else None
 
 
 class TestPgm:
@@ -68,6 +104,24 @@ class TestPgm:
             save_pgm16(tmp_path / "x.pgm", np.array([[1.5]]))
         with pytest.raises(ValidationError):
             save_pgm16(tmp_path / "x.pgm", np.array([[-1]]))
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=pgm_documents())
+    @example(doc=(b"P5 +3 1 65535\n" + bytes(6), 14, None))
+    @example(doc=(b"P5 1_6 1 65535\n" + bytes(32), 15, None))
+    def test_any_document_loads_or_is_rejected(self, tmp_path_factory, doc):
+        # A document loads to its declared shape and its big-endian
+        # samples, or is rejected.
+        data, header_len, declared = doc
+        path = tmp_path_factory.mktemp("pgm") / "f.pgm"
+        path.write_bytes(data)
+        try:
+            frame = load_pgm16(path)
+        except (FormatError, ValidationError):
+            return
+        assert declared is not None and frame.dtype == np.uint16 and frame.shape == declared
+        raster = data[header_len : header_len + 2 * frame.size]
+        assert np.array_equal(frame, np.frombuffer(raster, dtype=">u2").reshape(declared))
 
 
 # Weight-document fields and values that broke load_weights: integers

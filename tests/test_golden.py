@@ -285,7 +285,7 @@ class TestSimulatorEquivalence:
         chain = small_chain(32, 32)
         sim = simulate_layer(frame, fused, spec, chain)
         gold = golden_layer(frame, fused, spec, chain.adc, chain.calibration(fused.mag_max))
-        assert compare_runs(sim, gold).fraction_within_1 == 1.0
+        assert compare_runs(sim, gold)["fraction_within_1"] == 1.0
 
     def test_property_equivalence_sample(self):
         # A slice of the acceptance sweep: random frames/layers, noise off.
@@ -298,24 +298,24 @@ class TestSimulatorEquivalence:
             sim = simulate_layer(frame, fused, spec, chain)
             gold = golden_layer(frame, fused, spec, chain.adc, chain.calibration(fused.mag_max))
             report = compare_runs(sim, gold)
-            assert report.fraction_within_1 == 1.0
+            assert report["fraction_within_1"] == 1.0
 
 
 class TestCompareRuns:
     def test_identical(self):
         grid = np.arange(12).reshape(3, 4)
         report = compare_runs(grid, grid)
-        assert report.max_abs_delta == 0 and report.fraction_exact == 1.0
-        assert report.passed
+        assert report["max_abs_delta"] == 0 and report["fraction_exact"] == 1.0
+        assert report["passed"]
 
     def test_single_off_by_one(self):
         a = np.zeros((3, 4), dtype=int)
         b = a.copy()
         b[1, 2] = 1
         report = compare_runs(a, b)
-        assert report.fraction_within_1 == 1.0
-        assert report.fraction_exact < 1.0
-        assert report.passed
+        assert report["fraction_within_1"] == 1.0
+        assert report["fraction_exact"] < 1.0
+        assert report["passed"]
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -324,5 +324,5 @@ class TestCompareRuns:
     def test_threshold(self):
         a = np.zeros((2, 2), dtype=int)
         b = np.full((2, 2), 3, dtype=int)
-        assert not compare_runs(a, b).passed
-        assert compare_runs(a, b, max_within=3).passed
+        assert not compare_runs(a, b)["passed"]
+        assert compare_runs(a, b, max_within=3)["passed"]

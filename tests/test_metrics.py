@@ -1,4 +1,8 @@
 import json
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from numpy.random import PCG64, Generator, SeedSequence, default_rng
 from numpy.random.bit_generator import ISeedSequence
 
 from ctia_ipc.errors import ValidationError
+from ctia_ipc.golden import compare_runs
 from ctia_ipc.mapper import ConvSpec, build_schedule
 from ctia_ipc.metrics import (
     MAX_TRIALS,
@@ -24,6 +29,52 @@ from ctia_ipc.metrics import (
 from ctia_ipc.pixel import fit_transfer
 from ctia_ipc.pixel_array import N_CHANNELS
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+HEADLINE_STDOUT = """\
+frame 1280x1024, k=7 s=2 p=0 c_o=16 N_b=4 p_s=2
+
+bandwidth reduction (bit ratio)    :    12.0848   [reference 12.08]
+bandwidth reduction (closed form)  :     0.5685   [the printed estimate; does not reach the reference figure]
+cycle-0 parallel activations       :       8820   [= floor(1273/28) * 7^2 * 4]
+operations per frame               : 2033589376
+schedule cycles (1 channel pass)   :      10689
+frame time (all channels, 2 cycles):    27.0218 s
+energy per frame                   :     0.5237 J
+throughput                         :     0.0753 GOPS    [measured reference 1.98 GOPS]
+efficiency                         :     3.8829 GOPS/W  [measured reference 3.39 GOPS/W]
+
+The throughput/efficiency rows are behavioral-schedule estimates;
+the measured silicon figures are carried as metadata only.
+"""
+
+
+def readme_keys(artifact):
+    """The keys the README lists for a JSON report, in order."""
+    text = open(os.path.join(ROOT, "README.md"), encoding="utf-8").read()
+    block = re.search(rf"^`{re.escape(artifact)}`[^\n]*:\n\n((?:- .*\n)+)", text, re.M).group(1)
+    return re.findall(r"^- `(\w+)`", block, re.M)
+
+
+def test_readme_lists_every_report_key(chain):
+    spec = ConvSpec()
+    report = metrics_report(spec, 64, 64, build_schedule(spec, 64, 64), 3.26e-6, 79e-6)
+    _, summary = monte_carlo(chain, MismatchSpec(trials=2))
+    grid = np.zeros((2, 3), dtype=np.uint8)
+    assert readme_keys("verify_report.json") == list(compare_runs(grid, grid))
+    assert readme_keys("metrics.json") == list(report)
+    assert readme_keys("montecarlo_summary.json") == list(summary)
+
+
+def test_headline_script_output_unchanged():
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "reproduce_headline_metrics.py")],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        capture_output=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == HEADLINE_STDOUT.encode()
 
 
 class TestBandwidthReduction:
@@ -91,15 +142,15 @@ class TestEnergyEstimate:
         assert sched.n_cycles() == 1
         assert sched.total_active_pixels() == 100
         est = energy_estimate(spec, 5, 5, 1e-6, sched, 1e-3)
-        assert est.energy == pytest.approx(2e-7, rel=1e-12)
-        assert est.frame_time == pytest.approx(2e-3, rel=1e-12)
+        assert est["energy_j"] == pytest.approx(2e-7, rel=1e-12)
+        assert est["frame_time_s"] == pytest.approx(2e-3, rel=1e-12)
 
     def test_cycle_time_scaling(self):
         spec = ConvSpec()
         sched = build_schedule(spec, 64, 64)
         a = energy_estimate(spec, 64, 64, 3.26e-6, sched, 1e-4)
         b = energy_estimate(spec, 64, 64, 3.26e-6, sched, 2e-4)
-        assert b.gops == pytest.approx(a.gops / 2, rel=1e-12)
+        assert b["gops"] == pytest.approx(a["gops"] / 2, rel=1e-12)
 
     def test_default_cycle_time(self):
         assert default_cycle_time(1e-6, 0) == pytest.approx(79e-6)
@@ -109,49 +160,47 @@ class TestEnergyEstimate:
         spec = ConvSpec()
         sched = build_schedule(spec, 64, 64)
         report = metrics_report(spec, 64, 64, sched, 3.26e-6, 79e-6)
-        assert report.reference["paper_br"] == 12.08
-        assert report.reference["paper_gops"] == 1.98e9
-        assert report.reference["paper_gops_w"] == 3.39e9
+        assert report["reference"]["paper_br"] == 12.08
+        assert report["reference"]["paper_gops"] == 1.98e9
+        assert report["reference"]["paper_gops_w"] == 3.39e9
         # Byte-for-byte deterministic serialization.
-        a = json.dumps(report.to_dict(), sort_keys=True)
-        b = json.dumps(
-            metrics_report(spec, 64, 64, sched, 3.26e-6, 79e-6).to_dict(), sort_keys=True
-        )
+        a = json.dumps(report, sort_keys=True)
+        b = json.dumps(metrics_report(spec, 64, 64, sched, 3.26e-6, 79e-6), sort_keys=True)
         assert a == b
 
 
 class TestMonteCarlo:
     def test_zero_sigma_equals_nominal(self, chain):
         mm = MismatchSpec(trials=16, seed=3)
-        result = monte_carlo(chain, mm)
-        assert np.all(result.samples == result.nominal)
-        assert result.std == 0.0
+        samples, summary = monte_carlo(chain, mm)
+        assert np.all(samples == summary["nominal_v"])
+        assert summary["std_v"] == 0.0
 
     def test_seed_determinism(self, chain):
         mm = MismatchSpec(sigma_cap=0.01, sigma_vrst=1e-4, sigma_gain=0.01, trials=64, seed=9)
-        a = monte_carlo(chain, mm)
-        b = monte_carlo(chain, mm)
-        assert np.array_equal(a.samples, b.samples)
+        a, _ = monte_carlo(chain, mm)
+        b, _ = monte_carlo(chain, mm)
+        assert np.array_equal(a, b)
 
     def test_thread_count_invisible(self, chain, monkeypatch):
         mm = MismatchSpec(sigma_gain=0.01, trials=32, seed=5)
         monkeypatch.setenv("CTIA_IPC_THREADS", "1")
-        a = monte_carlo(chain, mm)
+        a, _ = monte_carlo(chain, mm)
         monkeypatch.setenv("CTIA_IPC_THREADS", "4")
-        b = monte_carlo(chain, mm)
-        assert np.array_equal(a.samples, b.samples)
+        b, _ = monte_carlo(chain, mm)
+        assert np.array_equal(a, b)
 
     def test_mean_near_nominal(self, chain):
         mm = MismatchSpec(sigma_gain=0.01, trials=1000, seed=17)
-        result = monte_carlo(chain, mm)
-        bound = 3 * result.std / np.sqrt(mm.trials)
-        assert abs(result.mean - result.nominal) <= bound
+        _, summary = monte_carlo(chain, mm)
+        bound = 3 * summary["std_v"] / np.sqrt(mm.trials)
+        assert abs(summary["mean_v"] - summary["nominal_v"]) <= bound
 
     def test_local_sigma_scales_std(self, chain):
         # Small-perturbation regime: std is linear in sigma.
-        lo = monte_carlo(chain, MismatchSpec(sigma_gain=0.005, trials=10_000, seed=23))
-        hi = monte_carlo(chain, MismatchSpec(sigma_gain=0.010, trials=10_000, seed=23))
-        assert hi.std / lo.std == pytest.approx(2.0, rel=0.10)
+        _, lo = monte_carlo(chain, MismatchSpec(sigma_gain=0.005, trials=10_000, seed=23))
+        _, hi = monte_carlo(chain, MismatchSpec(sigma_gain=0.010, trials=10_000, seed=23))
+        assert hi["std_v"] / lo["std_v"] == pytest.approx(2.0, rel=0.10)
 
     def test_invalid_spec(self):
         with pytest.raises(ValidationError):
@@ -215,23 +264,23 @@ class TestTrialSeedWords:
 class TestLinearitySweep:
     def test_zero_row(self, chain):
         rows = linearity_sweep(chain, modes=("vs_product",), x_points=3)
-        zero = [r for r in rows if r.w_norm == 0.0 and r.x_norm == 0.0]
-        assert zero and all(r.v_adc_in == 0.0 and r.code == 0 for r in zero)
+        zero = [(v_adc_in, code) for _, _, w, x, _, v_adc_in, code in rows if w == x == 0.0]
+        assert zero and all(v_adc_in == 0.0 and code == 0 for v_adc_in, code in zero)
 
     def test_nominal_fit_quality(self, chain):
         rows = linearity_sweep(chain, modes=("vs_product",), x_points=9)
-        fit = fit_transfer([(r.w_norm, r.x_norm, r.v_adc_in) for r in rows])
+        fit = fit_transfer([(w, x, v_adc_in) for _, _, w, x, _, v_adc_in, _ in rows])
         assert fit.r_squared >= 0.999
 
     def test_multiwindow_preserves_linearity(self, chain):
         rows = linearity_sweep(chain, modes=("multiwindow",), x_points=5)
         for k in (3, 5, 7):
-            sub = [(r.w_norm, r.x_norm, r.v_adc_in) for r in rows if r.k == k]
+            sub = [(w, x, v_adc_in) for _, rk, w, x, _, v_adc_in, _ in rows if rk == k]
             assert sub
             assert fit_transfer(sub).r_squared >= 0.999
 
     def test_column_voltage_consistent(self, chain):
         rows = linearity_sweep(chain, modes=("multiwindow",), x_points=3)
-        for r in rows:
+        for _, k, _, _, v_cbl, v_adc_in, _ in rows:
             # k identical columns: v_adc_in = k * v_cbl / divider.
-            assert r.v_adc_in == pytest.approx(r.k * r.v_cbl / chain.array.divider, rel=1e-9, abs=1e-18)
+            assert v_adc_in == pytest.approx(k * v_cbl / chain.array.divider, rel=1e-9, abs=1e-18)

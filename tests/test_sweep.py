@@ -132,10 +132,7 @@ def reference_linearity_sweep(chain, x_points):
 @pytest.mark.parametrize("name", ["default", "clamped"])
 def test_linearity_sweep_matches_point_loop(name, x_points):
     chain = pixel_chain(name)
-    got = [
-        (r.mode, r.k, r.w_norm, r.x_norm, r.v_cbl, r.v_adc_in, r.code)
-        for r in linearity_sweep(chain, x_points=x_points)
-    ]
+    got = linearity_sweep(chain, x_points=x_points)
     assert got == reference_linearity_sweep(chain, x_points)
     assert all(type(row[-1]) is int and type(row[-2]) is float for row in got)
 
