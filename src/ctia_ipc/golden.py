@@ -135,7 +135,7 @@ def polarity_codes(
     slices, taps = tap_plan(phases, planes, k, s)
     mags = np.zeros((len(planes), len(slices)))
     clamped = {}  # (slice, magnitude) -> planes, for taps the clamp can reach
-    for _, _, _, m, p, n in taps:
+    for _, _, _, m, p, n in taps.tolist():
         if m * RAW_MAX > tap_saturation:
             clamped.setdefault((n, m), []).append(p)
         else:

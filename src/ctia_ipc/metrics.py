@@ -48,6 +48,8 @@ REFERENCE = {
 
 SWEEP_MODES = ("vs_weight", "vs_current", "vs_product", "multiwindow")
 MULTIWINDOW_KERNELS = (3, 5, 7)
+# Bins of the montecarlo_summary.json histogram.
+MC_HIST_BINS = 30
 
 
 def bandwidth_reduction(spec: ConvSpec, rows: int, cols: int):
@@ -325,7 +327,6 @@ def monte_carlo(
     k: int = 7,
     magnitude: int = 8,
     x_norm: float = 0.5,
-    hist_bins: int = 30,
 ) -> tuple:
     """Mismatch distribution of the ADC-input voltage at a fixed weight and
     photocurrent, as (samples, summary): the per-trial volts and the
@@ -372,7 +373,7 @@ def monte_carlo(
     span = 4 * std if std > 0 else scale
     # A near-degenerate spread still needs resolvable bin edges.
     span = max(span, 32 * np.finfo(float).eps * scale)
-    counts, edges = np.histogram(samples, bins=hist_bins, range=(mean - span, mean + span))
+    counts, edges = np.histogram(samples, bins=MC_HIST_BINS, range=(mean - span, mean + span))
     return samples, {
         "trials": int(samples.size),
         "nominal_v": nominal,
@@ -403,7 +404,6 @@ def linearity_sweep(
     chain: ChainConfig,
     modes=SWEEP_MODES,
     x_points: int = 9,
-    unit_k: int = 1,
 ) -> list:
     """Run the requested sweeps through the full chain.
 
@@ -425,7 +425,7 @@ def linearity_sweep(
             kernel_sizes = MULTIWINDOW_KERNELS
             order = _sweep_order("vs_product", x_points)
         else:
-            kernel_sizes = (unit_k,)
+            kernel_sizes = (1,)
             order = _sweep_order(mode, x_points)
         for k in kernel_sizes:
             if k not in outputs:

@@ -9,11 +9,11 @@ than there is hardware or work for.
 The layer kernels (the simulator's MAC and the golden model) split their
 output grid into row blocks, written only to their own rows.
 map_row_blocks hands each block whole to one thread: the golden model
-and the MAC's position-major walk run there.  map_blocks_team instead
-walks the blocks in order with a team of threads that all work on every
-block, in steps closed by a barrier: the MAC's channel-major walk has
-the team compute a block's shared discharges together, then each member
-walk its own planes over them (see pixel_array).  The simulator keeps
+runs there.  map_blocks_team instead walks the blocks in order with a
+team of threads that all work on every block, in steps closed by a
+barrier: the simulator's MAC has the team compute a block's shared
+discharges together, then each member walk its own planes over them
+(see pixel_array).  The simulator keeps
 every node's summation order and the golden model's sums are exact
 integers, so results are bit-identical at any worker count.
 
@@ -37,7 +37,9 @@ k3s1 0.92 s against 0.83 s), where the full budget gives 0.43 s and
 0.69 s on 2 threads.  A team holds the shared discharges once, not once
 per thread, so in the same memory its blocks are about twice as long at
 2 threads: there k3s1 took 0.56-0.63 s against 0.75-0.82 s (best of 5)
-with one block per thread.
+with one block per thread.  Where many shared discharges would cut the
+blocks short, as at odd strides, the MAC keeps at least ROW_BLOCK_NODES
+// 4 nodes per team member.
 
 Both layer kernels cut their row blocks at multiples of the pooling
 stride, so that each block pools whole windows; row_blocks takes that

@@ -22,49 +22,40 @@ plane's accumulator in column order before the single divide: that is
 the switching matrix.  Monte Carlo sums its perturbed taps in the same
 order.
 
-The layer kernel makes one pass over row blocks of its output grid and
-walks each block one of two ways.  Both keep every plane's float
-operations and their order, so the result is bit-identical at any block
-size, thread count or walk.
+The kernel makes one pass over row blocks of its output grid, and keeps
+every plane's float operations and their order, so the result is
+bit-identical at any block size or thread count.  All output channels
+read the same pixel exposures, and a weight only picks which exposure a
+tap gets, so a discharge min(x*t/c_f, headroom) depends only on the pixel
+and the exposure.  Each block computes it once for every distinct (phase
+stack, channel, exposure) of the tap plan, over the stack rows the
+block's taps read (the (k-1)//s halo rows included) at full stack width;
+a tap reads the (i//s, j//s)-shifted view of its buffer, elementwise the
+discharge it would compute alone.  The planes are then walked one at a
+time, with the layer's planes ordered (pos_0, neg_0, pos_1, ...),
+through their own taps in (column, row, channel) order: the first tap of
+a column is copied into the CBL and the later ones add to it; the first
+column's CBL is the plane's accumulator, each later one adds into it;
+then the divide.  Copying where the hardware adds to an empty CBL is
+exact: every discharge is >= +0.0, so 0.0 + dv == dv (a -0.0
+photocurrent could only turn a node's +0.0 into -0.0, an equal value).
+Each channel's two planes go to the caller as soon as they are done.
 
-* Channel-major.  All output channels read the same pixel exposures, and
-  a weight only picks which exposure a tap gets, so a discharge
-  min(x*t/c_f, headroom) depends only on the pixel and the exposure.
-  Each block computes it once for every distinct (phase stack, channel,
-  exposure) of the tap plan, over the stack rows the block's taps read
-  (the (k-1)//s halo rows included) at full stack width; a tap reads the
-  (i//s, j//s)-shifted view of its buffer, elementwise the discharge it
-  would compute alone.  The planes are then walked one at a time, with
-  the layer's planes ordered (pos_0, neg_0, pos_1, ...), through their own
-  taps in (column, row, channel) order: the first tap of a column is
-  copied into the CBL and the later ones add to it; the first column's
-  CBL is the plane's accumulator, each later one adds into it; then the
-  divide.  Copying where the hardware adds to an empty CBL is exact:
-  every discharge is >= +0.0, so 0.0 + dv == dv (a -0.0 photocurrent
-  could only turn a node's +0.0 into -0.0, an equal value).  Each channel's
-  two planes go to the caller as soon as they are done.  A team of W
-  threads (parallel.map_blocks_team) shares every block: the members
-  split the (stack, channel) groups and compute the shared discharges;
-  after a barrier member w walks channel pairs w, w + W, ... with its own
-  two accumulators and one CBL.  A block holds the shared discharges once
-  and three rows per member, so in the memory of W one-thread blocks it
-  holds W / (n_shared + 3W) of the budget in nodes: at W = 2 about twice
-  a one-thread block, and at W = 1 exactly one.
-* Position-major.  Every tap position (column, row, channel) computes
-  the discharge once for each distinct exposure t among the planes, into
-  scratch, and adds it into the CBL of every plane with that exposure
-  there; all 2*n accumulators and CBLs stay live.  Each block is walked
-  whole by one thread of parallel.map_row_blocks.
-
-The walk follows from the tap plan: the channel-major one holds one
-block row per shared discharge plus three, the position-major one 2*n
-plus the most exposures at one position, and the channel-major walk runs
-when it holds no more.  It does for the layer at strides 1 and 2, where
-all taps read one stack: 57 shared discharges at k7s2 against 1,335
-per-position ones.  Odd strides >= 3 and stride 4 read several stacks
-at many offsets, small plane counts share little, and a run_mac_cycle
-batch gives each tap its own stack, so those keep the position-major
-walk.  The headroom min is skipped for an exposure t when
+A team of W threads (parallel.map_blocks_team) shares every block: the
+members split the (stack, channel) groups and compute the shared
+discharges; after a barrier member w walks channel pairs w, w + W, ...
+with its own two accumulators and one CBL.  A block holds the shared
+discharges once and three rows per member, in the memory of W
+one-thread blocks: at k7s2, 57 shared discharges, about 22k nodes on one
+thread and 42k on two.  At odd strides >= 3 and at stride 4 the taps read
+several stacks at many offsets, so the shared discharges number in the
+hundreds (364 at k7s3) and that budget would cut blocks of a few
+thousand nodes.  Each add is one numpy call over the block, and short
+calls lose more to the interpreter lock than a second thread gains (see
+parallel), so a block holds at least parallel.ROW_BLOCK_NODES // 4 nodes
+per member; at strides 1 and 2 the budget is larger.  A grid of fewer
+than ROW_BLOCK_NODES nodes, such as a run_mac_cycle batch, is walked by
+a team of one.  The headroom min is skipped for an exposure t when
 fl(fl(x_max*t)/c_f) <= headroom, with x_max the brightest photocurrent:
 rounding is monotone, so no pixel of the frame can then reach the clamp,
 and min(dv, headroom) == dv.
@@ -84,7 +75,6 @@ model share.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,12 +88,11 @@ from .wtc import CounterConfig, match_ticks
 BAYER_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 N_CHANNELS = 4
 
-# A layer block's accumulators, CBL buffers and discharges hold about
-# this many times parallel.ROW_BLOCK_NODES float64 values per thread: 10
-# MiB at the default.  For k7s2's 57 shared discharges that is about 22k
-# nodes on one thread and 42k on a team of two; for its 32 planes walked
-# position-major, 18k per thread.  Shorter numpy calls lose more to the
-# interpreter lock than a second thread gains (see parallel).
+# A block's accumulators, CBL buffers and discharges hold about this many
+# times parallel.ROW_BLOCK_NODES float64 values per team member, 10 MiB at
+# the default, unless the floor of ROW_BLOCK_NODES // 4 nodes per member
+# takes more.  For k7s2's 57 shared discharges that is about 22k nodes on
+# one thread and 42k on a team of two.
 _CBL_BLOCK_SCALE = 40
 
 
@@ -223,27 +212,30 @@ def tap_plan(phases, planes, k: int, stride: int) -> tuple:
     An even stride shares one stack between phases, so a slice is keyed by
     the stack object itself: at k7s2 the 196 tap positions read 64 slices.
     Returns (slices, taps): slices lists one (stack, channel, row offset,
-    column offset) per distinct slice; taps lists (j, i, ch, value, plane,
-    slice index) per nonzero tap, sorted: in the hardware's summation
-    order of kernel column, then row, then channel, and by value within a
-    tap position.
+    column offset) per distinct slice; taps is an int64 array with one row
+    (j, i, ch, value, plane, slice index) per nonzero tap, in the
+    hardware's summation order of kernel column, then row, then channel,
+    and by plane within a tap position.
     """
-    slot = {}  # (id(stack), channel, row offset, column offset) -> slice index
-    slices = []
-    taps = []
     by_column = np.asarray(planes).transpose(3, 2, 1, 0)
-    nonzero = np.nonzero(by_column)
-    values = by_column[nonzero].tolist()
-    for j, i, ch, p, value in zip(*(axis.tolist() for axis in nonzero), values):
-        stack = phases[i % stride][j % stride]
-        key = (id(stack), ch, i // stride, j // stride)
-        n = slot.get(key)
-        if n is None:
-            n = slot[key] = len(slices)
-            slices.append((stack, ch, i // stride, j // stride))
-        taps.append((j, i, ch, value, p, n))
-    taps.sort()
-    return slices, taps
+    j, i, ch, p = np.nonzero(by_column)
+    stacks = {}  # id(stack) -> (stack index, stack)
+    phase_stack = np.array(
+        [[stacks.setdefault(id(s), (len(stacks), s))[0] for s in row] for row in phases]
+    )
+    span = k // stride + 1
+    keys = ((phase_stack[i % stride, j % stride] * N_CHANNELS + ch) * span + i // stride)
+    keys = keys * span + j // stride
+    unique, slice_of = np.unique(keys, return_inverse=True)
+    by_index = [s for _, s in stacks.values()]
+    slices = []
+    for key in unique.tolist():
+        key, dj = divmod(key, span)
+        key, di = divmod(key, span)
+        index, channel = divmod(key, N_CHANNELS)
+        slices.append((by_index[index], channel, di, dj))
+    taps = np.stack([j, i, ch, by_column[j, i, ch, p], p, slice_of], axis=1)
+    return slices, taps.astype(np.int64, copy=False)
 
 
 def tap_grid(phases, k: int, stride: int) -> tuple:
@@ -310,65 +302,54 @@ def run_mac_cycle(
     return float(volts) if volts.ndim == 0 else volts
 
 
-def _discharge_plan(taps, k: int, t_step: float, unclamped) -> tuple:
-    """The position-major walk's work list, from tap_plan taps whose
-    values are counter ticks: per kernel column, its tap positions (i, ch)
-    in summation order.  Per position: its slice, its distinct exposures
-    in ascending order as an (m, 1, 1) array, how many of them
-    unclamped(t) holds for (the rest are the last ones, as the discharge
-    grows with t), and the (plane, exposure index) of each CBL add.
-    Returns (columns, the largest m)."""
-    exposures = []  # every position's distinct exposures, in order
-    positions = []  # [column, slice, first, end, unclamped count, CBL adds]
-    last = None
-    for j, i, ch, tick, p, n in taps:
-        if (j, i, ch) != last:
-            last, last_tick = (j, i, ch), None
-            position = [j, n, len(exposures), len(exposures), 0, []]
-            positions.append(position)
-        if tick != last_tick:
-            last_tick = tick
-            exposures.append(float(tick) * t_step)
-            position[3] += 1
-            position[4] += unclamped(exposures[-1])
-        position[5].append((p, position[3] - 1 - position[2]))
-    ts = np.array(exposures)[:, None, None]
-    columns = [[] for _ in range(k)]
-    for j, n, first, end, safe, adds in positions:
-        columns[j].append((n, ts[first:end], safe, adds))
-    return columns, max((end - first for _, _, first, end, _, _ in positions), default=0)
-
-
 def _shared_plan(slices, taps, n_planes: int, t_step: float, unclamped) -> tuple:
-    """The channel-major walk's work list, from the same taps.  Returns
-    (groups, reads, walks):
+    """The walk's work list, from tap_plan slices and taps whose values
+    are counter ticks.  Returns (groups, reads, walks):
     groups: per distinct (stack, channel), (stack, channel, its distinct
         exposures in ascending order as an (m, 1, 1) array, how many of
-        them unclamped(t) holds);
-    reads: per distinct (slice, exposure), (group, exposure index, row
-        offset, column offset);
+        them unclamped(t) holds for; the rest are the last ones, as the
+        discharge grows with t);
+    reads: per distinct (slice, exposure), its group, exposure index, row
+        offset and column offset, as four int64 arrays;
     walks: per plane, its nonempty kernel columns in order, each the list
         of its taps' reads in (row, channel) order."""
-    found = {}  # (id(stack), channel) -> (stack, channel, ticks)
-    read_index = {}  # (slice, tick) -> read index
-    walks = [{} for _ in range(n_planes)]
-    for j, _, _, tick, p, n in taps:
-        stack, ch = slices[n][:2]
-        found.setdefault((id(stack), ch), (stack, ch, set()))[2].add(tick)
-        walks[p].setdefault(j, []).append(read_index.setdefault((n, tick), len(read_index)))
-    groups = []
-    exposure_index = {}  # (id(stack), channel, tick) -> (group, exposure index)
-    for g, (stack, ch, ticks) in enumerate(found.values()):
-        ticks = sorted(ticks)
-        ts = [float(tick) * t_step for tick in ticks]
-        groups.append((stack, ch, np.array(ts)[:, None, None], sum(map(unclamped, ts))))
-        for e, tick in enumerate(ticks):
-            exposure_index[id(stack), ch, tick] = (g, e)
-    reads = []
-    for n, tick in read_index:
-        stack, ch, di, dj = slices[n]
-        reads.append((*exposure_index[id(stack), ch, tick], di, dj))
-    return groups, reads, [list(columns.values()) for columns in walks]
+    j, tick, p, n = taps[:, 0], taps[:, 3], taps[:, 4], taps[:, 5]
+    found = {}  # (id(stack), channel) -> (group, stack, channel)
+    slice_group = np.array(
+        [found.setdefault((id(s), ch), (len(found), s, ch))[0] for s, ch, _, _ in slices],
+        dtype=np.int64,
+    )
+    n_ticks = int(tick.max(initial=0)) + 1
+    # The distinct (group, tick) pairs, by group and then tick.
+    exposures, exposure_of = np.unique(slice_group[n] * n_ticks + tick, return_inverse=True)
+    exposure_group, exposure_tick = np.divmod(exposures, n_ticks)
+    ts = (exposure_tick * t_step)[:, None, None]
+    first = np.searchsorted(exposure_group, np.arange(len(found) + 1))
+    n_safe = np.bincount(exposure_group[unclamped(ts[:, 0, 0])], minlength=len(found))
+    groups = [
+        (stack, ch, ts[first[g] : first[g + 1]], int(n_safe[g]))
+        for g, stack, ch in found.values()
+    ]
+    _, read_tap, read_of = np.unique(n * n_ticks + tick, return_index=True, return_inverse=True)
+    read_group = exposure_group[exposure_of[read_tap]]
+    offsets = np.array([slice_[2:] for slice_ in slices], dtype=np.int64).reshape(-1, 2)
+    read_slice = n[read_tap]
+    reads = (
+        read_group,
+        exposure_of[read_tap] - first[read_group],
+        offsets[read_slice, 0],
+        offsets[read_slice, 1],
+    )
+    # Stable, so each (plane, column) run keeps the taps' (row, channel) order.
+    order = np.argsort(p, kind="stable")
+    plane, column = p[order], j[order]
+    starts = np.flatnonzero(
+        (np.diff(plane, prepend=-1) != 0) | (np.diff(column, prepend=-1) != 0)
+    )
+    walks = [[] for _ in range(n_planes)]
+    for q, run in zip(plane[starts].tolist(), np.split(read_of[order], starts[1:])):
+        walks[q].append(run.tolist())
+    return groups, reads, walks
 
 
 def mac_node_voltages(
@@ -390,17 +371,16 @@ def mac_node_voltages(
     photocurrents with frame_to_photocurrents.  magnitudes: one (4, k, k)
     plane or a stack of n planes (n, 4, k, k).  Each kernel tap integrates
     one slice of a phase stack; the module docstring gives the order of
-    the sums, how the planes share discharges and which walk runs.
+    the sums, how the planes share discharges and how the blocks are
+    sized.
 
-    Row blocks are cut at multiples of row_multiple rows and run on
-    threads: whole on parallel.map_row_blocks threads in the
-    position-major walk, shared by a parallel.map_blocks_team team in the
-    channel-major one.  With emit, every block calls emit(r0, r1, p0,
-    volts) once per pair of planes p0, p0 + 1 (p0 alone for the last of
-    an odd count), with their (2 or 1, r1 - r0, out_c) voltages, which
-    emit must consume before it returns, writing only rows r0:r1 of its
-    outputs for planes p0, p0 + 1: two threads may emit for one block at
-    once.  Nothing is returned.  Without emit, returns the (n, out_r,
+    Row blocks are cut at multiples of row_multiple rows and shared by a
+    parallel.map_blocks_team team.  With emit, every block calls emit(r0,
+    r1, p0, volts) once per pair of planes p0, p0 + 1 (p0 alone for the
+    last of an odd count), with their (2 or 1, r1 - r0, out_c) voltages,
+    which emit must consume before it returns, writing only rows r0:r1 of
+    its outputs for planes p0, p0 + 1: two threads may emit for one block
+    at once.  Nothing is returned.  Without emit, returns the (n, out_r,
     out_c) grid, or (out_r, out_c) for one plane.
     """
     mags = np.asarray(magnitudes)
@@ -427,9 +407,9 @@ def mac_node_voltages(
     def unclamped(t):
         return x_max * t / c_f <= headroom
 
-    columns, depth = _discharge_plan(taps, k, wtc_cfg.t_step, unclamped)
-    extra = (k - 1) // stride
     n_planes = len(planes)
+    groups, reads, walks = _shared_plan(slices, taps, n_planes, wtc_cfg.t_step, unclamped)
+    extra = (k - 1) // stride
 
     volts = None
     if emit is None:
@@ -438,159 +418,101 @@ def mac_node_voltages(
         def emit(r0, r1, p0, block_volts):
             volts[p0 : p0 + len(block_volts), r0:r1] = block_volts
 
-    # Each worker thread keeps its block buffer: a fresh buffer per block
-    # costs a page fault per 4 KB, as much as a pass over the buffer.
-    buffers = threading.local()
-
-    def block_buffer(size: int) -> np.ndarray:
-        if getattr(buffers, "size", 0) < size:
-            buffers.size = size
-            buffers.flat = np.empty(size)
-        return buffers.flat[:size]
-
-    def position_major(r0: int, r1: int) -> None:
-        # Rows 0:n are the accumulators, n:2n the CBLs, then the discharges.
-        rows = r1 - r0
-        n_rows = 2 * n_planes + depth
-        buffer = block_buffer(n_rows * rows * out_c).reshape(n_rows, rows, out_c)
-        acc = buffer[:n_planes]
-        cbl = buffer[n_planes : 2 * n_planes]
-        scratch = buffer[2 * n_planes :]
-        # Row views made once per block keep each add call short.
-        row_views = list(buffer)
-        acc_rows = row_views[:n_planes]
-        cbl_rows = row_views[n_planes : 2 * n_planes]
-        dv_rows = row_views[2 * n_planes :]
-        heads = [scratch[:m] for m in range(depth + 1)]
-        block = {key: currents(stack[:, r0 : r1 + extra]) for key, stack in stacks.items()}
-        views = [
-            block[id(stack)][ch : ch + 1, di : di + rows, dj : dj + out_c]
-            for stack, ch, di, dj in slices
-        ]
-        acc.fill(0.0)
-        # The first column's CBLs are the accumulators: 0.0 + cbl == cbl.
-        target = acc_rows
-        for column in filter(None, columns):
-            if target is cbl_rows:
-                cbl.fill(0.0)
-            for n, ts, n_safe, adds in column:
-                dv = heads[len(ts)]
-                multiply(ts, views[n], dv)
-                divide(dv, c_f, dv)
-                if n_safe < len(ts):
-                    np.minimum(dv[n_safe:], headroom, out=dv[n_safe:])
-                for p, x in adds:
-                    row = target[p]
-                    add(row, dv_rows[x], row)
-            if target is acc_rows:
-                target = cbl_rows
-            else:
-                add(acc, cbl, out=acc)
-        divide(acc, cfg.divider, acc)
-        for p0 in range(0, n_planes, 2):
-            emit(r0, r1, p0, acc[p0 : p0 + 2])
-
-    n_shared = len({(id(slices[n][0]), slices[n][1], tick) for _, _, _, tick, _, n in taps})
-    # A channel-major walker holds its accumulators and one CBL.
+    # A grid of fewer than ROW_BLOCK_NODES nodes, such as a run_mac_cycle
+    # batch, runs on a team of one.
+    small = out_r * out_c < parallel.ROW_BLOCK_NODES
+    workers = parallel.worker_count(1 if small else (n_planes + 1) // 2)
+    # A walker holds its accumulators and one CBL, the team the shared
+    # discharges once: as many values as `workers` single-walker blocks,
+    # and at least ROW_BLOCK_NODES // 4 nodes per member.
     private = min(n_planes, 2) + 1
-    if n_shared + private > 2 * n_planes + depth:
-        n_rows = 2 * n_planes + depth
-        block_nodes = max(_CBL_BLOCK_SCALE * parallel.ROW_BLOCK_NODES // n_rows, 1)
-        parallel.map_row_blocks(position_major, out_r, out_c, block_nodes, row_multiple)
-    else:
-        groups, reads, walks = _shared_plan(slices, taps, n_planes, wtc_cfg.t_step, unclamped)
-        workers = parallel.worker_count((n_planes + 1) // 2)
-        # The team holds as many values as `workers` single-walker blocks.
-        block_nodes = max(
-            _CBL_BLOCK_SCALE * parallel.ROW_BLOCK_NODES * workers
-            // (n_shared + private * workers),
-            1,
-        )
-        blocks = parallel.row_blocks(out_r, out_c, block_nodes, row_multiple)
-        pitch = max((stack.shape[2] for stack, _, _, _ in groups), default=out_c)
+    n_shared = sum(len(ts) for _, _, ts, _ in groups)
+    block_nodes = max(
+        _CBL_BLOCK_SCALE * parallel.ROW_BLOCK_NODES * workers // (n_shared + private * workers),
+        workers * (parallel.ROW_BLOCK_NODES // 4),
+    )
+    blocks = parallel.row_blocks(out_r, out_c, block_nodes, row_multiple)
+    pitch = max((stack.shape[2] for stack, _, _, _ in groups), default=out_c)
 
-        def layout(r0: int, r1: int) -> tuple:
-            # Everything is laid out in flat rows of `pitch` values: each
-            # member's accumulators and CBL, then each group's discharges
-            # over the stack rows its taps read, halo included.  A tap's
-            # read is then one contiguous run, which numpy adds faster than
-            # a 2-D view.  The columns past out_c take sums of neighbouring
-            # discharges and are never emitted; the values they read past
-            # a stack's width or its last row are zeroed, so that no
-            # uninitialized value reaches an add.
-            nodes = (r1 - r0) * pitch
-            heights = [len(stack[ch, r0 : r1 + extra]) for stack, ch, _, _ in groups]
-            # A run ends at most `extra` values past its discharge's last row.
-            sizes = [h * pitch + extra for h in heights]
-            n_values = private * workers * nodes
-            n_values += sum(g[2].size * size for g, size in zip(groups, sizes))
-            nonlocal team_buffer
-            if team_buffer.size < n_values:
-                team_buffer = np.empty(n_values)
-            walkers = team_buffer[: private * workers * nodes].reshape(workers, private, nodes)
-            start = walkers.size
-            dvs, discharges = [], []
-            for h, size, (stack, _, ts, _) in zip(heights, sizes, groups):
-                dv = team_buffer[start : start + len(ts) * size].reshape(len(ts), size)
-                start += dv.size
-                grid = dv[:, : size - extra]
-                shaped = grid.reshape(len(ts), h, pitch)
-                width = stack.shape[2]
-                dvs.append(dv)
-                # The halo tail, the columns past the stack's width, the
-                # samples' place, and the discharges over whole rows.
-                discharges.append((dv[:, size - extra :], shaped[:, :, width:], shaped[:, :, :width], grid))
-            views = [
-                dvs[g][e, di * pitch + dj : di * pitch + dj + nodes] for g, e, di, dj in reads
-            ]
-            return walkers, discharges, views
+    def layout(r0: int, r1: int) -> tuple:
+        # Everything is laid out in flat rows of `pitch` values: each
+        # member's accumulators and CBL, then each group's discharges
+        # over the stack rows its taps read, halo included.  A tap's read
+        # is then one contiguous run, which numpy adds faster than a 2-D
+        # view.  The columns past out_c take sums of neighbouring
+        # discharges and are never emitted; the values they read past a
+        # stack's width or its last row are zeroed, so that no
+        # uninitialized value reaches an add.
+        nodes = (r1 - r0) * pitch
+        heights = [len(stack[ch, r0 : r1 + extra]) for stack, ch, _, _ in groups]
+        # A run ends at most `extra` values past its discharge's last row.
+        sizes = [h * pitch + extra for h in heights]
+        n_walker = private * workers * nodes
+        firsts = np.cumsum([n_walker] + [len(g[2]) * size for g, size in zip(groups, sizes)])
+        nonlocal team_buffer
+        if team_buffer.size < firsts[-1]:
+            team_buffer = np.empty(firsts[-1])
+        walkers = team_buffer[:n_walker].reshape(workers, private, nodes)
+        discharges = []
+        for start, h, size, (stack, _, ts, _) in zip(firsts.tolist(), heights, sizes, groups):
+            dv = team_buffer[start : start + len(ts) * size].reshape(len(ts), size)
+            grid = dv[:, : size - extra]
+            shaped = grid.reshape(len(ts), h, pitch)
+            width = stack.shape[2]
+            # The halo tail, the columns past the stack's width, the
+            # samples' place, and the discharges over whole rows.
+            discharges.append((dv[:, size - extra :], shaped[:, :, width:], shaped[:, :, :width], grid))
+        group, exposure, di, dj = reads
+        starts = firsts[group] + exposure * np.array(sizes, dtype=np.int64)[group] + di * pitch + dj
+        views = [team_buffer[start : start + nodes] for start in starts.tolist()]
+        return walkers, discharges, views
 
-        # The first block is the largest, so its layout sizes the buffer.
-        team_buffer = np.empty(0)
-        shapes, layouts = {}, {}
-        for r0, r1 in blocks:
-            shape = (r1 - r0, *(len(stack[ch, r0 : r1 + extra]) for stack, ch, _, _ in groups))
-            if shape not in shapes:
-                shapes[shape] = layout(r0, r1)
-            layouts[r0] = shapes[shape]
+    # The first block is the largest, so its layout sizes the buffer.
+    team_buffer = np.empty(0)
+    shapes, layouts = {}, {}
+    for r0, r1 in blocks:
+        shape = (r1 - r0, *(len(stack[ch, r0 : r1 + extra]) for stack, ch, _, _ in groups))
+        if shape not in shapes:
+            shapes[shape] = layout(r0, r1)
+        layouts[r0] = shapes[shape]
 
-        def discharge(w: int, r0: int, r1: int) -> None:
-            # Member w computes the shared discharges of groups w,
-            # w + workers, ...
-            for g in range(w, len(groups), workers):
-                stack, ch, ts, n_safe = groups[g]
-                tail, pad, target, grid = layouts[r0][1][g]
-                tail.fill(0.0)
-                pad.fill(0.0)
-                multiply(ts, currents(stack[ch, r0 : r1 + extra]), target)
-                divide(grid, c_f, grid)
-                if n_safe < len(ts):
-                    np.minimum(grid[n_safe:], headroom, out=grid[n_safe:])
+    def discharge(w: int, r0: int, r1: int) -> None:
+        # Member w computes the shared discharges of groups w,
+        # w + workers, ...
+        for g in range(w, len(groups), workers):
+            stack, ch, ts, n_safe = groups[g]
+            tail, pad, target, grid = layouts[r0][1][g]
+            tail.fill(0.0)
+            pad.fill(0.0)
+            multiply(ts, currents(stack[ch, r0 : r1 + extra]), target)
+            divide(grid, c_f, grid)
+            if n_safe < len(ts):
+                np.minimum(grid[n_safe:], headroom, out=grid[n_safe:])
 
-        def walk(w: int, r0: int, r1: int) -> None:
-            # Member w walks channel pairs w, w + workers, ... with its own
-            # accumulators and CBL.
-            walkers, _, views = layouts[r0]
-            accs, cbl = walkers[w, :-1], walkers[w, -1]
-            for p0 in range(2 * w, n_planes, 2 * workers):
-                pair = accs[: min(2, n_planes - p0)]
-                for acc, plane_walk in zip(pair, walks[p0 : p0 + 2]):
-                    if not plane_walk:
-                        acc.fill(0.0)
-                    # The first column sums into the accumulator; each
-                    # column's first tap is copied, not added: 0.0 + dv == dv.
-                    target = acc
-                    for first, *rest in plane_walk:
-                        np.copyto(target, views[first])
-                        for read in rest:
-                            add(target, views[read], target)
-                        if target is cbl:
-                            add(acc, cbl, acc)
-                        target = cbl
-                divide(pair, cfg.divider, pair)
-                emit(r0, r1, p0, pair.reshape(len(pair), r1 - r0, pitch)[:, :, :out_c])
+    def walk(w: int, r0: int, r1: int) -> None:
+        # Member w walks channel pairs w, w + workers, ... with its own
+        # accumulators and CBL.
+        walkers, _, views = layouts[r0]
+        accs, cbl = walkers[w, :-1], walkers[w, -1]
+        for p0 in range(2 * w, n_planes, 2 * workers):
+            pair = accs[: min(2, n_planes - p0)]
+            for acc, plane_walk in zip(pair, walks[p0 : p0 + 2]):
+                if not plane_walk:
+                    acc.fill(0.0)
+                # The first column sums into the accumulator; each
+                # column's first tap is copied, not added: 0.0 + dv == dv.
+                target = acc
+                for first, *rest in plane_walk:
+                    np.copyto(target, views[first])
+                    for read in rest:
+                        add(target, views[read], target)
+                    if target is cbl:
+                        add(acc, cbl, acc)
+                    target = cbl
+            divide(pair, cfg.divider, pair)
+            emit(r0, r1, p0, pair.reshape(len(pair), r1 - r0, pitch)[:, :, :out_c])
 
-        parallel.map_blocks_team((discharge, walk), blocks, workers)
+    parallel.map_blocks_team((discharge, walk), blocks, workers)
     if volts is None:
         return None
     return volts if mags.ndim == 4 else volts[0]

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from ctia_ipc import parallel, pixel_array
+from ctia_ipc import parallel
 from ctia_ipc.golden import RAW_MAX, polarity_codes
 from ctia_ipc.mapper import ConvSpec
 from ctia_ipc.metrics import MismatchSpec, monte_carlo
@@ -214,41 +214,56 @@ def test_polarity_codes_bit_exact(k, s, p):
             assert np.array_equal(got, expected)
 
 
-# (k, s, magnitude levels, whether the distinct discharges fit the
-# channel-major walk, a ROW_BLOCK_NODES that gives each case blocks of 4
-# rows, on a team of 2 or 3 threads in the channel-major walk).  33 planes
-# at k3s1 read at most 4 channels x 15 exposures of one stack; at k3s3
-# every tap has its own stack, so they read hundreds.  At k2s3 the taps
-# read four stacks of two widths, which fit with a single nonzero level.
-WALKS = [(3, 1, 16, True, 168), (3, 3, 16, False, 200), (2, 3, 2, True, 20)]
+# (k, s, padding, magnitude levels, whether the memory budget rather than
+# the floor of ROW_BLOCK_NODES // 4 nodes per team member sets the block
+# size, a ROW_BLOCK_NODES that gives each case blocks of 4 rows on a team
+# of 3 threads).  33 planes at k3s1 read at most 4 channels x 15 exposures
+# of one stack.  At k3s3, k5s3p1 and k7s4 the taps read several stacks at
+# many offsets, so they share hundreds of discharges and the floor binds.
+# At k2s3 the taps read four stacks of two widths, which fit the budget
+# with a single nonzero level.
+WALKS = [
+    (3, 1, 0, 16, True, 168),
+    (3, 3, 0, 16, False, 120),
+    (2, 3, 0, 2, True, 20),
+    (5, 3, 1, 16, False, 120),
+    (7, 4, 0, 16, False, 80),
+]
+# Test ids name a padding only where there is one.
+WALK_IDS = [
+    "-".join(map(str, (k, s, *([f"p{p}"] if p else []), levels, budget, scale)))
+    for k, s, p, levels, budget, scale in WALKS
+]
 
 
 @pytest.mark.parametrize("pixel_config", sorted(PIXEL_CONFIGS))
-@pytest.mark.parametrize("k, s, levels, shared, block_scale", WALKS)
-def test_both_walks_bit_exact(k, s, levels, shared, block_scale, pixel_config, monkeypatch):
+@pytest.mark.parametrize("k, s, p, levels, budget, block_scale", WALKS, ids=WALK_IDS)
+def test_both_walks_bit_exact(k, s, p, levels, budget, block_scale, pixel_config, monkeypatch):
     # The team size sets the block size, and worker_count caps it at the
     # CPUs: 4 of them keep the 3 threads asked for on any host.
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: 4)
     pixel, wtc = PIXEL_CONFIGS[pixel_config]
     rng = np.random.default_rng(10 * k + s)
-    raw = random_frame(rng, 44, 52)
+    # 64 rows give k7s4 more 4-row blocks than threads.
+    raw = random_frame(rng, 64, 52)
     # An odd plane count leaves a lone last plane; plane 5 has no taps.
     mags = rng.integers(0, levels, (33, N_CHANNELS, k, k)) * (15 // (levels - 1))
     mags[5] = 0
-    cfg = ArrayConfig(rows=44, cols=52)
-    channels = bayer_channel_view(frame_to_photocurrents(raw, pixel.i_max))
-    blocks, plans = [], []
-    row_blocks, shared_plan = parallel.row_blocks, pixel_array._shared_plan
-    monkeypatch.setattr(
-        parallel, "row_blocks", lambda *args: blocks.extend(row_blocks(*args)) or blocks
-    )
-    monkeypatch.setattr(
-        pixel_array, "_shared_plan", lambda *args: plans.append(1) or shared_plan(*args)
-    )
+    cfg = ArrayConfig(rows=64, cols=52)
+    channels = bayer_channel_view(np.pad(frame_to_photocurrents(raw, pixel.i_max), p))
+    blocks, sizes = [], []
+    row_blocks = parallel.row_blocks
+
+    def recording(out_r, out_c, block_nodes, multiple):
+        sizes.append(block_nodes)
+        blocks.extend(row_blocks(out_r, out_c, block_nodes, multiple))
+        return blocks
+
+    monkeypatch.setattr(parallel, "row_blocks", recording)
     monkeypatch.setattr(parallel, "ROW_BLOCK_NODES", block_scale)
-    got = mac_node_voltages(cfg, pixel, wtc, photocurrent_channels(raw, 0, s), mags, k, s,
+    got = mac_node_voltages(cfg, pixel, wtc, photocurrent_channels(raw, p, s), mags, k, s,
                             row_multiple=2)
-    assert bool(plans) == shared
+    assert (sizes == [3 * (block_scale // 4)]) != budget
     # More blocks than threads, of 4 rows but for a ragged last one.
     assert len(blocks) > 3
     assert {r1 - r0 for r0, r1 in blocks[:-1]} == {4} and blocks[-1][1] - blocks[-1][0] < 4

@@ -95,12 +95,12 @@ def test_layer_identical_across_threads_and_row_blocks(monkeypatch):
 
 
 class TestTeam:
-    """The channel-major walk on a team of threads that share each block:
+    """The MAC walk on a team of threads that share each block:
     bit-exact at any team size, and an exception ends every member."""
 
     # 7 planes, the last alone in its pair, plane 3 without a tap: 4
-    # channel pairs, enough for a team of 3.  Three nonzero magnitudes
-    # give at most 12 shared discharges, so the channel-major walk runs.
+    # channel pairs, enough for a team of 3.  At k3s3 every tap reads its
+    # own phase stack.
     N_PLANES = 7
 
     @staticmethod
@@ -122,12 +122,12 @@ class TestTeam:
             return team(steps, blocks, workers)
 
         monkeypatch.setattr(parallel, "map_blocks_team", recording)
-        # Blocks of one row_multiple: 4 rows, and 2 for the last of 38.
+        # Blocks of one row_multiple: 4 rows, but for a ragged last one.
         monkeypatch.setattr(parallel, "ROW_BLOCK_NODES", 1)
         return seen
 
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
-    @pytest.mark.parametrize("k, s", [(3, 1), (5, 2)])
+    @pytest.mark.parametrize("k, s", [(3, 1), (5, 2), (3, 3)])
     def test_bit_exact(self, four_cpus, teams, monkeypatch, threads, k, s):
         monkeypatch.setenv("CTIA_IPC_THREADS", threads)
         raw, mags = self.layer(k, s)

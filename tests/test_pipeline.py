@@ -26,7 +26,7 @@ from ctia_ipc.pixel_array import (
 from ctia_ipc.wtc import CounterConfig
 
 from conftest import random_frame, random_layer, small_chain
-from test_kernels import WALKS, reference_mac_node_voltages
+from test_kernels import WALK_IDS, WALKS, reference_mac_node_voltages
 
 
 def loop_quantize(adc_cfg, v):
@@ -129,9 +129,9 @@ def test_rejects_non_integer_frames():
 
 
 @pytest.mark.parametrize("n_planes", [32, 33])
-@pytest.mark.parametrize("k, s, levels, shared, block_scale", WALKS)
+@pytest.mark.parametrize("k, s, p, levels, budget, block_scale", WALKS, ids=WALK_IDS)
 def test_emit_covers_every_plane_row_once(
-    k, s, levels, shared, block_scale, n_planes, monkeypatch
+    k, s, p, levels, budget, block_scale, n_planes, monkeypatch
 ):
     monkeypatch.setattr(parallel, "ROW_BLOCK_NODES", block_scale)
     monkeypatch.setenv("CTIA_IPC_THREADS", "3")
@@ -139,7 +139,7 @@ def test_emit_covers_every_plane_row_once(
     raw = random_frame(rng, 44, 52)
     mags = rng.integers(0, levels, (n_planes, 4, k, k)) * (15 // (levels - 1))
     chain = small_chain(44, 52)
-    phases = photocurrent_channels(raw, 0, s)
+    phases = photocurrent_channels(raw, p, s)
     expected = mac_node_voltages(chain.array, chain.pixel, chain.wtc, phases, mags, k, s)
     seen = np.zeros(expected.shape[:2], dtype=int)
     lock = threading.Lock()

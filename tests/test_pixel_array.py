@@ -313,7 +313,9 @@ class TestTapPlan:
         slices, taps = tap_plan(phases, planes, 7, stride)
         assert len(slices) == n_slices
         assert len(taps) == np.count_nonzero(planes)
-        assert taps == sorted(taps)
+        # Summation order: column, row, channel, then plane.
+        order = taps[:, [0, 1, 2, 4]].tolist()
+        assert order == sorted(order)
         for j, i, ch, value, p, n in taps:
             stack, channel, di, dj = slices[n]
             assert value == planes[p, ch, i, j] != 0
