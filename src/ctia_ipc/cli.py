@@ -25,6 +25,7 @@ from .errors import FormatError, SimError, ValidationError
 from .golden import compare_runs, golden_layer
 from .mapper import build_schedule, fuse_and_quantize
 from .metrics import SWEEP_HEADER, linearity_sweep, metrics_report, monte_carlo
+from .parallel import row_blocks
 from .pipeline import simulate_layer, sweep_window_chain
 from .pixel import fit_transfer_model, frame_to_photocurrents
 from .pixel_array import N_CHANNELS, readout_frame
@@ -172,20 +173,22 @@ def _run_export_transfer(cfg: RunConfig, out_dir: str) -> int:
 
 
 def _run_readout(cfg: RunConfig, out_dir: str) -> int:
-    # Neither the raw frame nor the photocurrents outlive their call: each
-    # is a full-frame buffer, and readout sets the chain's peak memory.
-    volts = readout_frame(
-        cfg.pixel,
-        frame_to_photocurrents(_load_sensor_frame(cfg), cfg.pixel.i_max),
-        cfg.readout_exposure(),
-    )
-    # Voltages are clamped at headroom, so headroom spans the full code
-    # range.  Scaled and rounded in place, with the roundings of
-    # rint(volts / headroom * 65535).
-    volts /= cfg.pixel.headroom
-    volts *= 65535
-    np.rint(volts, out=volts)
-    formats.save_pgm16(os.path.join(out_dir, "readout.pgm"), volts.astype(np.uint16))
+    # The frame is read out in row blocks into one uint16 grid, and the raw
+    # frame is dropped before the save: no full-frame float buffer exists,
+    # and the save holds only the codes and the file's bytes.
+    raw = _load_sensor_frame(cfg)
+    codes = np.empty(raw.shape, dtype=np.uint16)
+    exposure = cfg.readout_exposure()
+    for r0, r1 in row_blocks(*raw.shape):
+        volts = readout_frame(cfg.pixel, frame_to_photocurrents(raw[r0:r1], cfg.pixel.i_max), exposure)
+        # Voltages are clamped at headroom, so headroom spans the full code
+        # range.  Scaled and rounded in place, with the roundings of
+        # rint(volts / headroom * 65535).
+        volts /= cfg.pixel.headroom
+        volts *= 65535
+        codes[r0:r1] = np.rint(volts, out=volts)
+    del raw
+    formats.save_pgm16(os.path.join(out_dir, "readout.pgm"), codes)
     _write_manifest(
         cfg,
         "readout",

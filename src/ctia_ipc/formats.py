@@ -97,14 +97,14 @@ def load_pgm16(path) -> np.ndarray:
         raise FormatError("PGM header must end with a whitespace byte", pos)
     pos += 1
     expected = width * height * 2
-    raster = data[pos : pos + expected]
-    if len(raster) < expected:
+    if len(data) - pos < expected:
         raise FormatError(
-            f"truncated PGM raster: expected {expected} bytes, found {len(raster)}",
-            pos + len(raster),
+            f"truncated PGM raster: expected {expected} bytes, found {len(data) - pos}",
+            len(data),
         )
-    samples = np.frombuffer(raster, dtype=">u2").reshape(height, width)
-    return samples.astype(np.uint16)
+    # Decoded straight from the file's bytes, with no copy of the raster.
+    samples = np.frombuffer(data, dtype=">u2", count=width * height, offset=pos)
+    return samples.reshape(height, width).astype(np.uint16)
 
 
 def save_pgm16(path, samples) -> None:
@@ -113,7 +113,8 @@ def save_pgm16(path, samples) -> None:
         raise ValidationError("PGM frames are 2-D")
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValidationError("PGM samples must be integers")
-    if np.any(arr < 0) or np.any(arr > PGM_MAXVAL):
+    # min() and max() need no bool temporaries but fail on an empty array.
+    if arr.size and (arr.min() < 0 or arr.max() > PGM_MAXVAL):
         raise ValidationError(f"PGM samples must be in [0, {PGM_MAXVAL}]")
     rows, cols = arr.shape
     header = f"P5\n{cols} {rows}\n{PGM_MAXVAL}\n".encode("ascii")

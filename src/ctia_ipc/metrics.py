@@ -270,6 +270,7 @@ def _mc_trials(
     x_norm: float,
     mm: MismatchSpec,
     z: np.ndarray,
+    buf: np.ndarray,
 ) -> np.ndarray:
     """The perturbed single-window analog chain, one trial per row of z.
 
@@ -280,17 +281,20 @@ def _mc_trials(
     A trial's value depends only on its row, so not on which chunk
     computes it.
 
-    The arithmetic runs in place, in z's own slices, with the operations
-    and their order of gain = 1 + sigma_gain*z, current = i_max*x_norm*gain,
-    dv = max(min(current*exposure / (c_f*cap), headroom) + vrst_off, 0).
-    Float addition and multiplication commute exactly, so gain *= (i_max
-    * x_norm) rounds as (i_max * x_norm) * gain does.
+    The arithmetic runs in place on a trial-last copy of z in buf, with the
+    operations and their order of gain = 1 + sigma_gain*z, current =
+    i_max*x_norm*gain, dv = max(min(current*exposure / (c_f*cap),
+    headroom) + vrst_off, 0).  Float addition and multiplication commute
+    exactly, so gain *= (i_max * x_norm) rounds as (i_max*x_norm) * gain does.
     """
-    caps = z[:, :3]
+    caps = np.ascontiguousarray(z[:, :3].T)
     caps *= mm.sigma_cap
     caps += 1.0
-    g_c1, g_c2, g_cf = caps.T
-    dv, cap, vrst_off = z[:, 3:].reshape(-1, 3, N_CHANNELS, k, k).transpose(1, 0, 2, 3, 4)
+    g_c1, g_c2, g_cf = caps
+    # Trial-last maps, so each ufunc below runs over contiguous trial rows.
+    maps = buf[: z[:, 3:].size].reshape(3, N_CHANNELS, k, k, len(z))
+    maps[...] = z[:, 3:].reshape(-1, 3, N_CHANNELS, k, k).transpose(1, 2, 3, 4, 0)
+    dv, cap, vrst_off = maps
 
     pixel = chain.pixel
     exposure = magnitude * chain.wtc.exposure_multiplier * chain.wtc.t_step
@@ -311,13 +315,13 @@ def _mc_trials(
     divider = charge_share_divider(array.c1 * g_c1, array.c2 * g_c2, array.c_f_acc * g_cf)
     # The MAC kernel's order: a CBL per column in (row, channel) order,
     # then the columns in order.  All k CBLs are summed at once.
-    cbl = np.zeros((len(z), k))
+    cbl = np.zeros((k, len(z)))
     for i in range(k):
         for ch in range(N_CHANNELS):
-            cbl += dv[:, ch, i, :]
+            cbl += dv[ch, i]
     total = np.zeros(len(z))
     for j in range(k):
-        total += cbl[:, j]
+        total += cbl[j]
     return total / divider
 
 
@@ -355,18 +359,20 @@ def monte_carlo(
 
     words = trial_seed_words(mm.seed, 0, mm.trials)
     n_draws = 3 + 3 * N_CHANNELS * k * k
+    chunks = row_blocks(mm.trials, N_CHANNELS * k * k)
+    # Every chunk's maps share one buffer: a fresh one per chunk would
+    # fault in new pages each time.
+    buf = np.empty((chunks[0][1] - chunks[0][0]) * (n_draws - 3))
 
     def run_trials(spec, t0, t1):
         z = np.empty((t1 - t0, n_draws))
         for row, trial_words in zip(z, words[t0:t1]):
             Generator(PCG64(TrialSeed(trial_words))).standard_normal(out=row)
-        return _mc_trials(chain, k, magnitude, x_norm, spec, z)
+        return _mc_trials(chain, k, magnitude, x_norm, spec, z, buf)
 
     # All-zero sigmas turn every perturbation off, so this is the nominal run.
     nominal = float(run_trials(MismatchSpec(trials=1, seed=mm.seed), 0, 1)[0])
-    samples = np.concatenate(
-        [run_trials(mm, t0, t1) for t0, t1 in row_blocks(mm.trials, N_CHANNELS * k * k)]
-    )
+    samples = np.concatenate([run_trials(mm, t0, t1) for t0, t1 in chunks])
     mean = float(samples.mean())
     std = float(samples.std())
     scale = max(abs(mean), 1e-12)

@@ -1,5 +1,5 @@
-"""Worker threads for the layer kernels, and the block size they and Monte
-Carlo share.
+"""Worker threads for the layer kernels, and the block size they, Monte
+Carlo and the readout share.
 
 CTIA_IPC_THREADS caps the worker count (0 or unset = one per CPU).  The
 count is further capped at the CPU count and at the number of tasks (row
@@ -15,13 +15,17 @@ barrier: the simulator's MAC has the team compute a block's shared
 discharges together, then each member walk its own planes over them
 (see pixel_array).  The simulator keeps
 every node's summation order and the golden model's sums are exact
-integers, so results are bit-identical at any worker count.
+integers, so results are bit-identical at any worker count.  Both walks
+run on run_team's plain threads, the calling thread among them, so no
+CLI start imports concurrent.futures and the modules it pulls in.
 
 Monte Carlo runs on the calling thread, in chunks of trials cut by
 row_blocks.  Each trial draws from its own (seed, trial) stream, seeded
 from the words that metrics.trial_seed_words derives for all trials in
 one pass, so neither the chunking nor the worker count can change a
-sample.
+sample.  The CLI's readout also walks the frame in ROW_BLOCK_NODES
+blocks on the calling thread, so that it holds no full-frame float
+buffer.
 
 The threads gain only inside numpy calls, which release the interpreter
 lock; every call takes it back, and a thread waiting for it loses more
@@ -48,9 +52,9 @@ multiple.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import ValidationError
 
@@ -87,20 +91,49 @@ def row_blocks(
     return [(r0, min(r0 + step, out_r)) for r0 in range(0, out_r, step)]
 
 
+def run_team(member, workers: int, abort) -> None:
+    """Call member(w) for every w < workers, member 0 on the calling thread
+    once it has started the others.  A member that raises calls abort();
+    the first exception is raised once every thread has finished."""
+    errors = []
+
+    def guarded(w: int) -> None:
+        try:
+            if w == 0:
+                for thread in team:
+                    thread.start()
+            member(w)
+        except BaseException as exc:
+            errors.append(exc)
+            abort()
+
+    team = [threading.Thread(target=guarded, args=(w,)) for w in range(1, workers)]
+    guarded(0)
+    for thread in team:
+        if thread.ident is not None:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def map_row_blocks(
     fn, out_r: int, out_c: int, block_nodes: int | None = None, multiple: int = 1
 ) -> None:
     """Call fn(r0, r1) once for every row_blocks block, over worker_count
-    threads."""
+    threads taking the next block until none is left or one has raised."""
     blocks = row_blocks(out_r, out_c, block_nodes, multiple)
-    workers = worker_count(len(blocks))
-    if workers == 1:
-        for r0, r1 in blocks:
-            fn(r0, r1)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # list() reads every result, so a worker's exception is raised here.
-        list(pool.map(lambda block: fn(*block), blocks))
+    todo = iter(blocks)
+    lock = threading.Lock()
+
+    def take():
+        with lock:
+            return next(todo, None)
+
+    def member(w: int) -> None:
+        for block in iter(take, None):
+            fn(*block)
+
+    run_team(member, worker_count(len(blocks)), lambda: list(iter(take, None)))
 
 
 def map_blocks_team(steps, blocks, workers: int) -> None:
@@ -108,43 +141,14 @@ def map_blocks_team(steps, blocks, workers: int) -> None:
     on every block: for each (r0, r1) of blocks, every member w calls
     step(w, r0, r1) for each step of steps in turn, and a barrier closes
     each step, so that a step reads whatever the steps before it wrote.
-    The calling thread is member 0; with one worker it runs every step
-    alone, in order.  A member that raises aborts the barrier, the others
-    stop at their next wait, and the first exception is raised here once
-    every member has finished."""
-    if workers == 1:
-        for r0, r1 in blocks:
-            for step in steps:
-                step(0, r0, r1)
-        return
+    A member that raises breaks the barrier, and the others stop at it."""
     barrier = threading.Barrier(workers)
-    errors = []
 
     def member(w: int) -> None:
-        try:
+        with contextlib.suppress(threading.BrokenBarrierError):
             for r0, r1 in blocks:
                 for step in steps:
                     step(w, r0, r1)
                     barrier.wait()
-        except threading.BrokenBarrierError:
-            pass
-        except BaseException as exc:
-            errors.append(exc)
-            barrier.abort()
 
-    team = [threading.Thread(target=member, args=(w,)) for w in range(1, workers)]
-    try:
-        for thread in team:
-            thread.start()
-        member(0)
-    except BaseException:
-        # Only a thread that failed to start lands here; the started ones
-        # would wait for it at the barrier.
-        barrier.abort()
-        raise
-    finally:
-        for thread in team:
-            if thread.ident is not None:
-                thread.join()
-    if errors:
-        raise errors[0]
+    run_team(member, workers, barrier.abort)

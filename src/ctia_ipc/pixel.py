@@ -75,8 +75,8 @@ def integrate(params: PixelParams, photocurrent, exposure):
         raise ValidationError("integrate: photocurrent must be >= 0")
     if np.any(t < 0):
         raise ValidationError("integrate: exposure must be >= 0")
-    # One fresh buffer, divided and clamped in place: a readout frame is a
-    # full-frame array, and each temporary would add its size to the peak.
+    # One fresh buffer, divided and clamped in place: each temporary would
+    # add the array's size to its caller's peak memory.
     dv = i * t
     if dv.ndim == 0:
         return float(np.minimum(dv / params.c_f, params.headroom))

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from ctia_ipc import parallel
 from ctia_ipc.cli import main
 from ctia_ipc.formats import load_pgm16, save_pgm16, save_weights
 from ctia_ipc.mapper import BnParams
@@ -498,20 +499,29 @@ class TestMonteCarloArtifacts:
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+READOUT_CASES = {
+    "default": ({}, "efd2a305e89d2c4e53c61ae471c264c4290897bdb9355821f492688a4ffcd110"),
+    # 87% of the pixels reach the headroom clamp.
+    "clamping": (
+        {"pixel": {"c_f": 1e-15}, "wtc": {"window": 3}},
+        "7229dc8ee708aa4e7b8ff2da1c6f0ed3c42218919b91be0b6fd92dd7dbf9450e",
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "overrides, digest",
-    [
-        ({}, "efd2a305e89d2c4e53c61ae471c264c4290897bdb9355821f492688a4ffcd110"),
-        (
-            # 87% of the pixels reach the headroom clamp.
-            {"pixel": {"c_f": 1e-15}, "wtc": {"window": 3}},
-            "7229dc8ee708aa4e7b8ff2da1c6f0ed3c42218919b91be0b6fd92dd7dbf9450e",
-        ),
-    ],
-    ids=["default", "clamping"],
+    "case, block_rows",
+    [(case, None) for case in READOUT_CASES] + [(case, 5) for case in READOUT_CASES],
+    ids=[*READOUT_CASES, *(f"{case}-5-row-blocks" for case in READOUT_CASES)],
 )
-def test_readout_artifact_unchanged(tmp_path, overrides, digest):
-    # The digests come from the readout that built a fresh buffer per step.
+def test_readout_artifact_unchanged(tmp_path, monkeypatch, case, block_rows):
+    # The digests come from the readout that built a fresh buffer per step,
+    # over the whole frame at once.  5-row blocks cut the 64-row frame into
+    # 13 blocks, the last of 4 rows.
+    if block_rows:
+        monkeypatch.setattr(parallel, "ROW_BLOCK_NODES", block_rows * 64)
+        assert parallel.row_blocks(64, 64)[-2:] == [(55, 60), (60, 64)]
+    overrides, digest = READOUT_CASES[case]
     config_path = make_inputs(tmp_path)
     config_path.write_text(json.dumps(dict(json.loads(config_path.read_text()), **overrides)))
     out = tmp_path / "out"
@@ -521,12 +531,15 @@ def test_readout_artifact_unchanged(tmp_path, overrides, digest):
 
 def test_start_up_leaves_numpy_random_unimported():
     # numpy.random costs about 13 ms to import; only montecarlo draws.
+    # concurrent.futures, with the logging, queue and traceback modules it
+    # imports, costs about 8 ms; the threads are plain threading ones.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = (
         "import sys, ctia_ipc.cli\n"
         "from ctia_ipc.config import load_config\n"
         "load_config(None)\n"
         "assert 'numpy.random' not in sys.modules, sorted(sys.modules)\n"
+        "assert 'concurrent.futures' not in sys.modules, sorted(sys.modules)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code],

@@ -23,23 +23,6 @@ from conftest import call_within, random_frame, random_layer, small_chain
 from test_kernels import reference_mac_node_voltages
 
 
-class RecordingExecutor:
-    """Stands in for ThreadPoolExecutor: records max_workers and runs the
-    tasks inline, so no thread is started."""
-
-    def __init__(self, seen, max_workers):
-        seen.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable):
-        return map(fn, iterable)
-
-
 @pytest.fixture
 def four_cpus(monkeypatch):
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: 4)
@@ -65,12 +48,54 @@ class TestWorkerCount:
 
     def test_row_block_pool_is_capped(self, four_cpus, monkeypatch):
         seen, done = [], []
-        monkeypatch.setattr(parallel, "ThreadPoolExecutor", lambda max_workers: RecordingExecutor(seen, max_workers))
+
+        def recording(member, workers, abort):
+            # Records the team size and runs the members inline, so no
+            # thread is started.
+            seen.append(workers)
+            for w in range(workers):
+                member(w)
+
+        monkeypatch.setattr(parallel, "run_team", recording)
         monkeypatch.setattr(parallel, "ROW_BLOCK_NODES", 10)
         monkeypatch.setenv("CTIA_IPC_THREADS", "5000")
         parallel.map_row_blocks(lambda r0, r1: done.append((r0, r1)), 7, 5)
         assert seen == [4]
         assert done == [(0, 2), (2, 4), (4, 6), (6, 7)]
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("failing", [None, 4])
+def test_row_blocks_taken_once(four_cpus, monkeypatch, threads, failing):
+    # 20 blocks of 2 rows, taken by up to 3 threads switching every
+    # microsecond: no block runs twice, and all run unless one raises.
+    # Then the exception reaches the caller, every started thread has
+    # ended, and a lone thread stops at the failing block.
+    monkeypatch.setenv("CTIA_IPC_THREADS", threads)
+    started = []
+
+    def fn(r0, r1):
+        started.append(r0)
+        if r0 == failing:
+            raise RuntimeError(f"block {r0} failed")
+
+    before = set(threading.enumerate())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        if failing is None:
+            call_within(30, parallel.map_row_blocks, fn, 40, 1, 2)
+        else:
+            with pytest.raises(RuntimeError, match="block 4 failed"):
+                call_within(30, parallel.map_row_blocks, fn, 40, 1, 2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert set(threading.enumerate()) == before
+    assert len(started) == len(set(started))
+    if failing is None:
+        assert sorted(started) == list(range(0, 40, 2))
+    elif threads == "1":
+        assert started == [0, 2, 4]
 
 
 def test_layer_identical_across_threads_and_row_blocks(monkeypatch):
