@@ -4,6 +4,9 @@ weight/BN document, and a run configuration wired to both.
 
     python3 scripts/make_demo_inputs.py --out demo --rows 128 --cols 160
     ctia-ipc-sim verify --config demo/config.json --out demo/run
+
+--kernel, --stride and --padding set the layer's conv.k, conv.s and
+conv.p, so a k5s3p1 demo is `--kernel 5 --stride 3 --padding 1`.
 """
 
 import argparse
@@ -60,6 +63,8 @@ def main() -> int:
     parser.add_argument("--cols", type=int, default=160)
     parser.add_argument("--channels", type=int, default=16)
     parser.add_argument("--kernel", type=int, default=7)
+    parser.add_argument("--stride", type=int, default=2)
+    parser.add_argument("--padding", type=int, default=0, help="conv.p, written only when > 0")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     if args.rows % 2 or args.cols % 2:
@@ -72,11 +77,13 @@ def main() -> int:
     save_weights(os.path.join(args.out, "weights.json"), weights, bn)
     config = {
         "array": {"rows": args.rows, "cols": args.cols},
-        "conv": {"k": args.kernel, "s": 2, "c_o": args.channels},
+        "conv": {"k": args.kernel, "s": args.stride, "c_o": args.channels},
         "mismatch": {"sigma_cap": 0.01, "sigma_vrst": 1e-4, "sigma_gain": 0.01, "trials": 1000},
         "paths": {"frame": "frame.pgm", "weights": "weights.json"},
         "seed": args.seed,
     }
+    if args.padding:
+        config["conv"]["p"] = args.padding
     config_path = os.path.join(args.out, "config.json")
     with open(config_path, "w", encoding="utf-8") as handle:
         json.dump(config, handle, indent=2, sort_keys=True)

@@ -39,9 +39,9 @@ def main() -> int:
     print(f"schedule cycles (1 channel pass)   : {schedule.n_cycles():10d}")
     print(f"frame time (all channels, 2 cycles): {report['frame_time_s']:10.4f} s")
     print(f"energy per frame                   : {report['energy_j']:10.4f} J")
-    print(f"throughput                         : {report['gops'] / 1e9:10.4f} GOPS    "
+    print(f"throughput                         : {report['ops_per_s'] / 1e9:10.4f} GOPS    "
           f"[measured reference {REFERENCE['paper_gops'] / 1e9} GOPS]")
-    print(f"efficiency                         : {report['gops_per_watt'] / 1e9:10.4f} GOPS/W  "
+    print(f"efficiency                         : {report['ops_per_j'] / 1e9:10.4f} GOPS/W  "
           f"[measured reference {REFERENCE['paper_gops_w'] / 1e9} GOPS/W]")
     print()
     print("The throughput/efficiency rows are behavioral-schedule estimates;")

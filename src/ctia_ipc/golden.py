@@ -117,8 +117,11 @@ def polarity_codes(
 ) -> None:
     """Quantized codes of every magnitude plane, one row block at a time.
 
-    planes is (n_planes, 4, k, k); phases are the bayer_phase_stacks of
-    the raw frame.  For each row block this calls emit(r0, r1, codes) with
+    planes is (n_planes, 4, k, k); phases are the photocurrent_channels
+    phases of the raw frame, or its bayer_phase_stacks.  Each block
+    expands one band of rows per (phase, channel) the taps read, its rows
+    r0 to r1 plus the (k - 1) // s halo, and copies its tap slices from
+    it.  For each row block this calls emit(r0, r1, codes) with
     int64 codes of shape (n_planes, r1 - r0, out_c): each plane's exact
     integer tap sum, scaled once to codes and capped at code_max.  Each
     tap product magnitude*raw is capped at int(tap_saturation), the
@@ -141,11 +144,18 @@ def polarity_codes(
         else:
             mags[p, n] += m
     cap = int(tap_saturation)
+    bands = {}  # (id(stack), channel) -> (stack, channel, its slices' (n, di, dj))
+    for n, (stack, ch, di, dj) in enumerate(slices):
+        bands.setdefault((id(stack), ch), (stack, ch, []))[2].append((n, di, dj))
+    extra = (k - 1) // s
 
     def block_codes(r0: int, r1: int) -> None:
         features = np.empty((len(slices), r1 - r0, out_c))
-        for n, (stack, ch, di, dj) in enumerate(slices):
-            features[n] = stack[ch, di + r0 : di + r1, dj : dj + out_c]
+        for stack, ch, reads in bands.values():
+            # Converted once: each of its slices is then a float copy.
+            band = np.asarray(stack[ch, r0 : r1 + extra], dtype=float)
+            for n, di, dj in reads:
+                features[n] = band[di : di + r1 - r0, dj : dj + out_c]
         features = features.reshape(len(slices), (r1 - r0) * out_c)
         acc = mags @ features
         if clamped:

@@ -83,7 +83,7 @@ def energy_estimate(
     cycle_time: float,
 ) -> dict:
     """Frame time, energy, and throughput from the cycle schedule, as the
-    metrics.json keys frame_time_s, energy_j, gops and gops_per_watt.
+    metrics.json keys frame_time_s, energy_j, ops_per_s and ops_per_j.
 
     The schedule covers one channel pass; the layer repeats it for each of
     the c_o output channels, and every cycle runs twice (positive and
@@ -95,12 +95,12 @@ def energy_estimate(
     frame_time = n_cycles * cycle_time * 2
     active_total = schedule.total_active_pixels() * spec.c_o
     energy = active_total * power_per_pixel * cycle_time * 2
-    gops = op_count(spec, rows, cols) / frame_time
+    ops_per_s = op_count(spec, rows, cols) / frame_time
     return {
         "frame_time_s": frame_time,
         "energy_j": energy,
-        "gops": gops,
-        "gops_per_watt": gops / (energy / frame_time),
+        "ops_per_s": ops_per_s,
+        "ops_per_j": ops_per_s / (energy / frame_time),
     }
 
 

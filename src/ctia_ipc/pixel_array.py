@@ -67,9 +67,15 @@ every channel, the k x k quad-sampled values at (r0+i, c0+j), giving the
 k*k*4 contributions per output node that the accumulation network sums.
 MAC mode therefore requires even frame dimensions.  For a stride s the
 layer kernels read the channel stack split into s x s phases, so that
-each tap reads one contiguous slice instead of a strided one; tap_plan
+each tap reads one slice of a phase instead of a strided one; tap_plan
 lists the distinct slices, the geometry the simulator and the golden
-model share.
+model share.  As in the sensor, no expanded copy of the frame is held:
+photocurrent_channels returns MosaicPhases over the padded uint16
+mosaic, and each row block expands one band of rows per (phase,
+channel) it reads, the block's rows plus the halo.  At an even stride
+the band is a strided view of the mosaic, at stride 1 a 2x2 quad fill,
+and at an odd stride >= 3 a row and column take.  bayer_phase_stacks
+expands whole phases by the same rule.
 """
 
 from __future__ import annotations
@@ -122,21 +128,73 @@ def charge_share_divider(c1, c2, c_f_acc):
     return 4.0 + 2.0 * c2 / c1 + c_f_acc / c1
 
 
-def bayer_phase_stacks(frame: np.ndarray, stride: int) -> tuple:
-    """Expand an RGGB mosaic into stride x stride phase stacks.
+class MosaicPhase:
+    """Phase (a, b) of an RGGB mosaic at a stride, expanded row band by
+    row band: it stands for bayer_phase_stacks(mosaic, stride)[a][b]
+    without holding it.
 
-    phases[a][b][ch, q, u] == bayer_channel_view(frame)[ch, a + stride*q,
-    b + stride*u], held contiguous, so a kernel tap at row offset i and
-    column offset j reads phases[i % stride][j % stride] as one slice.
-    Channel ch at (r, c) is the mosaic sample of that color inside the 2x2
-    quad containing (r, c); for an even stride (a + stride*q) & ~1 does
-    not depend on the low bit of a, so phases a and a ^ 1 (and likewise
-    b and b ^ 1) are one shared array.  Requires even dimensions.
-
-    Stride 1 fills each quad from a strided view of its color, an even
-    stride copies one strided slice per color, and an odd stride >= 3
-    gathers the rows and columns by index.
+    shape is that stack's; phase[ch, q0:q1] and phase[ch, q0:q1, u0:u1]
+    expand only those rows (and columns) of channel ch from the mosaic;
+    max() is the mosaic's largest sample, which bounds the phase's.  A
+    numpy stack answers the same three calls, so the layer kernels take
+    either.
     """
+
+    __slots__ = ("mosaic", "stride", "a", "b", "shape")
+
+    def __init__(self, mosaic: np.ndarray, stride: int, a: int, b: int):
+        rows, cols = mosaic.shape
+        self.mosaic, self.stride, self.a, self.b = mosaic, stride, a, b
+        self.shape = (N_CHANNELS, len(range(a, rows, stride)), len(range(b, cols, stride)))
+
+    def max(self):
+        return self.mosaic.max()
+
+    def __getitem__(self, key) -> np.ndarray:
+        """Element (q, u) of channel ch is the mosaic sample at ((a +
+        stride*q) & ~1) + dr, ((b + stride*u) & ~1) + dc: the sample of
+        ch's color inside the 2x2 quad containing (a + stride*q, b +
+        stride*u)."""
+        ch, rows, *cols = key
+        q0, q1 = _span(rows, self.shape[1])
+        u0, u1 = _span(cols[0] if cols else slice(None), self.shape[2])
+        mosaic, stride, a, b = self.mosaic, self.stride, self.a, self.b
+        dr, dc = BAYER_OFFSETS[ch]
+        if stride % 2 == 0:
+            # a + stride*q keeps a's parity, so the rows are evenly spaced
+            # from (a & ~1) + dr, and the columns likewise: a strided view.
+            r, c = (a & ~1) + dr + stride * q0, (b & ~1) + dc + stride * u0
+            return mosaic[r : r + stride * (q1 - q0) : stride, c : c + stride * (u1 - u0) : stride]
+        if stride == 1:
+            # Each color sample fills its 2x2 quad: both columns of the
+            # quad's top row, then the top row into the bottom, over the
+            # quads the window touches, which the window then trims.
+            top, left = q0 & ~1, u0 & ~1
+            samples = mosaic[top + dr : q1 + (q1 & 1) : 2, left + dc : u1 + (u1 & 1) : 2]
+            n_r, n_c = samples.shape
+            quads = np.empty((n_r, 2, n_c, 2), dtype=mosaic.dtype)
+            quads[:, 0, :, 0] = samples
+            quads[:, 0, :, 1] = samples
+            quads[:, 1] = quads[:, 0]
+            return quads.reshape(2 * n_r, 2 * n_c)[q0 - top : q1 - top, u0 - left : u1 - left]
+        rows = ((a + stride * np.arange(q0, q1)) & ~1) + dr
+        cols = ((b + stride * np.arange(u0, u1)) & ~1) + dc
+        return mosaic.take(rows, axis=0).take(cols, axis=1)
+
+
+def _span(index: slice, n: int) -> tuple:
+    """(start, stop) of a slice over n rows or columns, as numpy cuts it."""
+    start, stop, step = index.indices(n)
+    if step != 1:
+        raise ValidationError("a phase expands contiguous row and column ranges only")
+    return start, max(start, stop)
+
+
+def _mosaic_phases(frame, stride: int) -> tuple:
+    """The stride x stride MosaicPhases of a mosaic, phases[a][b] for phase
+    (a, b).  For an even stride (a + stride*q) & ~1 does not depend on the
+    low bit of a, so phases a and a ^ 1 (and likewise b and b ^ 1) are one
+    object.  Requires even dimensions."""
     arr = np.asarray(frame)
     if arr.ndim != 2:
         raise ValidationError("frame must be 2-D")
@@ -148,34 +206,38 @@ def bayer_phase_stacks(frame: np.ndarray, stride: int) -> tuple:
     if stride < 1:
         raise ValidationError(f"stride must be >= 1, got {stride}")
     shared = ~1 if stride % 2 == 0 else ~0
-    stacks = {}
+    phases = {}
     for a in range(stride):
         for b in range(stride):
             key = (a & shared, b & shared)
-            if key in stacks:
-                continue
-            row_base = np.arange(a, rows, stride) & ~1
-            col_base = np.arange(b, cols, stride) & ~1
-            stack = np.empty((N_CHANNELS, row_base.size, col_base.size), dtype=arr.dtype)
-            for ch, (dr, dc) in enumerate(BAYER_OFFSETS):
-                if stride == 1:
-                    # Each color sample fills its 2x2 quad: both columns of
-                    # the quad's top row, then the top row into the bottom.
-                    quads = stack[ch].reshape(rows // 2, 2, cols // 2, 2)
-                    samples = arr[dr::2, dc::2]
-                    quads[:, 0, :, 0] = samples
-                    quads[:, 0, :, 1] = samples
-                    quads[:, 1] = quads[:, 0]
-                elif stride % 2 == 0:
-                    # Rows a + stride*q are even, so the quad rows are the
-                    # samples' own: one strided slice per color.
-                    stack[ch] = arr[a + dr :: stride, b + dc :: stride]
-                else:
-                    stack[ch] = arr[np.ix_(row_base + dr, col_base + dc)]
-            stacks[key] = stack
+            if key not in phases:
+                phases[key] = MosaicPhase(arr, stride, *key)
     return tuple(
-        tuple(stacks[a & shared, b & shared] for b in range(stride)) for a in range(stride)
+        tuple(phases[a & shared, b & shared] for b in range(stride)) for a in range(stride)
     )
+
+
+def bayer_phase_stacks(frame: np.ndarray, stride: int) -> tuple:
+    """Expand an RGGB mosaic into stride x stride phase stacks.
+
+    phases[a][b][ch, q, u] == bayer_channel_view(frame)[ch, a + stride*q,
+    b + stride*u], held contiguous, so a kernel tap at row offset i and
+    column offset j reads phases[i % stride][j % stride] as one slice.
+    Channel ch at (r, c) is the mosaic sample of that color inside the 2x2
+    quad containing (r, c); phases that share a MosaicPhase share one
+    array, as phases a and a ^ 1 do at an even stride.  Each stack is its
+    MosaicPhase expanded whole.  Requires even dimensions.
+    """
+    stacks = {}
+
+    def materialize(phase: MosaicPhase) -> np.ndarray:
+        if id(phase) not in stacks:
+            stack = stacks[id(phase)] = np.empty(phase.shape, dtype=phase.mosaic.dtype)
+            for ch in range(N_CHANNELS):
+                stack[ch] = phase[ch, :]
+        return stacks[id(phase)]
+
+    return tuple(tuple(map(materialize, row)) for row in _mosaic_phases(frame, stride))
 
 
 def bayer_channel_view(frame: np.ndarray) -> np.ndarray:
@@ -185,11 +247,13 @@ def bayer_channel_view(frame: np.ndarray) -> np.ndarray:
 
 
 def photocurrent_channels(frame_raw, padding: int = 0, stride: int = 1) -> tuple:
-    """Phase stacks of a raw sensor frame, the source of every tap's
-    photocurrent: integer samples in [0, RAW_MAX], zero-padded, held as
-    uint16 bayer_phase_stacks.  mac_node_voltages turns the rows a block
-    reads into photocurrents with frame_to_photocurrents; the golden model
-    multiplies the samples as integers."""
+    """The MosaicPhases of a raw sensor frame, the source of every tap's
+    photocurrent: integer samples in [0, RAW_MAX], zero-padded, held once
+    as a uint16 mosaic.  No phase stack is built; each layer kernel
+    expands, per row block, one band of rows per (phase, channel) its taps
+    read.  mac_node_voltages turns a band into photocurrents with
+    frame_to_photocurrents; the golden model multiplies the samples as
+    integers."""
     raw = np.asarray(frame_raw)
     if raw.ndim != 2:
         raise DimensionError("frame must be 2-D")
@@ -200,7 +264,7 @@ def photocurrent_channels(frame_raw, padding: int = 0, stride: int = 1) -> tuple
     raw = raw.astype(np.uint16, copy=False)
     if padding:
         raw = np.pad(raw, padding)
-    return bayer_phase_stacks(raw, stride)
+    return _mosaic_phases(raw, stride)
 
 
 def tap_plan(phases, planes, k: int, stride: int) -> tuple:
@@ -367,12 +431,14 @@ def mac_node_voltages(
     each plane is one polarity cycle.
 
     phases: bayer_phase_stacks of photocurrents, or the uint16 raw-sample
-    stacks of photocurrent_channels, whose rows each block turns into
-    photocurrents with frame_to_photocurrents.  magnitudes: one (4, k, k)
-    plane or a stack of n planes (n, 4, k, k).  Each kernel tap integrates
-    one slice of a phase stack; the module docstring gives the order of
-    the sums, how the planes share discharges and how the blocks are
-    sized.
+    phases of photocurrent_channels.  Each block expands one band of rows
+    per (phase, channel) its taps read, its rows r0 to r1 plus the halo,
+    and turns raw samples into photocurrents with frame_to_photocurrents;
+    band heights come from the phases' shapes, so nothing is expanded to
+    be counted.  magnitudes: one (4, k, k) plane or a stack of n planes
+    (n, 4, k, k).  Each kernel tap integrates one slice of a band; the
+    module docstring gives the order of the sums, how the planes share
+    discharges and how the blocks are sized.
 
     Row blocks are cut at multiples of row_multiple rows and shared by a
     parallel.map_blocks_team team.  With emit, every block calls emit(r0,
@@ -396,6 +462,8 @@ def mac_node_voltages(
             return frame_to_photocurrents(samples, params.i_max)
         return samples
 
+    # A MosaicPhase's max is its mosaic's, an upper bound: the clamp is
+    # then at worst applied where it changes nothing.
     stacks = {id(entry[0]): entry[0] for entry in slices}
     x_max = 0.0
     for stack in stacks.values():
@@ -434,7 +502,7 @@ def mac_node_voltages(
     blocks = parallel.row_blocks(out_r, out_c, block_nodes, row_multiple)
     pitch = max((stack.shape[2] for stack, _, _, _ in groups), default=out_c)
 
-    def layout(r0: int, r1: int) -> tuple:
+    def layout(rows: int, heights: tuple) -> tuple:
         # Everything is laid out in flat rows of `pitch` values: each
         # member's accumulators and CBL, then each group's discharges
         # over the stack rows its taps read, halo included.  A tap's read
@@ -443,8 +511,7 @@ def mac_node_voltages(
         # discharges and are never emitted; the values they read past a
         # stack's width or its last row are zeroed, so that no
         # uninitialized value reaches an add.
-        nodes = (r1 - r0) * pitch
-        heights = [len(stack[ch, r0 : r1 + extra]) for stack, ch, _, _ in groups]
+        nodes = rows * pitch
         # A run ends at most `extra` values past its discharge's last row.
         sizes = [h * pitch + extra for h in heights]
         n_walker = private * workers * nodes
@@ -471,9 +538,12 @@ def mac_node_voltages(
     team_buffer = np.empty(0)
     shapes, layouts = {}, {}
     for r0, r1 in blocks:
-        shape = (r1 - r0, *(len(stack[ch, r0 : r1 + extra]) for stack, ch, _, _ in groups))
+        # Rows of each group's band, r0 : r1 + extra cut at its stack: from
+        # the shape, not from expanding the band to count it.
+        heights = tuple(min(r1 + extra, stack.shape[1]) - r0 for stack, _, _, _ in groups)
+        shape = (r1 - r0, heights)
         if shape not in shapes:
-            shapes[shape] = layout(r0, r1)
+            shapes[shape] = layout(*shape)
         layouts[r0] = shapes[shape]
 
     def discharge(w: int, r0: int, r1: int) -> None:

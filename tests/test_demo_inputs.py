@@ -60,6 +60,34 @@ def test_script_writes_6x8_inputs(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["config.json", "frame.pgm", "weights.json"]
 
 
+# The default 6x8 inputs, as the script wrote them before it took --stride
+# and --padding.
+DEFAULT_6X8 = {
+    "config.json": "70a58cfaff8928ff23cd3a9da8438853ad85c7ecf77e4e7cd737b1c5b5d55eb7",
+    "frame.pgm": "1fdace0c92601194730c400af00d6bc21cc9bc1b1ef5c5e41ca0179832385a6c",
+    "weights.json": "6460a017bf4b5f3df4503454ba9ef74c3e51c849f613aa66887f07ba809729b7",
+}
+
+
+def test_stride_and_padding_flags(tmp_path):
+    def inputs(name, *args):
+        run_script(tmp_path / name, "--rows", "6", "--cols", "8", *args)
+        return {
+            file: hashlib.sha256((tmp_path / name / file).read_bytes()).hexdigest()
+            for file in DEFAULT_6X8
+        }
+
+    assert inputs("default") == DEFAULT_6X8
+    assert inputs("explicit", "--stride", "2", "--padding", "0") == DEFAULT_6X8
+    k5s3p1 = inputs("k5s3p1", "--kernel", "5", "--stride", "3", "--padding", "1")
+    config_path = tmp_path / "k5s3p1" / "config.json"
+    assert json.loads(config_path.read_text())["conv"] == {"k": 5, "s": 3, "p": 1, "c_o": 16}
+    # The flags set the geometry only: the same frame.
+    assert k5s3p1["frame.pgm"] == DEFAULT_6X8["frame.pgm"]
+    out_dir = tmp_path / "k5s3p1" / "run"
+    assert main(["verify", "--config", str(config_path), "--out", str(out_dir)]) == 0
+
+
 # The clamping pixel puts about two fifths of the sweep rows at code 63.
 CLAMPING = {"pixel": {"c_f": 1e-15}, "wtc": {"window": 3}}
 

@@ -150,7 +150,7 @@ class TestEnergyEstimate:
         sched = build_schedule(spec, 64, 64)
         a = energy_estimate(spec, 64, 64, 3.26e-6, sched, 1e-4)
         b = energy_estimate(spec, 64, 64, 3.26e-6, sched, 2e-4)
-        assert b["gops"] == pytest.approx(a["gops"] / 2, rel=1e-12)
+        assert b["ops_per_s"] == pytest.approx(a["ops_per_s"] / 2, rel=1e-12)
 
     def test_default_cycle_time(self):
         assert default_cycle_time(1e-6, 0) == pytest.approx(79e-6)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctia_ipc.errors import ScheduleError, ValidationError
-from ctia_ipc.pixel import PixelParams, integrate
+from ctia_ipc.pixel import RAW_MAX, PixelParams, integrate
 from ctia_ipc.pixel_array import (
     BAYER_OFFSETS,
     ArrayConfig,
@@ -14,6 +15,7 @@ from ctia_ipc.pixel_array import (
     bayer_phase_stacks,
     charge_share_divider,
     mac_node_voltages,
+    photocurrent_channels,
     readout_frame,
     run_mac_cycle,
     tap_grid,
@@ -209,6 +211,58 @@ class TestBayerView:
                 ])
                 assert phases[a][b].dtype == dtype
                 assert np.array_equal(phases[a][b], expected)
+
+    @given(
+        stride=st.integers(1, 4),
+        padding=st.integers(0, 3),
+        quads=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_mosaic_phase_bands_match_stacks(self, stride, padding, quads, data):
+        # Every row band [q0, q1) of every phase, its rows cut at the
+        # phase's edge as numpy cuts a stack's, and a drawn column window
+        # of each band: the same values, dtype and shape as the slice of
+        # the materialized stack.
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        shape = (2 * quads[0], 2 * quads[1])
+        raw = np.random.default_rng(seed).integers(0, RAW_MAX + 1, shape, dtype=np.uint16)
+        phases = photocurrent_channels(raw, padding, stride)
+        stacks = bayer_phase_stacks(np.pad(raw, padding), stride)
+        for a in range(stride):
+            for b in range(stride):
+                phase, stack = phases[a][b], stacks[a][b]
+                assert phase.shape == stack.shape
+                if stride % 2 == 0:
+                    assert phase is phases[a ^ 1][b] and phase is phases[a][b ^ 1]
+                n_rows, n_cols = stack.shape[1:]
+                u0 = data.draw(st.integers(0, n_cols), label="u0")
+                u1 = data.draw(st.integers(u0, n_cols + 1), label="u1")
+                for q0 in range(n_rows + 1):
+                    for q1 in range(q0, n_rows + 2):
+                        for ch in range(len(BAYER_OFFSETS)):
+                            band = phase[ch, q0:q1]
+                            window = phase[ch, q0:q1, u0:u1]
+                            assert band.dtype == window.dtype == np.uint16
+                            assert np.array_equal(band, stack[ch, q0:q1])
+                            assert np.array_equal(window, stack[ch, q0:q1, u0:u1])
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_photocurrent_channels_allocates_no_frame(self, stride):
+        # The phases read the mosaic itself: building them allocates less
+        # than the frame's own bytes, where whole-frame phase stacks would
+        # take one frame (stride 2) to four (strides 1 and 3).
+        frame = np.random.default_rng(stride).integers(
+            0, RAW_MAX + 1, (512, 640), dtype=np.uint16
+        )
+        tracemalloc.start()
+        try:
+            phases = photocurrent_channels(frame, 0, stride)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert phases[0][0].shape == (4, -(-512 // stride), -(-640 // stride))
+        assert peak < frame.nbytes
 
     def test_window_bounds(self):
         phases = bayer_phase_stacks(np.zeros((8, 8)), 1)
