@@ -60,13 +60,17 @@ def _write_manifest(cfg: RunConfig, mode: str, out_dir: str, artifacts: list, ex
     formats.write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
-def _load_sensor_frame(cfg: RunConfig) -> np.ndarray:
-    frame = formats.load_pgm16(require_input(cfg, "frame_path"))
-    if frame.shape != (cfg.array.rows, cfg.array.cols):
+def _check_frame_shape(cfg: RunConfig, shape: tuple) -> None:
+    if shape != (cfg.array.rows, cfg.array.cols):
         raise ValidationError(
-            f"frame is {frame.shape[0]}x{frame.shape[1]} but the array is "
+            f"frame is {shape[0]}x{shape[1]} but the array is "
             f"{cfg.array.rows}x{cfg.array.cols}"
         )
+
+
+def _load_sensor_frame(cfg: RunConfig) -> np.ndarray:
+    frame = formats.load_pgm16(require_input(cfg, "frame_path"))
+    _check_frame_shape(cfg, frame.shape)
     return frame
 
 
@@ -172,23 +176,31 @@ def _run_export_transfer(cfg: RunConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
+def _readout_codes(cfg: RunConfig, path: str, rows: tuple, exposure: float) -> np.ndarray:
+    """The uint16 readout codes of rows (r0, r1) of the frame at path."""
+    # The raw samples and the photocurrents are freed as soon as the call
+    # that takes them returns.
+    volts = readout_frame(
+        cfg.pixel, frame_to_photocurrents(formats.load_pgm16(path, rows), cfg.pixel.i_max), exposure
+    )
+    # Voltages are clamped at headroom, so headroom spans the full code
+    # range.  Scaled and rounded in place, with the roundings of
+    # rint(volts / headroom * 65535).
+    volts /= cfg.pixel.headroom
+    volts *= 65535
+    return np.rint(volts, out=volts).astype(np.uint16)
+
+
 def _run_readout(cfg: RunConfig, out_dir: str) -> int:
-    # The frame is read out in row blocks into one uint16 grid, and the raw
-    # frame is dropped before the save: no full-frame float buffer exists,
-    # and the save holds only the codes and the file's bytes.
-    raw = _load_sensor_frame(cfg)
-    codes = np.empty(raw.shape, dtype=np.uint16)
+    # One row block at a time is read from the frame's file, read out and
+    # written to readout.pgm before the next is read: no frame-sized
+    # buffer exists, and no block's buffers outlive its codes.
+    path = require_input(cfg, "frame_path")
+    shape = formats.pgm16_shape(path)
+    _check_frame_shape(cfg, shape)
     exposure = cfg.readout_exposure()
-    for r0, r1 in row_blocks(*raw.shape):
-        volts = readout_frame(cfg.pixel, frame_to_photocurrents(raw[r0:r1], cfg.pixel.i_max), exposure)
-        # Voltages are clamped at headroom, so headroom spans the full code
-        # range.  Scaled and rounded in place, with the roundings of
-        # rint(volts / headroom * 65535).
-        volts /= cfg.pixel.headroom
-        volts *= 65535
-        codes[r0:r1] = np.rint(volts, out=volts)
-    del raw
-    formats.save_pgm16(os.path.join(out_dir, "readout.pgm"), codes)
+    codes = (_readout_codes(cfg, path, block, exposure) for block in row_blocks(*shape))
+    formats.save_pgm16(os.path.join(out_dir, "readout.pgm"), codes, shape)
     _write_manifest(
         cfg,
         "readout",

@@ -1,15 +1,22 @@
 """File formats: 16-bit PGM frames, JSON weight documents, CSV tables.
 
-Every writer goes through a temporary file renamed into place on success,
-so a failed run never leaves a partial artifact behind.  Numeric text
-output uses repr formatting (period decimal separator, shortest
-round-trip), which keeps artifacts byte-reproducible and locale-free.
+Every writer streams into a temporary file renamed into place on success,
+so a failed run, even one that fails partway through, never leaves a
+partial artifact behind.  The PGM writer takes a frame in row blocks and
+the CSV writer takes rows in chunks, and the PGM reader reads any row
+range straight into its result, so no frame- or table-sized buffer of
+file bytes or text is built.  Numeric text output uses repr formatting
+(period decimal separator, shortest round-trip), which keeps artifacts
+byte-reproducible and locale-free.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -17,19 +24,28 @@ import numpy as np
 from .config import _is_finite, _is_int, _read_document
 from .errors import FormatError, ValidationError
 from .mapper import BnParams
+from .parallel import row_blocks
 from .pixel_array import N_CHANNELS
 
 PGM_MAXVAL = 65535
 _WHITESPACE = b" \t\r\n\x0b\x0c"
+# Bytes of a PGM file read for its header at first; a longer header is
+# read again, twice as long each time.
+_HEADER_READ = 4096
+# Rows of a CSV table formatted and written at a time.
+_CSV_CHUNK_ROWS = 1024
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
+@contextlib.contextmanager
+def _atomic_file(path):
+    """A binary handle on a temporary file beside path, renamed to path when
+    the block completes and removed when it raises."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -38,15 +54,22 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 
 def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    with _atomic_file(path) as handle:
+        handle.write(text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
 # 16-bit binary PGM (magic P5, maxval 65535, big-endian samples)
 # ---------------------------------------------------------------------------
 
-def _next_token(data: bytes, pos: int):
-    """Skip whitespace/comments, return (token, token_offset, next_pos)."""
+class _ShortRead(Exception):
+    """The header runs on past the bytes read so far."""
+
+
+def _next_token(data: bytes, pos: int, eof: bool):
+    """Skip whitespace/comments, return (token, token_offset, next_pos).
+    Unless data ends at the end of the file (eof), reaching its end raises
+    _ShortRead."""
     n = len(data)
     while pos < n:
         byte = data[pos]
@@ -57,16 +80,18 @@ def _next_token(data: bytes, pos: int):
                 pos += 1
         else:
             break
-    if pos >= n:
-        raise FormatError("unexpected end of PGM header", pos)
     start = pos
     while pos < n and data[pos] not in _WHITESPACE:
         pos += 1
+    if pos >= n and not eof:
+        raise _ShortRead
+    if start >= n:
+        raise FormatError("unexpected end of PGM header", start)
     return data[start:pos], start, pos
 
 
-def _int_token(data: bytes, pos: int, what: str):
-    token, offset, pos = _next_token(data, pos)
+def _int_token(data: bytes, pos: int, eof: bool, what: str):
+    token, offset, pos = _next_token(data, pos, eof)
     # Decimal digits only: int() also takes a sign, underscores and
     # non-ASCII digits.  It raises ValueError past its digit limit.
     try:
@@ -77,53 +102,111 @@ def _int_token(data: bytes, pos: int, what: str):
     raise FormatError(f"PGM {what} is not a decimal integer: {token!r}", offset)
 
 
-def load_pgm16(path) -> np.ndarray:
-    """Read a 16-bit binary PGM into a (rows, cols) uint16 array."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    token, offset, pos = _next_token(data, 0)
+def _parse_header(data: bytes, eof: bool):
+    """(height, width, raster offset) from the first bytes of a PGM file."""
+    token, offset, pos = _next_token(data, 0, eof)
     if token != b"P5":
         raise FormatError(f"bad PGM magic {token!r}, expected P5", offset)
-    width, offset, pos = _int_token(data, pos, "width")
+    width, offset, pos = _int_token(data, pos, eof, "width")
     if width < 1:
         raise FormatError(f"PGM width must be >= 1, got {width}", offset)
-    height, offset, pos = _int_token(data, pos, "height")
+    height, offset, pos = _int_token(data, pos, eof, "height")
     if height < 1:
         raise FormatError(f"PGM height must be >= 1, got {height}", offset)
-    maxval, offset, pos = _int_token(data, pos, "maxval")
+    maxval, offset, pos = _int_token(data, pos, eof, "maxval")
     if maxval != PGM_MAXVAL:
         raise FormatError(f"PGM maxval must be {PGM_MAXVAL} (16-bit), got {maxval}", offset)
     if pos >= len(data) or data[pos] not in _WHITESPACE:
         raise FormatError("PGM header must end with a whitespace byte", pos)
-    pos += 1
+    return height, width, pos + 1
+
+
+def _read_header(handle):
+    """(height, width, raster offset) of the open PGM file handle, whose
+    raster must be whole."""
+    size = os.fstat(handle.fileno()).st_size
+    n = _HEADER_READ
+    while True:
+        handle.seek(0)
+        data = handle.read(n)
+        try:
+            height, width, offset = _parse_header(data, len(data) == size)
+            break
+        except _ShortRead:
+            n *= 2
     expected = width * height * 2
-    if len(data) - pos < expected:
+    if size - offset < expected:
         raise FormatError(
-            f"truncated PGM raster: expected {expected} bytes, found {len(data) - pos}",
-            len(data),
+            f"truncated PGM raster: expected {expected} bytes, found {size - offset}", size
         )
-    # Decoded straight from the file's bytes, with no copy of the raster.
-    samples = np.frombuffer(data, dtype=">u2", count=width * height, offset=pos)
-    return samples.reshape(height, width).astype(np.uint16)
+    return height, width, offset
 
 
-def save_pgm16(path, samples) -> None:
-    arr = np.asarray(samples)
+def pgm16_shape(path) -> tuple:
+    """(rows, cols) of a 16-bit binary PGM, checked as load_pgm16 checks
+    it, without reading its raster."""
+    with open(path, "rb") as handle:
+        height, width, _ = _read_header(handle)
+    return height, width
+
+
+def load_pgm16(path, rows=None) -> np.ndarray:
+    """Read a 16-bit binary PGM into a (rows, cols) uint16 array, or only
+    rows r0..r1-1 when rows is (r0, r1).  The samples are read from the
+    file straight into the result and byte-swapped there."""
+    with open(path, "rb") as handle:
+        height, width, offset = _read_header(handle)
+        r0, r1 = (0, height) if rows is None else rows
+        if not 0 <= r0 <= r1 <= height:
+            raise ValidationError(f"PGM rows {r0}..{r1} are outside 0..{height}")
+        frame = np.empty((r1 - r0, width), dtype=np.uint16)
+        handle.seek(offset + 2 * width * r0)
+        found = handle.readinto(frame)
+    if found != frame.nbytes:
+        raise FormatError("PGM file shrank while it was read", offset + 2 * width * r0 + found)
+    if sys.byteorder == "little":
+        frame.byteswap(inplace=True)
+    return frame
+
+
+def _pgm_block(block, cols: int) -> np.ndarray:
+    """block's samples as big-endian bytes, once it is checked."""
+    arr = np.asarray(block)
     if arr.ndim != 2:
         raise ValidationError("PGM frames are 2-D")
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValidationError("PGM samples must be integers")
+    if arr.shape[1] != cols:
+        raise ValidationError(f"PGM row block is {arr.shape[1]} columns wide, expected {cols}")
     # min() and max() need no bool temporaries but fail on an empty array.
     if arr.size and (arr.min() < 0 or arr.max() > PGM_MAXVAL):
         raise ValidationError(f"PGM samples must be in [0, {PGM_MAXVAL}]")
-    rows, cols = arr.shape
-    header = f"P5\n{cols} {rows}\n{PGM_MAXVAL}\n".encode("ascii")
-    # The file's bytes are built in one buffer: the big-endian samples are
-    # cast straight into it after the header, with no copy of the frame.
-    data = bytearray(len(header) + 2 * arr.size)
-    data[: len(header)] = header
-    np.frombuffer(data, dtype=">u2", offset=len(header)).reshape(arr.shape)[...] = arr
-    atomic_write_bytes(path, data)
+    return arr.astype(">u2", order="C")
+
+
+def save_pgm16(path, samples, shape=None) -> None:
+    """Write a 16-bit binary PGM.  samples is a 2-D integer array or, with
+    shape (rows, cols), an iterable of 2-D row blocks that stack to that
+    shape.  The header and then each block's big-endian samples go into
+    the temporary file in turn; a whole array goes in parallel.row_blocks
+    blocks, so no frame-sized byte buffer is made."""
+    if shape is None:
+        frame = np.asarray(samples)
+        if frame.ndim != 2:
+            raise ValidationError("PGM frames are 2-D")
+        shape = frame.shape
+        # A frame of no rows is one block, so that its dtype is checked.
+        samples = [frame[r0:r1] for r0, r1 in row_blocks(*shape)] or [frame]
+    rows, cols = shape
+    done = 0
+    with _atomic_file(path) as handle:
+        handle.write(f"P5\n{cols} {rows}\n{PGM_MAXVAL}\n".encode("ascii"))
+        # map() keeps no block alive while the next is made.
+        for data in map(_pgm_block, samples, itertools.repeat(cols)):
+            done += len(data)
+            handle.write(data)
+        if done != rows:
+            raise ValidationError(f"PGM row blocks hold {done} rows, expected {rows}")
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +340,21 @@ def _format_column(column: tuple):
 def write_csv(path, header, rows) -> None:
     """Write header and rows as CSV text, formatted column by column: bools
     as 1 or 0, integers as decimals, floats by repr, anything else by
-    str.  Every row must be as wide as the header."""
+    str.  Every row must be as wide as the header.  The rows are taken,
+    formatted and written _CSV_CHUNK_ROWS at a time."""
     width = len(header)
-    rows = [tuple(row) for row in rows]
-    bad = next((len(row) for row in rows if len(row) != width), None)
-    if bad is not None:
-        raise ValidationError(f"CSV row width {bad} != header width {width}")
-    # zip(*rows) takes the rows apart into columns, zip(*columns) puts the
-    # formatted cells back together; a zero-width table has empty rows.
-    cells = zip(*map(_format_column, zip(*rows))) if width else [()] * len(rows)
-    lines = [",".join(header), *map(",".join, cells)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = iter(rows)
+    with _atomic_file(path) as handle:
+        handle.write((",".join(header) + "\n").encode("utf-8"))
+        while chunk := [tuple(row) for row in itertools.islice(rows, _CSV_CHUNK_ROWS)]:
+            bad = next((len(row) for row in chunk if len(row) != width), None)
+            if bad is not None:
+                raise ValidationError(f"CSV row width {bad} != header width {width}")
+            # zip(*chunk) takes the rows apart into columns, zip(*columns)
+            # puts the formatted cells back together; a zero-width table
+            # has empty rows.
+            cells = zip(*map(_format_column, zip(*chunk))) if width else [()] * len(chunk)
+            handle.write(("\n".join(map(",".join, cells)) + "\n").encode("utf-8"))
 
 
 def read_csv(path, expected_header):

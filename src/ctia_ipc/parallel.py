@@ -24,8 +24,9 @@ row_blocks.  Each trial draws from its own (seed, trial) stream, seeded
 from the words that metrics.trial_seed_words derives for all trials in
 one pass, so neither the chunking nor the worker count can change a
 sample.  The CLI's readout also walks the frame in ROW_BLOCK_NODES
-blocks on the calling thread, so that it holds no full-frame float
-buffer.
+blocks on the calling thread: each block is read from the frame's file
+and its codes are written to the output file before the next block is
+read, so that no frame-sized buffer exists.
 
 The threads gain only inside numpy calls, which release the interpreter
 lock; every call takes it back, and a thread waiting for it loses more

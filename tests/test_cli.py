@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -527,6 +528,23 @@ def test_readout_artifact_unchanged(tmp_path, monkeypatch, case, block_rows):
     out = tmp_path / "out"
     assert main(["readout", "--config", str(config_path), "--out", str(out)]) == 0
     assert hashlib.sha256((out / "readout.pgm").read_bytes()).hexdigest() == digest
+
+
+def test_readout_allocates_no_frame(tmp_path):
+    # The readout holds one row block at a time: under 655,360 bytes, the
+    # 512x640 frame's uint16 samples, where reading, converting or writing
+    # the whole frame at once takes several times that.
+    rows, cols = 512, 640
+    config_path = make_inputs(tmp_path, rows, cols)
+    argv = ["readout", "--config", str(config_path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0  # the imports and caches of a first run
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * cols * 2
 
 
 def test_start_up_leaves_numpy_random_unimported():

@@ -1,15 +1,19 @@
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ctia_ipc import formats
 from ctia_ipc.errors import FormatError, ValidationError
 from ctia_ipc.formats import (
     load_pgm16,
     load_weights,
+    pgm16_shape,
     read_csv,
     save_pgm16,
     save_weights,
@@ -122,6 +126,159 @@ class TestPgm:
         assert declared is not None and frame.dtype == np.uint16 and frame.shape == declared
         raster = data[header_len : header_len + 2 * frame.size]
         assert np.array_equal(frame, np.frombuffer(raster, dtype=">u2").reshape(declared))
+
+
+# Runs of whitespace and comment lines a header may hold between tokens:
+# a whitespace byte ends the token before, then anything goes.
+_PGM_GAPS = st.tuples(
+    st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]),
+    st.lists(st.sampled_from(_PGM_SEPARATORS), max_size=3).map(b"".join),
+).map(b"".join)
+# A comment longer than the reader's first read of the file.
+_LONG_COMMENT = b"#" + b"c" * formats._HEADER_READ + b"\n"
+
+
+@st.composite
+def valid_pgm_files(draw):
+    """(bytes, frame) of a well-formed PGM from 1x1 up, with comment lines
+    and whitespace runs, its header sometimes longer than the reader's
+    first read."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    frame = np.array(
+        draw(st.lists(st.integers(0, 65535), min_size=rows * cols, max_size=rows * cols)),
+        dtype=np.uint16,
+    ).reshape(rows, cols)
+    lead = draw(st.sampled_from([b"", b"# lead\n", _LONG_COMMENT]))
+    header = lead + b"P5"
+    for token in (cols, rows):
+        header += draw(_PGM_GAPS) + str(token).encode()
+    header += draw(st.one_of(_PGM_GAPS, st.just(b"\n" + _LONG_COMMENT)))
+    header += b"65535" + draw(st.sampled_from([b"\n", b" ", b"\r", b"\t"]))
+    return header + frame.astype(">u2").tobytes(), frame
+
+
+# Malformed files, after a lead of whitespace and comments, and the error
+# the reader gives each: (body, message, offset of the error in body, or
+# None for the end of the file).
+_MALFORMED_PGM = {
+    "bad magic": (b"P2\n2 2\n65535\n" + bytes(8), "bad PGM magic b'P2', expected P5", 0),
+    "bad maxval": (b"P5\n2 2\n255\n" + bytes(8), "PGM maxval must be 65535 (16-bit), got 255", 7),
+    "no whitespace after the header": (
+        b"P5\n2 2\n65535",
+        "PGM header must end with a whitespace byte",
+        None,
+    ),
+    "truncated raster": (
+        b"P5\n2 2\n65535\n" + bytes(5),
+        "truncated PGM raster: expected 8 bytes, found 5",
+        None,
+    ),
+    "header only": (b"P5\n2 2\n", "unexpected end of PGM header", None),
+}
+
+
+class TestPgmRowRanges:
+    @settings(max_examples=150, deadline=None)
+    @given(doc=valid_pgm_files())
+    def test_every_row_range_matches_the_whole_read(self, tmp_path_factory, doc):
+        data, frame = doc
+        path = tmp_path_factory.mktemp("pgm") / "f.pgm"
+        path.write_bytes(data)
+        whole = load_pgm16(path)
+        assert whole.dtype == np.uint16 and np.array_equal(whole, frame)
+        assert pgm16_shape(path) == frame.shape
+        rows = len(frame)
+        for r0 in range(rows + 1):
+            for r1 in range(r0, rows + 1):
+                part = load_pgm16(path, (r0, r1))
+                assert part.dtype == np.uint16 and np.array_equal(part, whole[r0:r1])
+
+    @pytest.mark.parametrize("rows", [(-1, 1), (1, 0), (0, 4)])
+    def test_range_outside_the_frame_rejected(self, tmp_path, rows):
+        path = tmp_path / "f.pgm"
+        save_pgm16(path, np.zeros((3, 2), dtype=np.uint16))
+        with pytest.raises(ValidationError, match="outside 0..3"):
+            load_pgm16(path, rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.sampled_from(sorted(_MALFORMED_PGM)),
+        lead=st.sampled_from([b"", b" \t\n", b"# a comment\n", _LONG_COMMENT]),
+        rows=st.sampled_from([None, (0, 1), (1, 2)]),
+    )
+    def test_malformed_file_message_and_offset(self, tmp_path_factory, case, lead, rows):
+        body, message, offset = _MALFORMED_PGM[case]
+        data = lead + body
+        path = tmp_path_factory.mktemp("pgm") / "f.pgm"
+        path.write_bytes(data)
+        expected = len(data) if offset is None else len(lead) + offset
+        for read in (lambda: load_pgm16(path, rows), lambda: pgm16_shape(path)):
+            with pytest.raises(FormatError) as err:
+                read()
+            assert err.value.offset == expected
+            assert str(err.value) == f"{message} (byte offset {expected})"
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.pgm"
+        path.write_bytes(b"")
+        with pytest.raises(FormatError, match="unexpected end of PGM header") as err:
+            load_pgm16(path)
+        assert err.value.offset == 0
+
+
+def _split(frame, cuts):
+    """frame's row blocks between the sorted cut rows."""
+    bounds = [0, *sorted(cuts), len(frame)]
+    return [frame[r0:r1] for r0, r1 in zip(bounds, bounds[1:])]
+
+
+class TestPgmWriterBlocks:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 9), st.integers(1, 5)),
+        cuts=st.lists(st.integers(0, 9), max_size=5),
+        dtype=st.sampled_from([np.uint16, np.uint8, np.int64]),
+    )
+    def test_any_split_writes_the_same_bytes(self, tmp_path_factory, shape, cuts, dtype):
+        rows, cols = shape
+        top = np.iinfo(np.uint8 if dtype == np.uint8 else np.uint16).max + 1
+        frame = (np.arange(rows * cols).reshape(shape) * 2621 % top).astype(dtype)
+        directory = tmp_path_factory.mktemp("pgm")
+        save_pgm16(directory / "whole.pgm", frame)
+        cuts = [c for c in cuts if c <= rows]
+        save_pgm16(directory / "blocks.pgm", iter(_split(frame, cuts)), shape)
+        expected = f"P5\n{cols} {rows}\n65535\n".encode() + frame.astype(">u2").tobytes()
+        assert (directory / "whole.pgm").read_bytes() == expected
+        assert (directory / "blocks.pgm").read_bytes() == expected
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (np.full((2, 3), 65536), "must be in \\[0, 65535\\]"),
+            (np.full((2, 3), -1), "must be in"),
+            (np.zeros((2, 3)), "must be integers"),
+            (np.zeros((2, 4), dtype=np.uint16), "columns wide, expected 3"),
+            (np.zeros(3, dtype=np.uint16), "2-D"),
+            (np.zeros((9, 3), dtype=np.uint16), "hold 11 rows, expected 6"),
+            (None, "boom"),
+        ],
+        ids=["over", "negative", "float", "width", "1-D", "too many rows", "raises"],
+    )
+    def test_failing_block_leaves_no_file(self, tmp_path, bad, error):
+        def blocks():
+            yield np.ones((2, 3), dtype=np.uint16)
+            if bad is None:
+                raise RuntimeError("boom")
+            yield bad
+
+        with pytest.raises((ValidationError, RuntimeError), match=error):
+            save_pgm16(tmp_path / "f.pgm", blocks(), (6, 3))
+        assert os.listdir(tmp_path) == []
+
+    def test_too_few_rows_leave_no_file(self, tmp_path):
+        with pytest.raises(ValidationError, match="hold 2 rows, expected 6"):
+            save_pgm16(tmp_path / "f.pgm", [np.ones((2, 3), dtype=np.uint16)], (6, 3))
+        assert os.listdir(tmp_path) == []
 
 
 # Weight-document fields and values that broke load_weights: integers
@@ -359,6 +516,44 @@ class TestCsvColumns:
         with pytest.raises(ValidationError, match=f"row width {len(bad)} != header width 2"):
             write_csv(path, ("a", "b"), rows)
         assert not path.exists()
+
+
+class TestCsvChunks:
+    def test_chunks_write_the_table_text(self, tmp_path):
+        # A column whose kind changes between chunks, and a last chunk
+        # that is not full.
+        n = 2 * formats._CSV_CHUNK_ROWS + 7
+        rows = [(i, i / 7 if i < n // 2 else f"t{i}", bool(i % 3)) for i in range(n)]
+        path = tmp_path / "t.csv"
+        write_csv(path, ("a", "b", "c"), (row for row in rows))
+        lines = ["a,b,c"] + [",".join(map(reference_cell, row)) for row in rows]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("bad", [(1.0,), ("\ud800", 1.0)], ids=["width", "not-utf-8"])
+    def test_failure_in_a_late_chunk_leaves_no_file(self, tmp_path, bad):
+        def rows():
+            for i in range(3 * formats._CSV_CHUNK_ROWS):
+                yield (0.5, i)
+            yield bad
+
+        with pytest.raises((ValidationError, UnicodeEncodeError)):
+            write_csv(tmp_path / "t.csv", ("a", "b"), rows())
+        assert os.listdir(tmp_path) == []
+
+    def test_generator_rows_allocate_no_table(self, tmp_path):
+        # 100,000 rows as one list of tuples, or as one text, take well
+        # over 2 MB.
+        path = tmp_path / "t.csv"
+        write_csv(path, ("trial", "v"), [(0, 0.5)])
+        tracemalloc.start()
+        try:
+            write_csv(path, ("trial", "v"), ((i, i * 0.001) for i in range(100_000)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        with open(path, "rb") as handle:
+            assert sum(1 for _ in handle) == 100_001
 
 
 class TestCsvReader:

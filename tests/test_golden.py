@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,3 +327,39 @@ class TestCompareRuns:
         b = np.full((2, 2), 3, dtype=int)
         assert not compare_runs(a, b)["passed"]
         assert compare_runs(a, b, max_within=3)["passed"]
+
+    def test_uint8_grids_take_a_narrow_difference(self):
+        # An int64 difference of two k3s1 activation grids would take
+        # 8 bytes per node.
+        rng = np.random.default_rng(3)
+        sim = rng.integers(0, 16, (16, 511, 639), dtype=np.uint8)
+        gold = rng.integers(0, 16, sim.shape, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            report = compare_runs(sim, gold)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * sim.size
+        delta = np.abs(sim.astype(np.int64) - gold)
+        assert report["max_abs_delta"] == 15
+        assert report["fraction_exact"] == np.count_nonzero(delta == 0) / delta.size
+        assert report["fraction_within_1"] == np.count_nonzero(delta <= 1) / delta.size
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64])
+    def test_wide_differences_do_not_overflow(self, dtype):
+        # Differences beyond 2**15, and for 64-bit grids beyond int64.
+        a = [0, 40000, 70005, 4, 2**31 - 1]
+        b = [0, 0, 0, 5, 0]
+        if np.dtype(dtype).itemsize == 8:
+            a[-1] = np.iinfo(dtype).max
+            b[-1] = 0 if dtype == np.uint64 else np.iinfo(dtype).min
+        report = compare_runs(np.array(a, dtype=dtype), np.array(b, dtype=dtype), max_within=70005)
+        assert report == {
+            "max_abs_delta": max(abs(x - y) for x, y in zip(a, b)),
+            "fraction_exact": 0.2,
+            "fraction_within_1": 0.4,
+            "n_nodes": 5,
+            "max_within": 70005,
+            "passed": False,
+        }
