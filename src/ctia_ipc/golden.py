@@ -10,19 +10,20 @@ only achievable when both paths quantize at the same points.  For the same
 reason it caps each integer tap product where the pixel's headroom clamp
 engages.
 
-All 2*c_o polarity accumulators of a row block come from one matrix
-product: the distinct tap slices of the raw phase stacks form the rows of
-a float64 feature block, and each plane's magnitudes sum into one row of
-a small magnitude matrix (two taps that read the same slice add their
-magnitudes).  This is exact.  Every product and every partial sum is a
-nonnegative integer no larger than the plane's accumulator bound
+The polarity accumulators of a row block come from matrix products: the
+distinct tap slices of the raw phase stacks form the rows of a float64
+feature block, and each plane's magnitudes sum into one row of a small
+magnitude matrix (two taps that read the same slice add their
+magnitudes), whose rows each team member multiplies for its planes.
+This is exact.  Every product and every partial sum is a nonnegative
+integer no larger than the plane's accumulator bound
 RAW_MAX * sum(magnitudes) <= 15 * 65535 * 4k^2, which stays below 2^53,
 so float64 holds each one without rounding.  The sum is then the same
 integer in any order, with or without fused multiply-add, on any number
 of BLAS threads.  polarity_codes checks the bound once per call.  Taps
 the clamp can reach stay outside the product: each distinct (slice,
-magnitude) capped product is computed once per block and added into
-every plane that uses it, exact for the same reason.  pixel_array.tap_plan
+magnitude) capped product is computed once per block by each member
+whose planes use it and added into them, exact for the same reason.  pixel_array.tap_plan
 supplies the slices, the geometry the simulator shares.
 
 The calibration map is always derived, never free-set, so the simulator
@@ -40,15 +41,15 @@ from .errors import DimensionError, ValidationError
 from .mapper import ConvSpec, FusedLayer, output_dims
 from .pixel import RAW_MAX, PixelParams
 from . import parallel
-from .pixel_array import ArrayConfig, N_CHANNELS, photocurrent_channels, tap_grid, tap_plan
+from .pixel_array import ArrayConfig, photocurrent_channels, tap_grid, tap_plan
 from .wtc import CounterConfig
 
 # float64 holds every integer below 2^53 exactly.
 _EXACT_FLOAT_LIMIT = 1 << 53
 
-# A row block's feature block holds about this many times
-# parallel.ROW_BLOCK_NODES float64 values: 2^18 values, 2 MB, at the
-# default.
+# A block's features, codes and clamped products hold about this many
+# times parallel.ROW_BLOCK_NODES float64 values per team member, 2 MB at
+# the default; at every demo layer the planner's floor takes more.
 _FEATURE_BLOCK_SCALE = 8
 
 
@@ -117,17 +118,19 @@ def polarity_codes(
 ) -> None:
     """Quantized codes of every magnitude plane, one row block at a time.
 
-    planes is (n_planes, 4, k, k); phases are the photocurrent_channels
-    phases of the raw frame, or its bayer_phase_stacks.  Each block
-    expands one band of rows per (phase, channel) the taps read, its rows
-    r0 to r1 plus the (k - 1) // s halo, and copies its tap slices from
-    it.  For each row block this calls emit(r0, r1, codes) with
-    int64 codes of shape (n_planes, r1 - r0, out_c): each plane's exact
-    integer tap sum, scaled once to codes and capped at code_max.  Each
-    tap product magnitude*raw is capped at int(tap_saturation), the
+    planes is (n_planes, 4, k, k), a layer's ordered (pos_0, neg_0, pos_1,
+    ...); phases are the photocurrent_channels phases of the raw frame, or
+    its bayer_phase_stacks.  Row blocks start at multiples of spec.p_s and
+    are shared by a parallel.map_blocks_team team of W members.  Member w
+    first expands bands w, w + W, ... (one per phase and channel, over the
+    block's rows r0 to r1 plus the (k - 1) // s halo) into the block's
+    tap slices, then multiplies a contiguous run of whole channel pairs and
+    hands it to emit(r0, r1, p0, codes) as mac_node_voltages hands a pair:
+    int64 codes of planes p0, p0 + 1, ... over rows r0:r1, each plane's
+    exact integer tap sum, scaled once to codes and capped at code_max.
+    Each tap product magnitude*raw is capped at int(tap_saturation), the
     pixel's headroom clamp, which only taps with magnitude * RAW_MAX above
-    it can reach.  Blocks run on worker threads, so emit must write only
-    rows r0:r1 of its outputs; they start at multiples of spec.p_s.
+    it can reach.
     """
     k, s = spec.k, spec.s
     planes = np.asarray(planes)
@@ -136,7 +139,8 @@ def polarity_codes(
         raise ValidationError(f"tap sums up to {bound} are not exact in float64")
     out_r, out_c = tap_grid(phases, k, s)
     slices, taps = tap_plan(phases, planes, k, s)
-    mags = np.zeros((len(planes), len(slices)))
+    n_planes, n_slices = len(planes), len(slices)
+    mags = np.zeros((n_planes, n_slices))
     clamped = {}  # (slice, magnitude) -> planes, for taps the clamp can reach
     for _, _, _, m, p, n in taps.tolist():
         if m * RAW_MAX > tap_saturation:
@@ -147,32 +151,49 @@ def polarity_codes(
     bands = {}  # (id(stack), channel) -> (stack, channel, its slices' (n, di, dj))
     for n, (stack, ch, di, dj) in enumerate(slices):
         bands.setdefault((id(stack), ch), (stack, ch, []))[2].append((n, di, dj))
+    bands = list(bands.values())
     extra = (k - 1) // s
+    n_pairs = (n_planes + 1) // 2
+    # A block's rows of nodes: the features and every plane's codes for the
+    # team, then one row of clamped products per member.
+    workers, blocks = parallel.plan_blocks(
+        out_r, out_c, n_slices + n_planes, 1, n_pairs, _FEATURE_BLOCK_SCALE, spec.p_s
+    )
+    n_rows = n_slices + n_planes + workers
+    # The first block is the largest.
+    team_buffer = np.empty(n_rows * (blocks[0][1] - blocks[0][0]) * out_c)
+    # Member w multiplies planes firsts[w] to firsts[w + 1].
+    firsts = [min(2 * (w * n_pairs // workers), n_planes) for w in range(workers + 1)]
 
-    def block_codes(r0: int, r1: int) -> None:
-        features = np.empty((len(slices), r1 - r0, out_c))
-        for stack, ch, reads in bands.values():
-            # Converted once: each of its slices is then a float copy.
-            band = np.asarray(stack[ch, r0 : r1 + extra], dtype=float)
+    def block_rows(r0: int, r1: int) -> np.ndarray:
+        return team_buffer[: n_rows * (r1 - r0) * out_c].reshape(n_rows, r1 - r0, out_c)
+
+    def expand(w: int, r0: int, r1: int) -> None:
+        features = block_rows(r0, r1)
+        for stack, ch, reads in bands[w::workers]:
+            band = stack[ch, r0 : r1 + extra]
             for n, di, dj in reads:
                 features[n] = band[di : di + r1 - r0, dj : dj + out_c]
-        features = features.reshape(len(slices), (r1 - r0) * out_c)
-        acc = mags @ features
-        if clamped:
-            product = np.empty(features.shape[1])
-            for (n, m), users in clamped.items():
-                np.multiply(features[n], m, out=product)
+
+    def multiply(w: int, r0: int, r1: int) -> None:
+        rows = block_rows(r0, r1).reshape(n_rows, -1)
+        p0, p1 = firsts[w], firsts[w + 1]
+        acc, product = rows[n_slices + p0 : n_slices + p1], rows[n_slices + n_planes + w]
+        np.matmul(mags[p0:p1], rows[:n_slices], out=acc)
+        for (n, m), users in clamped.items():
+            users = [p - p0 for p in users if p0 <= p < p1]
+            if users:
+                np.multiply(rows[n], m, out=product)
                 np.minimum(product, cap, out=product)
                 for p in users:
                     acc[p] += product
         acc *= code_scale
         acc += _BOUNDARY_GUARD
-        np.floor(acc, out=acc)
         np.minimum(acc, code_max, out=acc)
-        emit(r0, r1, acc.astype(np.int64).reshape(len(planes), r1 - r0, out_c))
+        # The sums and code_scale are >= 0, so the cast's truncation is floor.
+        emit(r0, r1, p0, acc.astype(np.int64).reshape(p1 - p0, r1 - r0, out_c))
 
-    block_nodes = _FEATURE_BLOCK_SCALE * parallel.ROW_BLOCK_NODES // max(len(slices), 1)
-    parallel.map_row_blocks(block_codes, out_r, out_c, block_nodes, spec.p_s)
+    parallel.map_blocks_team((expand, multiply), blocks, workers)
 
 
 def golden_layer(
@@ -187,29 +208,27 @@ def golden_layer(
     frame_raw holds integer samples in [0, 65535].  Padding is zero border
     samples, matching the simulator's zero-photocurrent border.
     """
+    planes = fused.polarity_planes(spec)
     phases = photocurrent_channels(frame_raw, spec.p, spec.s)
-    if fused.pos_mags.shape != (spec.c_o, N_CHANNELS, spec.k, spec.k):
-        raise DimensionError(
-            f"fused planes shape {fused.pos_mags.shape} != "
-            f"{(spec.c_o, N_CHANNELS, spec.k, spec.k)}"
-        )
     _, pooled_dims = output_dims(spec, *np.asarray(frame_raw).shape)
     # One unit product is mag_max * RAW_MAX in integer tap units.
     code_scale = cal.lsb_per_unit / (fused.mag_max * RAW_MAX)
-    bn_codes = offset_codes(fused, cal, adc_cfg)[:, None, None]
+    bn_codes = offset_codes(fused, cal, adc_cfg)
     activations = np.empty((spec.c_o, *pooled_dims), dtype=np.uint8)
 
-    def requantize(r0: int, r1: int, codes: np.ndarray) -> None:
-        signed = codes[: spec.c_o] - codes[spec.c_o :] + bn_codes
-        # Blocks start at multiples of p_s; ReLU and requantization are
-        # monotone, so pooling before them changes no code.
+    def requantize(r0: int, r1: int, p0: int, codes: np.ndarray) -> None:
+        # As pipeline.simulate_layer digitizes: planes 2c, 2c + 1 are
+        # channel c's two cycles, and pooling whole windows before the
+        # monotone ReLU and requantization changes no code.
+        channels = slice(p0 // 2, (p0 + len(codes)) // 2)
+        signed = codes[0::2] - codes[1::2] + bn_codes[channels, None, None]
         pooled = relu_requantize(adc_cfg, maxpool(signed, spec.p_s))
         q0 = r0 // spec.p_s
-        activations[:, q0 : q0 + pooled.shape[1]] = pooled
+        activations[channels, q0 : q0 + pooled.shape[1]] = pooled
 
     polarity_codes(
         phases,
-        np.concatenate([fused.pos_mags, fused.neg_mags]),
+        planes,
         spec,
         code_scale,
         adc_cfg.code_max,

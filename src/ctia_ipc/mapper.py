@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScheduleError, ValidationError
+from .errors import DimensionError, ScheduleError, ValidationError
 from .pixel_array import N_CHANNELS
 
 
@@ -145,6 +145,14 @@ class FusedLayer:
     def dequantized(self) -> np.ndarray:
         signed = self.pos_mags.astype(float) - self.neg_mags.astype(float)
         return signed * self.weight_scale
+
+    def polarity_planes(self, spec: ConvSpec) -> np.ndarray:
+        """Both layer kernels' planes, one per polarity cycle: (pos_0, neg_0,
+        pos_1, ...).  DimensionError unless they are spec's (c_o, 4, k, k)."""
+        expected = (spec.c_o, N_CHANNELS, spec.k, spec.k)
+        if self.pos_mags.shape != expected:
+            raise DimensionError(f"fused planes shape {self.pos_mags.shape} != {expected}")
+        return np.stack([self.pos_mags, self.neg_mags], axis=1).reshape(-1, *expected[1:])
 
 
 def quantize_weights(scaled_weights: np.ndarray, offsets: np.ndarray, mag_max: int = 15) -> FusedLayer:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adc import AdcConfig, cds_signed, maxpool, quantize, relu_requantize, signed_code_dtype
-from .errors import DimensionError, ValidationError
+from .errors import ValidationError
 from .golden import CalibrationMap, offset_codes
 from .mapper import ConvSpec, FusedLayer, output_dims
 from .pixel import PixelParams
@@ -59,10 +59,7 @@ def simulate_layer(
     out_r, out_c) grid in signed_code_dtype, useful for threshold-agreement
     checks.
     """
-    if fused.pos_mags.shape != (spec.c_o, 4, spec.k, spec.k):
-        raise DimensionError(
-            f"fused planes shape {fused.pos_mags.shape} != {(spec.c_o, 4, spec.k, spec.k)}"
-        )
+    planes = fused.polarity_planes(spec)
     phases = photocurrent_channels(frame_raw, spec.p, spec.s)
     bn_codes = offset_codes(fused, chain.calibration(fused.mag_max), chain.adc)
     # One CDS counter per channel, preloaded with its BN offset.
@@ -97,7 +94,7 @@ def simulate_layer(
         chain.pixel,
         chain.wtc,
         phases,
-        np.stack([fused.pos_mags, fused.neg_mags], axis=1).reshape(-1, 4, spec.k, spec.k),
+        planes,
         spec.k,
         spec.s,
         digitize,

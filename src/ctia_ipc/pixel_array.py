@@ -44,21 +44,19 @@ Each channel's two planes go to the caller as soon as they are done.
 A team of W threads (parallel.map_blocks_team) shares every block: the
 members split the (stack, channel) groups and compute the shared
 discharges; after a barrier member w walks channel pairs w, w + W, ...
-with its own two accumulators and one CBL.  A block holds the shared
-discharges once and three rows per member, in the memory of W
-one-thread blocks: at k7s2, 57 shared discharges, about 22k nodes on one
-thread and 42k on two.  At odd strides >= 3 and at stride 4 the taps read
-several stacks at many offsets, so the shared discharges number in the
-hundreds (364 at k7s3) and that budget would cut blocks of a few
-thousand nodes.  Each add is one numpy call over the block, and short
-calls lose more to the interpreter lock than a second thread gains (see
-parallel), so a block holds at least parallel.ROW_BLOCK_NODES // 4 nodes
-per member; at strides 1 and 2 the budget is larger.  A grid of fewer
-than ROW_BLOCK_NODES nodes, such as a run_mac_cycle batch, is walked by
-a team of one.  The headroom min is skipped for an exposure t when
-fl(fl(x_max*t)/c_f) <= headroom, with x_max the brightest photocurrent:
-rounding is monotone, so no pixel of the frame can then reach the clamp,
-and min(dv, headroom) == dv.
+with its own two accumulators and one CBL.  parallel.plan_blocks sizes
+the team and the blocks: a block holds the shared discharges once and
+three rows per member, in the memory of W one-thread blocks: at k7s2, 57
+shared discharges, about 22k nodes on one thread and 42k on two.  At odd
+strides >= 3 and at stride 4 the taps read several stacks at many
+offsets, so the shared discharges number in the hundreds (364 at k7s3)
+and the planner's floor of ROW_BLOCK_NODES // 4 nodes per member sets
+the blocks, to keep each add, one numpy call over the block, long (see
+parallel).  A run_mac_cycle batch, fewer than ROW_BLOCK_NODES nodes, is
+walked by a team of one.  The headroom min is skipped for an exposure t
+when fl(fl(x_max*t)/c_f) <= headroom, with x_max the brightest
+photocurrent: rounding is monotone, so no pixel of the frame can then
+reach the clamp, and min(dv, headroom) == dv.
 
 Bayer geometry: the mosaic is interpreted as four channels (R, G1, G2, B
 at even/even, even/odd, odd/even, odd/odd parities) held constant over
@@ -96,9 +94,7 @@ N_CHANNELS = 4
 
 # A block's accumulators, CBL buffers and discharges hold about this many
 # times parallel.ROW_BLOCK_NODES float64 values per team member, 10 MiB at
-# the default, unless the floor of ROW_BLOCK_NODES // 4 nodes per member
-# takes more.  For k7s2's 57 shared discharges that is about 22k nodes on
-# one thread and 42k on a team of two.
+# the default, or more where the planner's floor binds.
 _CBL_BLOCK_SCALE = 40
 
 
@@ -486,20 +482,13 @@ def mac_node_voltages(
         def emit(r0, r1, p0, block_volts):
             volts[p0 : p0 + len(block_volts), r0:r1] = block_volts
 
-    # A grid of fewer than ROW_BLOCK_NODES nodes, such as a run_mac_cycle
-    # batch, runs on a team of one.
-    small = out_r * out_c < parallel.ROW_BLOCK_NODES
-    workers = parallel.worker_count(1 if small else (n_planes + 1) // 2)
     # A walker holds its accumulators and one CBL, the team the shared
-    # discharges once: as many values as `workers` single-walker blocks,
-    # and at least ROW_BLOCK_NODES // 4 nodes per member.
+    # discharges once.
     private = min(n_planes, 2) + 1
     n_shared = sum(len(ts) for _, _, ts, _ in groups)
-    block_nodes = max(
-        _CBL_BLOCK_SCALE * parallel.ROW_BLOCK_NODES * workers // (n_shared + private * workers),
-        workers * (parallel.ROW_BLOCK_NODES // 4),
+    workers, blocks = parallel.plan_blocks(
+        out_r, out_c, n_shared, private, (n_planes + 1) // 2, _CBL_BLOCK_SCALE, row_multiple
     )
-    blocks = parallel.row_blocks(out_r, out_c, block_nodes, row_multiple)
     pitch = max((stack.shape[2] for stack, _, _, _ in groups), default=out_c)
 
     def layout(rows: int, heights: tuple) -> tuple:

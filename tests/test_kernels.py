@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from ctia_ipc import parallel
-from ctia_ipc.golden import RAW_MAX, polarity_codes
+from ctia_ipc.adc import AdcConfig
+from ctia_ipc.golden import RAW_MAX, CalibrationMap, polarity_codes
 from ctia_ipc.mapper import ConvSpec
 from ctia_ipc.metrics import MismatchSpec, monte_carlo
 from ctia_ipc.pipeline import photocurrent_channels
@@ -207,7 +208,7 @@ def test_polarity_codes_bit_exact(k, s, p):
             blocks = {}
             polarity_codes(
                 phases, mags[None], spec, code_scale, 63, tap_saturation,
-                lambda r0, r1, codes: blocks.__setitem__(r0, codes[0]),
+                lambda r0, r1, p0, codes: blocks.__setitem__(r0, codes[0]),
             )
             got = np.concatenate([blocks[r0] for r0 in sorted(blocks)])
             assert got.shape == expected.shape
@@ -251,22 +252,40 @@ def test_both_walks_bit_exact(k, s, p, levels, budget, block_scale, pixel_config
     mags[5] = 0
     cfg = ArrayConfig(rows=64, cols=52)
     channels = bayer_channel_view(np.pad(frame_to_photocurrents(raw, pixel.i_max), p))
-    blocks, sizes = [], []
+    plans = []  # (block_nodes, blocks) of each kernel's walk
     row_blocks = parallel.row_blocks
 
     def recording(out_r, out_c, block_nodes, multiple):
-        sizes.append(block_nodes)
-        blocks.extend(row_blocks(out_r, out_c, block_nodes, multiple))
-        return blocks
+        plans.append((block_nodes, row_blocks(out_r, out_c, block_nodes, multiple)))
+        return plans[-1][1]
 
     monkeypatch.setattr(parallel, "row_blocks", recording)
     monkeypatch.setattr(parallel, "ROW_BLOCK_NODES", block_scale)
     got = mac_node_voltages(cfg, pixel, wtc, photocurrent_channels(raw, p, s), mags, k, s,
                             row_multiple=2)
-    assert (sizes == [3 * (block_scale // 4)]) != budget
+    [(size, blocks)] = plans
+    assert (size == 3 * (block_scale // 4)) != budget
     # More blocks than threads, of 4 rows but for a ragged last one.
     assert len(blocks) > 3
     assert {r1 - r0 for r0, r1 in blocks[:-1]} == {4} and blocks[-1][1] - blocks[-1][0] < 4
     for plane, plane_mags in zip(got, mags):
         expected = reference_mac_node_voltages(cfg, pixel, wtc, channels, plane_mags, k, s)
         assert np.array_equal(plane, expected)
+    # The golden model on the same planes: its features leave a budget
+    # below the floor in every case, so the floor sets its blocks.
+    cal = CalibrationMap.derive(pixel, wtc, cfg, AdcConfig(), 15)
+    limits = (cal.lsb_per_unit / (15 * RAW_MAX), 63, cal.tap_saturation)
+    spec = ConvSpec(k=k, s=s, p=p)
+    codes = {}  # (r0, plane) -> that block's codes
+
+    def emit(r0, r1, p0, block):
+        codes.update(((r0, p0 + i), plane) for i, plane in enumerate(block))
+
+    polarity_codes(photocurrent_channels(raw, p, s), mags, spec, *limits, emit)
+    size, blocks = plans[1]
+    assert size == 3 * (block_scale // 4) and len(blocks) > 3
+    channels_raw = bayer_channel_view(np.pad(raw, p)).astype(np.int64)
+    for plane, plane_mags in enumerate(mags):
+        got = np.concatenate([codes[r0, plane] for r0, _ in blocks])
+        expected = reference_polarity_codes(channels_raw, plane_mags, spec, *limits)
+        assert np.array_equal(got, expected)

@@ -6,7 +6,7 @@ import pytest
 
 from ctia_ipc import parallel
 from ctia_ipc.errors import ValidationError
-from ctia_ipc.golden import golden_layer
+from ctia_ipc.golden import RAW_MAX, golden_layer, polarity_codes
 from ctia_ipc.mapper import ConvSpec
 from ctia_ipc.pipeline import simulate_layer
 from ctia_ipc.pixel import PixelParams, frame_to_photocurrents
@@ -47,55 +47,60 @@ class TestWorkerCount:
             parallel.worker_count(8)
 
     def test_row_block_pool_is_capped(self, four_cpus, monkeypatch):
-        seen, done = [], []
-
-        def recording(member, workers, abort):
-            # Records the team size and runs the members inline, so no
-            # thread is started.
-            seen.append(workers)
-            for w in range(workers):
-                member(w)
-
-        monkeypatch.setattr(parallel, "run_team", recording)
+        # plan_blocks sizes a layer kernel's team: capped at the 4 CPUs and
+        # at the tasks, and one member for a grid of fewer than
+        # ROW_BLOCK_NODES nodes.
         monkeypatch.setattr(parallel, "ROW_BLOCK_NODES", 10)
         monkeypatch.setenv("CTIA_IPC_THREADS", "5000")
-        parallel.map_row_blocks(lambda r0, r1: done.append((r0, r1)), 7, 5)
-        assert seen == [4]
-        assert done == [(0, 2), (2, 4), (4, 6), (6, 7)]
+        assert parallel.plan_blocks(7, 5, 0, 1, 10_000, 1) == (4, [(0, 2), (2, 4), (4, 6), (6, 7)])
+        assert parallel.plan_blocks(7, 5, 0, 1, 3, 1)[0] == 3
+        assert parallel.plan_blocks(3, 3, 0, 1, 10_000, 1)[0] == 1
 
 
 @pytest.mark.parametrize("threads", ["1", "3"])
 @pytest.mark.parametrize("failing", [None, 4])
 def test_row_blocks_taken_once(four_cpus, monkeypatch, threads, failing):
-    # 20 blocks of 2 rows, taken by up to 3 threads switching every
-    # microsecond: no block runs twice, and all run unless one raises.
-    # Then the exception reaches the caller, every started thread has
-    # ended, and a lone thread stops at the failing block.
+    # 20 blocks of 2 rows, walked in two steps by a team of up to 3
+    # threads switching every microsecond: each member takes every block
+    # once, in order, unless one raises.  Then the exception reaches the
+    # caller, every started thread has ended, and no member walks past the
+    # failing block, which the last member (a started thread on a team of
+    # 3) fails in its first step.
     monkeypatch.setenv("CTIA_IPC_THREADS", threads)
-    started = []
+    workers = parallel.worker_count(20)
+    blocks = parallel.row_blocks(40, 1, 2, 2)
+    walked = [[] for _ in range(workers)]  # per member: (step, r0)
 
-    def fn(r0, r1):
-        started.append(r0)
-        if r0 == failing:
-            raise RuntimeError(f"block {r0} failed")
+    def step(name):
+        def run(w, r0, r1):
+            walked[w].append((name, r0))
+            if r0 == failing and w == workers - 1:
+                raise RuntimeError(f"block {r0} failed")
+
+        return run
 
     before = set(threading.enumerate())
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
+        walk = (parallel.map_blocks_team, (step("first"), step("second")), blocks, workers)
         if failing is None:
-            call_within(30, parallel.map_row_blocks, fn, 40, 1, 2)
+            call_within(30, *walk)
         else:
             with pytest.raises(RuntimeError, match="block 4 failed"):
-                call_within(30, parallel.map_row_blocks, fn, 40, 1, 2)
+                call_within(30, *walk)
     finally:
         sys.setswitchinterval(interval)
     assert set(threading.enumerate()) == before
-    assert len(started) == len(set(started))
+    assert len(blocks) == 20
+    every = [(name, r0) for r0, _ in blocks for name in ("first", "second")]
+    for member in walked:
+        assert member == every[: len(member)]
     if failing is None:
-        assert sorted(started) == list(range(0, 40, 2))
-    elif threads == "1":
-        assert started == [0, 2, 4]
+        assert walked == [every] * workers
+    else:
+        assert walked[-1] == every[: every.index(("first", 4)) + 1]
+        assert max(r0 for member in walked for _, r0 in member) <= 4
 
 
 def test_layer_identical_across_threads_and_row_blocks(monkeypatch):
@@ -179,30 +184,41 @@ class TestTeam:
             expected = reference_mac_node_voltages(cfg, pixel, wtc, channels, plane_mags, k, s)
             assert np.array_equal(plane, expected)
 
-    # Channel pair p0 is walked by member p0 // 2 % 3: the calling thread
-    # for p0 = 0, a started thread for p0 = 2.
+    # Both layer kernels, on 4-row blocks.  The MAC's member w walks pairs
+    # w, w + 3, ..., the golden model's member w the pairs w * 4 // 3 to
+    # (w + 1) * 4 // 3: in both, the calling thread emits p0 = 0, a started
+    # thread p0 = 2.
     @pytest.mark.parametrize("failing_pair", [0, 2])
     def test_raising_emit_ends_the_team(self, four_cpus, teams, monkeypatch, failing_pair):
         monkeypatch.setenv("CTIA_IPC_THREADS", "3")
         raw, mags = self.layer(3, 1)
-        emitted = []
+        phases = photocurrent_channels(raw, 0, 1)
+        kernels = (
+            lambda emit: mac_node_voltages(
+                ArrayConfig(rows=40, cols=46), PixelParams(), CounterConfig(), phases, mags, 3, 1,
+                emit, 4,
+            ),
+            lambda emit: polarity_codes(
+                phases, mags, ConvSpec(k=3, s=1, p_s=4), 1 / RAW_MAX, 63, 15 * RAW_MAX, emit
+            ),
+        )
+        for walk in kernels:
+            emitted = []
 
-        def emit(r0, r1, p0, volts):
-            if p0 == failing_pair and r0 >= 8:
-                raise RuntimeError(f"emit failed at pair {p0}")
-            emitted.append((r0, p0))
+            def emit(r0, r1, p0, block):
+                if p0 == failing_pair and r0 >= 8:
+                    raise RuntimeError(f"emit failed at pair {p0}")
+                emitted.extend((r0, p) for p in range(p0, p0 + len(block)))
 
-        before = set(threading.enumerate())
-        with pytest.raises(RuntimeError, match=f"emit failed at pair {failing_pair}"):
-            call_within(
-                30, mac_node_voltages, ArrayConfig(rows=40, cols=46), PixelParams(),
-                CounterConfig(), photocurrent_channels(raw, 0, 1), mags, 3, 1, emit, 4,
-            )
-        assert teams[0][0] == 3
-        assert set(threading.enumerate()) == before
-        # The blocks before the failing one were emitted whole, and no
-        # member walked past the block that failed.
-        assert {(r0, p0) for r0, p0 in emitted if r0 < 8} == {
-            (r0, p0) for r0 in (0, 4) for p0 in range(0, self.N_PLANES, 2)
-        }
-        assert max(r0 for r0, _ in emitted) <= 8
+            before = set(threading.enumerate())
+            with pytest.raises(RuntimeError, match=f"emit failed at pair {failing_pair}"):
+                call_within(30, walk, emit)
+            assert teams[-1][0] == 3
+            assert set(threading.enumerate()) == before
+            # The blocks before the failing one were emitted whole, and no
+            # member walked past the block that failed.
+            assert {(r0, p) for r0, p in emitted if r0 < 8} == {
+                (r0, p) for r0 in (0, 4) for p in range(self.N_PLANES)
+            }
+            assert max(r0 for r0, _ in emitted) <= 8
+        assert len(teams) == 2

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ctia_ipc import parallel
 from ctia_ipc.adc import ADC_BITS, AdcConfig, maxpool
 from ctia_ipc.errors import ValidationError
-from ctia_ipc.golden import offset_codes
+from ctia_ipc.golden import RAW_MAX, offset_codes, polarity_codes
 from ctia_ipc.mapper import ConvSpec
 from ctia_ipc.pipeline import ChainConfig, signed_code_dtype, simulate_layer
 from ctia_ipc.pixel import PixelParams, frame_to_photocurrents
@@ -26,7 +26,7 @@ from ctia_ipc.pixel_array import (
 from ctia_ipc.wtc import CounterConfig
 
 from conftest import random_frame, random_layer, small_chain
-from test_kernels import WALK_IDS, WALKS, reference_mac_node_voltages
+from test_kernels import WALK_IDS, WALKS, reference_mac_node_voltages, reference_polarity_codes
 
 
 def loop_quantize(adc_cfg, v):
@@ -140,20 +140,40 @@ def test_emit_covers_every_plane_row_once(
     mags = rng.integers(0, levels, (n_planes, 4, k, k)) * (15 // (levels - 1))
     chain = small_chain(44, 52)
     phases = photocurrent_channels(raw, p, s)
-    expected = mac_node_voltages(chain.array, chain.pixel, chain.wtc, phases, mags, k, s)
-    seen = np.zeros(expected.shape[:2], dtype=int)
+    spec = ConvSpec(k=k, s=s, p=p)
+    channels = bayer_channel_view(np.pad(raw, p)).astype(np.int64)
+    limits = (1 / RAW_MAX, 63, 15 * RAW_MAX)
+    # Each layer kernel with the grid it emits, on blocks cut at p_s = 2,
+    # and whether it emits one channel pair at a time (the MAC) or a
+    # member's run of whole pairs (the golden model).
+    kernels = (
+        (
+            mac_node_voltages(chain.array, chain.pixel, chain.wtc, phases, mags, k, s),
+            lambda emit: mac_node_voltages(
+                chain.array, chain.pixel, chain.wtc, phases, mags, k, s, emit, row_multiple=2
+            ),
+            True,
+        ),
+        (
+            np.array([reference_polarity_codes(channels, m, spec, *limits) for m in mags]),
+            lambda emit: polarity_codes(phases, mags, spec, *limits, emit),
+            False,
+        ),
+    )
     lock = threading.Lock()
+    for expected, walk, one_pair in kernels:
+        seen = np.zeros(expected.shape[:2], dtype=int)
 
-    def emit(r0, r1, p0, volts):
-        assert p0 % 2 == 0 and volts.shape == (min(2, n_planes - p0), r1 - r0, expected.shape[2])
-        assert np.array_equal(volts, expected[p0 : p0 + len(volts), r0:r1])
-        with lock:
-            seen[p0 : p0 + len(volts), r0:r1] += 1
+        def emit(r0, r1, p0, block):
+            n = min(2, n_planes - p0) if one_pair else len(block)
+            assert p0 % 2 == 0 and (n % 2 == 0 or p0 + n == n_planes)
+            assert block.shape == (n, r1 - r0, expected.shape[2])
+            assert np.array_equal(block, expected[p0 : p0 + len(block), r0:r1])
+            with lock:
+                seen[p0 : p0 + len(block), r0:r1] += 1
 
-    assert mac_node_voltages(
-        chain.array, chain.pixel, chain.wtc, phases, mags, k, s, emit, row_multiple=2
-    ) is None
-    assert (seen == 1).all()
+        assert walk(emit) is None
+        assert (seen == 1).all()
 
 
 @pytest.mark.parametrize(
