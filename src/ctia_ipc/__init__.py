@@ -32,7 +32,6 @@ from .pixel import (
 )
 from .pixel_array import (
     ArrayConfig,
-    bayer_channel_view,
     readout_frame,
     run_mac_cycle,
 )

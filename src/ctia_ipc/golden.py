@@ -120,7 +120,7 @@ def polarity_codes(
 
     planes is (n_planes, 4, k, k), a layer's ordered (pos_0, neg_0, pos_1,
     ...); phases are the photocurrent_channels phases of the raw frame, or
-    its bayer_phase_stacks.  Row blocks start at multiples of spec.p_s and
+    its numpy phase stacks.  Row blocks start at multiples of spec.p_s and
     are shared by a parallel.map_blocks_team team of W members.  Member w
     first expands bands w, w + W, ... (one per phase and channel, over the
     block's rows r0 to r1 plus the (k - 1) // s halo) into the block's

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adc import AdcConfig, cds_signed, maxpool, quantize, relu_requantize, signed_code_dtype
+from .adc import AdcConfig, cds_signed, maxpool, quantize, relu_requantize
 from .errors import ValidationError
 from .golden import CalibrationMap, offset_codes
 from .mapper import ConvSpec, FusedLayer, output_dims
@@ -50,15 +50,9 @@ def simulate_layer(
     fused: FusedLayer,
     spec: ConvSpec,
     chain: ChainConfig,
-    return_codes: bool = False,
-):
+) -> np.ndarray:
     """Simulate the full first layer; returns uint8 (c_o, pool_r, pool_c)
-    activations, or (activations, signed_codes) when return_codes is set.
-
-    The signed codes are the per-node CDS results before ReLU, a (c_o,
-    out_r, out_c) grid in signed_code_dtype, useful for threshold-agreement
-    checks.
-    """
+    activations."""
     planes = fused.polarity_planes(spec)
     phases = photocurrent_channels(frame_raw, spec.p, spec.s)
     bn_codes = offset_codes(fused, chain.calibration(fused.mag_max), chain.adc)
@@ -67,12 +61,8 @@ def simulate_layer(
         AdcConfig(v_fs=chain.adc.v_fs, bn_offset_codes=int(bn), out_bits=chain.adc.out_bits)
         for bn in bn_codes
     ]
-    (out_r, out_c), pooled_dims = output_dims(spec, *np.asarray(frame_raw).shape)
+    _, pooled_dims = output_dims(spec, *np.asarray(frame_raw).shape)
     activations = np.empty((spec.c_o, *pooled_dims), dtype=np.uint8)
-    signed_codes = None
-    if return_codes:
-        dtype = signed_code_dtype(chain.adc.code_max, bn_codes)
-        signed_codes = np.empty((spec.c_o, out_r, out_c), dtype=dtype)
 
     def digitize(r0: int, r1: int, p0: int, volts: np.ndarray) -> None:
         # Planes p0, p0 + 1 are the positive and negative cycles of one
@@ -83,8 +73,6 @@ def simulate_layer(
         ch_out = p0 // 2
         adc_cfg = counters[ch_out]
         signed = cds_signed(adc_cfg, volts[0], volts[1])
-        if return_codes:
-            signed_codes[ch_out, r0:r1] = signed
         pooled = relu_requantize(adc_cfg, maxpool(signed, spec.p_s))
         q0 = r0 // spec.p_s
         activations[ch_out, q0 : q0 + len(pooled)] = pooled
@@ -100,8 +88,6 @@ def simulate_layer(
         digitize,
         spec.p_s,
     )
-    if return_codes:
-        return activations, signed_codes
     return activations
 
 

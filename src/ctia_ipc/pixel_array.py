@@ -70,10 +70,11 @@ lists the distinct slices, the geometry the simulator and the golden
 model share.  As in the sensor, no expanded copy of the frame is held:
 photocurrent_channels returns MosaicPhases over the padded uint16
 mosaic, and each row block expands one band of rows per (phase,
-channel) it reads, the block's rows plus the halo.  At an even stride
-the band is a strided view of the mosaic, at stride 1 a 2x2 quad fill,
-and at an odd stride >= 3 a row and column take.  bayer_phase_stacks
-expands whole phases by the same rule.
+channel) it reads, the block's rows plus the halo.  At every stride one
+rule picks the band: element (q, u) of channel ch in phase (a, b) is the
+mosaic sample at row ((a + s*q) & ~1) + dr, column ((b + s*u) & ~1) + dc,
+with (dr, dc) the channel's parities, and the band's rows and columns are
+taken from the mosaic at those indices.
 """
 
 from __future__ import annotations
@@ -126,14 +127,15 @@ def charge_share_divider(c1, c2, c_f_acc):
 
 class MosaicPhase:
     """Phase (a, b) of an RGGB mosaic at a stride, expanded row band by
-    row band: it stands for bayer_phase_stacks(mosaic, stride)[a][b]
-    without holding it.
+    row band: the (4, rows, cols) stack whose element (q, u) of channel ch
+    is the mosaic sample of ch's color inside the 2x2 quad containing
+    (a + stride*q, b + stride*u), without holding it.
 
-    shape is that stack's; phase[ch, q0:q1] and phase[ch, q0:q1, u0:u1]
-    expand only those rows (and columns) of channel ch from the mosaic;
-    max() is the mosaic's largest sample, which bounds the phase's.  A
-    numpy stack answers the same three calls, so the layer kernels take
-    either.
+    shape is that stack's; phase[ch, rows] and phase[ch, rows, cols]
+    expand only those rows (and columns) of channel ch from the mosaic,
+    indexed with numpy's slice semantics; max() is the mosaic's largest
+    sample, which bounds the phase's.  A numpy stack answers the same
+    three calls, so the layer kernels take either.
     """
 
     __slots__ = ("mosaic", "stride", "a", "b", "shape")
@@ -148,98 +150,14 @@ class MosaicPhase:
 
     def __getitem__(self, key) -> np.ndarray:
         """Element (q, u) of channel ch is the mosaic sample at ((a +
-        stride*q) & ~1) + dr, ((b + stride*u) & ~1) + dc: the sample of
-        ch's color inside the 2x2 quad containing (a + stride*q, b +
-        stride*u)."""
+        stride*q) & ~1) + dr, ((b + stride*u) & ~1) + dc."""
         ch, rows, *cols = key
-        q0, q1 = _span(rows, self.shape[1])
-        u0, u1 = _span(cols[0] if cols else slice(None), self.shape[2])
-        mosaic, stride, a, b = self.mosaic, self.stride, self.a, self.b
         dr, dc = BAYER_OFFSETS[ch]
-        if stride % 2 == 0:
-            # a + stride*q keeps a's parity, so the rows are evenly spaced
-            # from (a & ~1) + dr, and the columns likewise: a strided view.
-            r, c = (a & ~1) + dr + stride * q0, (b & ~1) + dc + stride * u0
-            return mosaic[r : r + stride * (q1 - q0) : stride, c : c + stride * (u1 - u0) : stride]
-        if stride == 1:
-            # Each color sample fills its 2x2 quad: both columns of the
-            # quad's top row, then the top row into the bottom, over the
-            # quads the window touches, which the window then trims.
-            top, left = q0 & ~1, u0 & ~1
-            samples = mosaic[top + dr : q1 + (q1 & 1) : 2, left + dc : u1 + (u1 & 1) : 2]
-            n_r, n_c = samples.shape
-            quads = np.empty((n_r, 2, n_c, 2), dtype=mosaic.dtype)
-            quads[:, 0, :, 0] = samples
-            quads[:, 0, :, 1] = samples
-            quads[:, 1] = quads[:, 0]
-            return quads.reshape(2 * n_r, 2 * n_c)[q0 - top : q1 - top, u0 - left : u1 - left]
-        rows = ((a + stride * np.arange(q0, q1)) & ~1) + dr
-        cols = ((b + stride * np.arange(u0, u1)) & ~1) + dc
-        return mosaic.take(rows, axis=0).take(cols, axis=1)
-
-
-def _span(index: slice, n: int) -> tuple:
-    """(start, stop) of a slice over n rows or columns, as numpy cuts it."""
-    start, stop, step = index.indices(n)
-    if step != 1:
-        raise ValidationError("a phase expands contiguous row and column ranges only")
-    return start, max(start, stop)
-
-
-def _mosaic_phases(frame, stride: int) -> tuple:
-    """The stride x stride MosaicPhases of a mosaic, phases[a][b] for phase
-    (a, b).  For an even stride (a + stride*q) & ~1 does not depend on the
-    low bit of a, so phases a and a ^ 1 (and likewise b and b ^ 1) are one
-    object.  Requires even dimensions."""
-    arr = np.asarray(frame)
-    if arr.ndim != 2:
-        raise ValidationError("frame must be 2-D")
-    rows, cols = arr.shape
-    if rows % 2 or cols % 2:
-        raise ValidationError(
-            f"MAC mode needs even frame dimensions (RGGB quads), got {rows}x{cols}"
-        )
-    if stride < 1:
-        raise ValidationError(f"stride must be >= 1, got {stride}")
-    shared = ~1 if stride % 2 == 0 else ~0
-    phases = {}
-    for a in range(stride):
-        for b in range(stride):
-            key = (a & shared, b & shared)
-            if key not in phases:
-                phases[key] = MosaicPhase(arr, stride, *key)
-    return tuple(
-        tuple(phases[a & shared, b & shared] for b in range(stride)) for a in range(stride)
-    )
-
-
-def bayer_phase_stacks(frame: np.ndarray, stride: int) -> tuple:
-    """Expand an RGGB mosaic into stride x stride phase stacks.
-
-    phases[a][b][ch, q, u] == bayer_channel_view(frame)[ch, a + stride*q,
-    b + stride*u], held contiguous, so a kernel tap at row offset i and
-    column offset j reads phases[i % stride][j % stride] as one slice.
-    Channel ch at (r, c) is the mosaic sample of that color inside the 2x2
-    quad containing (r, c); phases that share a MosaicPhase share one
-    array, as phases a and a ^ 1 do at an even stride.  Each stack is its
-    MosaicPhase expanded whole.  Requires even dimensions.
-    """
-    stacks = {}
-
-    def materialize(phase: MosaicPhase) -> np.ndarray:
-        if id(phase) not in stacks:
-            stack = stacks[id(phase)] = np.empty(phase.shape, dtype=phase.mosaic.dtype)
-            for ch in range(N_CHANNELS):
-                stack[ch] = phase[ch, :]
-        return stacks[id(phase)]
-
-    return tuple(tuple(map(materialize, row)) for row in _mosaic_phases(frame, stride))
-
-
-def bayer_channel_view(frame: np.ndarray) -> np.ndarray:
-    """Expand an RGGB mosaic to a (4, rows, cols) channel stack: the
-    stride-1 phase stack."""
-    return bayer_phase_stacks(frame, 1)[0][0]
+        q = np.arange(self.shape[1])[rows]
+        u = np.arange(self.shape[2])[cols[0] if cols else slice(None)]
+        r = ((self.a + self.stride * q) & ~1) + dr
+        c = ((self.b + self.stride * u) & ~1) + dc
+        return self.mosaic.take(r, axis=0).take(c, axis=1)
 
 
 def photocurrent_channels(frame_raw, padding: int = 0, stride: int = 1) -> tuple:
@@ -249,7 +167,13 @@ def photocurrent_channels(frame_raw, padding: int = 0, stride: int = 1) -> tuple
     expands, per row block, one band of rows per (phase, channel) its taps
     read.  mac_node_voltages turns a band into photocurrents with
     frame_to_photocurrents; the golden model multiplies the samples as
-    integers."""
+    integers.
+
+    phases[a][b] is phase (a, b).  At an even stride (a + stride*q) & ~1
+    does not depend on the low bit of a, so phases a and a ^ 1 (and b and
+    b ^ 1) are one object, which tap_plan counts as one stack.  Requires
+    even frame dimensions.
+    """
     raw = np.asarray(frame_raw)
     if raw.ndim != 2:
         raise DimensionError("frame must be 2-D")
@@ -260,7 +184,22 @@ def photocurrent_channels(frame_raw, padding: int = 0, stride: int = 1) -> tuple
     raw = raw.astype(np.uint16, copy=False)
     if padding:
         raw = np.pad(raw, padding)
-    return _mosaic_phases(raw, stride)
+    rows, cols = raw.shape
+    if rows % 2 or cols % 2:
+        raise ValidationError(
+            f"MAC mode needs even frame dimensions (RGGB quads), got {rows}x{cols}"
+        )
+    if stride < 1:
+        raise ValidationError(f"stride must be >= 1, got {stride}")
+    step = 2 if stride % 2 == 0 else 1
+    phases = {
+        (a, b): MosaicPhase(raw, stride, a, b)
+        for a in range(0, stride, step)
+        for b in range(0, stride, step)
+    }
+    return tuple(
+        tuple(phases[a - a % step, b - b % step] for b in range(stride)) for a in range(stride)
+    )
 
 
 def tap_plan(phases, planes, k: int, stride: int) -> tuple:
@@ -426,7 +365,7 @@ def mac_node_voltages(
     """ADC-input voltages of every output node for every magnitude plane;
     each plane is one polarity cycle.
 
-    phases: bayer_phase_stacks of photocurrents, or the uint16 raw-sample
+    phases: numpy phase stacks of photocurrents, or the uint16 raw-sample
     phases of photocurrent_channels.  Each block expands one band of rows
     per (phase, channel) its taps read, its rows r0 to r1 plus the halo,
     and turns raw samples into photocurrents with frame_to_photocurrents;

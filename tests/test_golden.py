@@ -14,10 +14,11 @@ from ctia_ipc.golden import RAW_MAX, CalibrationMap, compare_runs, golden_layer,
 from ctia_ipc.mapper import BnParams, ConvSpec, fuse_and_quantize
 from ctia_ipc.pipeline import ChainConfig, simulate_layer
 from ctia_ipc.pixel import PixelParams
-from ctia_ipc.pixel_array import N_CHANNELS, ArrayConfig, bayer_phase_stacks, tap_grid
+from ctia_ipc.pixel_array import N_CHANNELS, ArrayConfig, tap_grid
 from ctia_ipc.wtc import CounterConfig
 
-from conftest import random_frame, random_layer, small_chain
+from conftest import random_frame, random_layer, reference_phase_stacks, small_chain
+from test_pipeline import loop_simulate_layer
 
 
 def reference_layer(frame, fused, spec, adc_cfg, chain):
@@ -108,7 +109,7 @@ def loop_golden_layer(frame_raw, fused, spec, adc_cfg, cal):
     """The golden model one output channel and one polarity at a time, on
     int64 phase stacks."""
     raw = np.pad(np.asarray(frame_raw), spec.p)
-    phases = bayer_phase_stacks(raw.astype(np.int64), spec.s)
+    phases = reference_phase_stacks(raw.astype(np.int64), spec.s)
     code_scale = cal.lsb_per_unit / (fused.mag_max * RAW_MAX)
     bn_codes = offset_codes(fused, cal, adc_cfg)
     limits = (code_scale, adc_cfg.code_max, cal.tap_saturation)
@@ -261,7 +262,8 @@ class TestSimulatorEquivalence:
     def test_relu_threshold_agreement(self):
         # Away from the zero boundary, the oracle fires exactly when the
         # simulator's pre-clip signed code is positive (out_bits=6 keeps the
-        # requantizer from masking small codes).
+        # requantizer from masking small codes).  The signed codes come from
+        # the per-channel loop, whose activations equal simulate_layer's.
         rng = np.random.default_rng(51)
         spec = ConvSpec(k=3, s=2, c_o=4, n_b=6, p_s=1)
         chain = ChainConfig(
@@ -272,7 +274,8 @@ class TestSimulatorEquivalence:
         )
         _, _, fused = random_layer(rng, spec)
         frame = random_frame(rng, 32, 32)
-        activations, signed = simulate_layer(frame, fused, spec, chain, return_codes=True)
+        activations, signed = loop_simulate_layer(frame, fused, spec, chain)
+        assert np.array_equal(simulate_layer(frame, fused, spec, chain), activations)
         gold = golden_layer(frame, fused, spec, chain.adc, chain.calibration(fused.mag_max))
         away = np.abs(signed) >= 2
         assert np.array_equal((gold > 0)[away], (signed > 0)[away])

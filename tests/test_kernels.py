@@ -17,14 +17,12 @@ from ctia_ipc.pixel import PixelParams, frame_to_photocurrents, integrate
 from ctia_ipc.pixel_array import (
     N_CHANNELS,
     ArrayConfig,
-    bayer_channel_view,
-    bayer_phase_stacks,
     mac_node_voltages,
     run_mac_cycle,
 )
 from ctia_ipc.wtc import CounterConfig, match_ticks
 
-from conftest import random_frame, small_chain
+from conftest import random_frame, reference_channels, reference_phase_stacks, small_chain
 
 KERNELS = [1, 2, 3, 5, 7]
 STRIDES = [1, 2, 3, 4]
@@ -149,7 +147,7 @@ def test_mac_node_voltages_bit_exact(k, s, p, pixel_config):
     raw = random_frame(rng, 20, 26)
     mags = rng.integers(0, 16, (N_CHANNELS, k, k))
     cfg = ArrayConfig(rows=20, cols=26)
-    channels = bayer_channel_view(np.pad(frame_to_photocurrents(raw, pixel.i_max), p))
+    channels = reference_channels(np.pad(frame_to_photocurrents(raw, pixel.i_max), p))
     if pixel_config == "clamped":
         assert channels.max() * 15 * (1 << wtc.window) * wtc.t_step / pixel.c_f > pixel.headroom
     expected = reference_mac_node_voltages(cfg, pixel, wtc, channels, mags, k, s)
@@ -196,8 +194,8 @@ def test_polarity_codes_bit_exact(k, s, p):
     raw = np.pad(random_frame(rng, 20, 26), p)
     mags = rng.integers(0, 16, (N_CHANNELS, k, k))
     spec = ConvSpec(k=k, s=s, p=p, c_o=1)
-    channels = bayer_channel_view(raw).astype(np.int64)
-    phases = bayer_phase_stacks(raw.astype(np.int64), s)
+    channels = reference_channels(raw.astype(np.int64))
+    phases = reference_phase_stacks(raw.astype(np.int64), s)
     # The second scale drives the larger kernels into the code ceiling; the
     # second saturation clamps every tap of magnitude 2 or more.
     for code_scale in (63 / (15 * RAW_MAX * 4 * k * k), 20 / (15 * RAW_MAX)):
@@ -251,7 +249,7 @@ def test_both_walks_bit_exact(k, s, p, levels, budget, block_scale, pixel_config
     mags = rng.integers(0, levels, (33, N_CHANNELS, k, k)) * (15 // (levels - 1))
     mags[5] = 0
     cfg = ArrayConfig(rows=64, cols=52)
-    channels = bayer_channel_view(np.pad(frame_to_photocurrents(raw, pixel.i_max), p))
+    channels = reference_channels(np.pad(frame_to_photocurrents(raw, pixel.i_max), p))
     plans = []  # (block_nodes, blocks) of each kernel's walk
     row_blocks = parallel.row_blocks
 
@@ -284,7 +282,7 @@ def test_both_walks_bit_exact(k, s, p, levels, budget, block_scale, pixel_config
     polarity_codes(photocurrent_channels(raw, p, s), mags, spec, *limits, emit)
     size, blocks = plans[1]
     assert size == 3 * (block_scale // 4) and len(blocks) > 3
-    channels_raw = bayer_channel_view(np.pad(raw, p)).astype(np.int64)
+    channels_raw = reference_channels(np.pad(raw, p).astype(np.int64))
     for plane, plane_mags in enumerate(mags):
         got = np.concatenate([codes[r0, plane] for r0, _ in blocks])
         expected = reference_polarity_codes(channels_raw, plane_mags, spec, *limits)

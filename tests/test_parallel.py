@@ -13,14 +13,14 @@ from ctia_ipc.pixel import PixelParams, frame_to_photocurrents
 from ctia_ipc.pixel_array import (
     N_CHANNELS,
     ArrayConfig,
-    bayer_channel_view,
     mac_node_voltages,
     photocurrent_channels,
 )
 from ctia_ipc.wtc import CounterConfig
 
-from conftest import call_within, random_frame, random_layer, small_chain
+from conftest import call_within, random_frame, random_layer, reference_channels, small_chain
 from test_kernels import reference_mac_node_voltages
+from test_pipeline import loop_simulate_layer
 
 
 @pytest.fixture
@@ -116,12 +116,14 @@ def test_layer_identical_across_threads_and_row_blocks(monkeypatch):
     runs = []
     for threads in ("1", "3"):
         monkeypatch.setenv("CTIA_IPC_THREADS", threads)
-        activations, signed = simulate_layer(frame, fused, spec, chain, return_codes=True)
-        runs.append((activations, signed, golden_layer(frame, fused, spec, chain.adc, cal)))
-    assert runs[0][1].shape == (3, 31, 31)
+        activations = simulate_layer(frame, fused, spec, chain)
+        runs.append((activations, golden_layer(frame, fused, spec, chain.adc, cal)))
+    expected, signed = loop_simulate_layer(frame, fused, spec, chain)
+    assert signed.shape == (3, 31, 31)
     assert len(parallel.row_blocks(31, 31)) == 11
     for a, b in zip(*runs):
         assert np.array_equal(a, b)
+    assert np.array_equal(runs[0][0], expected)
 
 
 class TestTeam:
@@ -179,7 +181,7 @@ class TestTeam:
         assert workers == int(threads)
         assert len(blocks) > workers
         assert {r1 - r0 for r0, r1 in blocks[:-1]} == {4} and blocks[-1][1] - blocks[-1][0] < 4
-        channels = bayer_channel_view(frame_to_photocurrents(raw, pixel.i_max))
+        channels = reference_channels(frame_to_photocurrents(raw, pixel.i_max))
         for plane, plane_mags in zip(got, mags):
             expected = reference_mac_node_voltages(cfg, pixel, wtc, channels, plane_mags, k, s)
             assert np.array_equal(plane, expected)

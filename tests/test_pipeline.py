@@ -11,21 +11,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ctia_ipc import parallel
-from ctia_ipc.adc import ADC_BITS, AdcConfig, maxpool
+from ctia_ipc.adc import ADC_BITS, AdcConfig, maxpool, signed_code_dtype
 from ctia_ipc.errors import ValidationError
 from ctia_ipc.golden import RAW_MAX, offset_codes, polarity_codes
 from ctia_ipc.mapper import ConvSpec
-from ctia_ipc.pipeline import ChainConfig, signed_code_dtype, simulate_layer
+from ctia_ipc.pipeline import ChainConfig, simulate_layer
 from ctia_ipc.pixel import PixelParams, frame_to_photocurrents
-from ctia_ipc.pixel_array import (
-    ArrayConfig,
-    bayer_channel_view,
-    mac_node_voltages,
-    photocurrent_channels,
-)
+from ctia_ipc.pixel_array import ArrayConfig, mac_node_voltages, photocurrent_channels
 from ctia_ipc.wtc import CounterConfig
 
-from conftest import random_frame, random_layer, small_chain
+from conftest import random_frame, random_layer, reference_channels, small_chain
 from test_kernels import WALK_IDS, WALKS, reference_mac_node_voltages, reference_polarity_codes
 
 
@@ -37,7 +32,7 @@ def loop_quantize(adc_cfg, v):
 def loop_simulate_layer(frame, fused, spec, chain):
     """Per output channel: both polarity cycles over the whole grid, then
     quantize, signed CDS from the BN preload, ReLU, requantize and pool."""
-    channels = bayer_channel_view(
+    channels = reference_channels(
         np.pad(frame_to_photocurrents(frame, chain.pixel.i_max), spec.p)
     )
     bn_codes = offset_codes(fused, chain.calibration(fused.mag_max), chain.adc)
@@ -112,11 +107,10 @@ def test_block_pass_matches_per_channel_loop(
         # pass allows.
         patch.setattr(parallel, "ROW_BLOCK_NODES", 1)
         patch.setenv("CTIA_IPC_THREADS", threads)
-        activations, signed = simulate_layer(frame, fused, spec, chain, return_codes=True)
+        activations = simulate_layer(frame, fused, spec, chain)
     assert activations.dtype == np.uint8
     assert activations.shape == expected[0].shape
     assert np.array_equal(activations, expected[0])
-    assert np.array_equal(signed, expected[1])
 
 
 def test_rejects_non_integer_frames():
@@ -141,7 +135,7 @@ def test_emit_covers_every_plane_row_once(
     chain = small_chain(44, 52)
     phases = photocurrent_channels(raw, p, s)
     spec = ConvSpec(k=k, s=s, p=p)
-    channels = bayer_channel_view(np.pad(raw, p)).astype(np.int64)
+    channels = reference_channels(np.pad(raw, p).astype(np.int64))
     limits = (1 / RAW_MAX, 63, 15 * RAW_MAX)
     # Each layer kernel with the grid it emits, on blocks cut at p_s = 2,
     # and whether it emits one channel pair at a time (the MAC) or a
@@ -199,8 +193,10 @@ def test_signed_codes_are_narrow_and_exact():
     chain = small_chain(30, 34)
     bn_codes = offset_codes(fused, chain.calibration(fused.mag_max), chain.adc)
     assert -65 <= bn_codes.min() and bn_codes.max() <= 64
-    activations, signed = simulate_layer(frame, fused, spec, chain, return_codes=True)
-    expected = loop_simulate_layer(frame, fused, spec, chain)
-    assert signed.dtype == np.int8
-    assert np.array_equal(activations, expected[0])
-    assert np.array_equal(signed, expected[1])
+    # The narrowest dtype for these preloads is int8, and it holds every
+    # signed code of the layer.
+    assert signed_code_dtype(chain.adc.code_max, bn_codes) == np.int8
+    expected, signed = loop_simulate_layer(frame, fused, spec, chain)
+    info = np.iinfo(np.int8)
+    assert info.min <= signed.min() and signed.max() <= info.max
+    assert np.array_equal(simulate_layer(frame, fused, spec, chain), expected)

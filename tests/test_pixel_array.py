@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctia_ipc.errors import ScheduleError, ValidationError
+from ctia_ipc.errors import DimensionError, ScheduleError, ValidationError
 from ctia_ipc.pixel import RAW_MAX, PixelParams, integrate
 from ctia_ipc.pixel_array import (
     BAYER_OFFSETS,
     ArrayConfig,
-    bayer_channel_view,
-    bayer_phase_stacks,
     charge_share_divider,
     mac_node_voltages,
     photocurrent_channels,
@@ -22,6 +20,8 @@ from ctia_ipc.pixel_array import (
     tap_plan,
 )
 from ctia_ipc.wtc import CounterConfig, match_time
+
+from conftest import reference_channels, reference_phase_stacks
 
 
 def eq1_oracle(c1, c2, cf, volts):
@@ -164,44 +164,57 @@ class TestCombineColumns:
 
 class TestBayerView:
     def test_channel_assignment(self):
-        frame = np.array([[1, 2], [3, 4]])
-        channels = bayer_channel_view(frame)
+        frame = np.array([[1, 2], [3, 4]], dtype=np.uint16)
+        [[phase]] = photocurrent_channels(frame)
+        channels = [phase[ch, :].tolist() for ch in range(4)]
         # R, G1, G2, B from even/even, even/odd, odd/even, odd/odd.
-        assert channels[0].tolist() == [[1, 1], [1, 1]]
-        assert channels[1].tolist() == [[2, 2], [2, 2]]
-        assert channels[2].tolist() == [[3, 3], [3, 3]]
-        assert channels[3].tolist() == [[4, 4], [4, 4]]
+        assert channels == [[[v, v], [v, v]] for v in (1, 2, 3, 4)]
+        assert np.array_equal(reference_channels(frame), channels)
 
     def test_odd_dims_rejected(self):
-        with pytest.raises(ValidationError):
-            bayer_channel_view(np.zeros((3, 4)))
-        for stride in (1, 2, 3):
-            with pytest.raises(ValidationError):
-                bayer_phase_stacks(np.zeros((4, 5)), stride)
+        # Odd dimensions at strides 1-4, a frame that is not 2-D and
+        # stride 0.
+        cases = [
+            *((np.zeros(shape, dtype=np.uint16), stride, ValidationError)
+              for shape in ((3, 4), (4, 5)) for stride in (1, 2, 3, 4)),
+            (np.zeros((2, 4, 4), dtype=np.uint16), 1, DimensionError),
+            (np.zeros((4, 4), dtype=np.uint16), 0, ValidationError),
+        ]
+        for frame, stride, error in cases:
+            with pytest.raises(error):
+                photocurrent_channels(frame, 0, stride)
 
     @pytest.mark.parametrize("stride", [1, 2, 3, 4])
     def test_phase_stacks_are_strided_channel_view(self, stride):
+        # Each phase, expanded whole, is the strided reference channel
+        # stack; at an even stride phases a and a ^ 1 are one object.
         frame = np.random.default_rng(stride).integers(0, 65536, (14, 18))
-        channels = bayer_channel_view(frame)
-        phases = bayer_phase_stacks(frame, stride)
+        channels = reference_channels(frame)
+        phases = photocurrent_channels(frame, 0, stride)
         assert len(phases) == stride
         for a in range(stride):
             assert len(phases[a]) == stride
             for b in range(stride):
-                assert phases[a][b].flags.c_contiguous
-                assert np.array_equal(phases[a][b], channels[:, a::stride, b::stride])
+                phase = phases[a][b]
+                whole = np.stack([phase[ch, :] for ch in range(4)])
+                assert phase.shape == whole.shape
+                assert np.array_equal(whole, channels[:, a::stride, b::stride])
                 if stride % 2 == 0:
-                    assert phases[a][b] is phases[a ^ 1][b]
-                    assert phases[a][b] is phases[a][b ^ 1]
+                    assert phase is phases[a ^ 1][b]
+                    assert phase is phases[a][b ^ 1]
 
     @pytest.mark.parametrize("stride", [1, 2, 3, 4])
     @pytest.mark.parametrize("dtype", [np.uint16, np.int64, np.float64])
     @pytest.mark.parametrize("shape", [(2, 2), (6, 10), (14, 18), (16, 8)])
     def test_phase_stacks_match_gather(self, stride, dtype, shape):
-        # Each stack against a gather of its rows and columns by index.
+        # The reference stacks, in each dtype the tests hand the kernels
+        # (uint16 and int64 raw samples, float64 photocurrents), and the
+        # phases of photocurrent_channels against a gather of rows and
+        # columns by index.
         frame = np.random.default_rng(sum(shape)).integers(0, 65536, shape).astype(dtype)
         rows, cols = shape
-        phases = bayer_phase_stacks(frame, stride)
+        stacks = reference_phase_stacks(frame, stride)
+        phases = photocurrent_channels(frame.astype(np.uint16), 0, stride)
         for a in range(stride):
             for b in range(stride):
                 row_base = np.arange(a, rows, stride) & ~1
@@ -209,8 +222,11 @@ class TestBayerView:
                 expected = np.stack([
                     frame[np.ix_(row_base + dr, col_base + dc)] for dr, dc in BAYER_OFFSETS
                 ])
-                assert phases[a][b].dtype == dtype
-                assert np.array_equal(phases[a][b], expected)
+                assert stacks[a][b].dtype == dtype
+                assert np.array_equal(stacks[a][b], expected)
+                whole = np.stack([phases[a][b][ch, :] for ch in range(4)])
+                assert whole.dtype == np.uint16
+                assert np.array_equal(whole, expected)
 
     @given(
         stride=st.integers(1, 4),
@@ -221,14 +237,21 @@ class TestBayerView:
     @settings(max_examples=100, deadline=None)
     def test_mosaic_phase_bands_match_stacks(self, stride, padding, quads, data):
         # Every row band [q0, q1) of every phase, its rows cut at the
-        # phase's edge as numpy cuts a stack's, and a drawn column window
-        # of each band: the same values, dtype and shape as the slice of
-        # the materialized stack.
+        # phase's edge as numpy cuts a stack's, a drawn column window of
+        # each band, and a drawn slice with a step and negative bounds on
+        # rows and columns: the same values, dtype and shape as the slice
+        # of the reference stack.
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         shape = (2 * quads[0], 2 * quads[1])
         raw = np.random.default_rng(seed).integers(0, RAW_MAX + 1, shape, dtype=np.uint16)
         phases = photocurrent_channels(raw, padding, stride)
-        stacks = bayer_phase_stacks(np.pad(raw, padding), stride)
+        stacks = reference_phase_stacks(np.pad(raw, padding), stride)
+
+        def strided(n):
+            bound = st.none() | st.integers(-n - 1, n + 1)
+            step = st.integers(-3, 3).filter(bool)
+            return st.builds(slice, bound, bound, step)
+
         for a in range(stride):
             for b in range(stride):
                 phase, stack = phases[a][b], stacks[a][b]
@@ -238,6 +261,8 @@ class TestBayerView:
                 n_rows, n_cols = stack.shape[1:]
                 u0 = data.draw(st.integers(0, n_cols), label="u0")
                 u1 = data.draw(st.integers(u0, n_cols + 1), label="u1")
+                rows = data.draw(strided(n_rows), label="rows")
+                cols = data.draw(strided(n_cols), label="cols")
                 for q0 in range(n_rows + 1):
                     for q1 in range(q0, n_rows + 2):
                         for ch in range(len(BAYER_OFFSETS)):
@@ -246,6 +271,11 @@ class TestBayerView:
                             assert band.dtype == window.dtype == np.uint16
                             assert np.array_equal(band, stack[ch, q0:q1])
                             assert np.array_equal(window, stack[ch, q0:q1, u0:u1])
+                for ch in range(len(BAYER_OFFSETS)):
+                    got = phase[ch, rows, cols]
+                    assert got.dtype == np.uint16
+                    assert got.shape == stack[ch, rows, cols].shape
+                    assert np.array_equal(got, stack[ch, rows, cols])
 
     @pytest.mark.parametrize("stride", [1, 2, 3])
     def test_photocurrent_channels_allocates_no_frame(self, stride):
@@ -265,7 +295,7 @@ class TestBayerView:
         assert peak < frame.nbytes
 
     def test_window_bounds(self):
-        phases = bayer_phase_stacks(np.zeros((8, 8)), 1)
+        phases = reference_phase_stacks(np.zeros((8, 8)), 1)
         assert tap_grid(phases, 7, 1) == (2, 2)
         with pytest.raises(ScheduleError):
             tap_grid(phases, 9, 1)
@@ -362,7 +392,7 @@ class TestTapPlan:
     def test_slices_shared_between_phases(self, stride, n_slices):
         # An even stride shares one stack between phases a and a ^ 1, so
         # taps i and i ^ 1 (and j and j ^ 1) of a 7x7 kernel read one slice.
-        phases = bayer_phase_stacks(np.zeros((32, 32), dtype=np.uint16), stride)
+        phases = reference_phase_stacks(np.zeros((32, 32), dtype=np.uint16), stride)
         planes = np.arange(2 * 4 * 7 * 7).reshape(2, 4, 7, 7) % 3
         slices, taps = tap_plan(phases, planes, 7, stride)
         assert len(slices) == n_slices
@@ -384,10 +414,10 @@ class TestVectorizedPath:
         wtc = CounterConfig()
         cfg = ArrayConfig(rows=16, cols=16)
         frame = rng.uniform(0, pixel.i_max, (16, 16))
-        channels = bayer_channel_view(frame)
+        channels = reference_channels(frame)
         mags = rng.integers(0, 16, (4, 5, 5))
         k, s = 5, 2
-        grid = mac_node_voltages(cfg, pixel, wtc, bayer_phase_stacks(frame, s), mags, k, s)
+        grid = mac_node_voltages(cfg, pixel, wtc, reference_phase_stacks(frame, s), mags, k, s)
         for r_out in range(grid.shape[0]):
             for c_out in range(grid.shape[1]):
                 region = channels[:, r_out * s : r_out * s + k, c_out * s : c_out * s + k]
@@ -398,9 +428,11 @@ class TestVectorizedPath:
         mags = np.ones((4, 5, 5), dtype=np.int64)
         frame = np.zeros((4, 8))
         with pytest.raises(ScheduleError):  # kernel taller than the frame
-            mac_node_voltages(cfg, pixel, wtc, bayer_phase_stacks(frame, 1), mags, 5, 1)
+            mac_node_voltages(cfg, pixel, wtc, reference_phase_stacks(frame, 1), mags, 5, 1)
         with pytest.raises(ScheduleError):  # phases built for another stride
-            mac_node_voltages(cfg, pixel, wtc, bayer_phase_stacks(frame, 2), mags[:, :1, :1], 1, 1)
+            mac_node_voltages(
+                cfg, pixel, wtc, reference_phase_stacks(frame, 2), mags[:, :1, :1], 1, 1
+            )
 
 
 class TestReadout:
