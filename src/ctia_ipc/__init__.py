@@ -2,7 +2,7 @@
 in-pixel computing accelerator."""
 
 from .adc import AdcConfig, cds_signed, maxpool, quantize, relu_requantize
-from .golden import CalibrationMap, compare_runs, golden_layer
+from .golden import compare_runs, golden_layer
 from .mapper import (
     BnParams,
     ConvSpec,
@@ -23,7 +23,7 @@ from .metrics import (
     monte_carlo,
     op_count,
 )
-from .pipeline import ChainConfig, simulate_layer
+from .pipeline import CalibrationMap, ChainConfig, simulate_layer
 from .pixel import (
     FitResult,
     PixelParams,

@@ -7,6 +7,9 @@ sample turns the CDS counter into a signed accumulator, and preloading it
 with the batch-norm offset folds the BN bias in for free.  ReLU is just
 clipping negative counter results to zero, requantization drops the two
 LSBs, and max pooling reduces the output grid.
+
+AdcConfig holds what every converter shares, the ramp span and the
+requantized width; each channel's BN preload is cds_signed's argument.
 """
 
 from __future__ import annotations
@@ -28,23 +31,19 @@ _BOUNDARY_GUARD = 1e-9
 
 @dataclass(frozen=True)
 class AdcConfig:
-    """v_fs is the ramp span of the ADC_BITS-bit converter; bn_offset_codes
-    is the preloaded CDS counter value (digitized BN offset); out_bits is
+    """v_fs is the ramp span of the ADC_BITS-bit converter; out_bits is
     the requantized activation width."""
 
     v_fs: float = 0.64
-    bn_offset_codes: int = 0
     out_bits: int = 4
 
     def __post_init__(self):
-        if not (math.isfinite(self.v_fs) and self.v_fs > 0):
-            raise ValidationError(f"adc.v_fs must be finite and > 0, got {self.v_fs}")
+        if not (math.isfinite(self.v_fs) and self.lsb > 0):
+            raise ValidationError(f"adc.v_fs must be finite with an LSB > 0, got {self.v_fs} (LSB {self.lsb})")
         if not 1 <= self.out_bits <= ADC_BITS:
             raise ValidationError(
                 f"adc.out_bits must be in [1, {ADC_BITS}], got {self.out_bits}"
             )
-        if not isinstance(self.bn_offset_codes, (int, np.integer)):
-            raise ValidationError("adc.bn_offset_codes must be an integer")
 
     @property
     def lsb(self) -> float:
@@ -99,9 +98,9 @@ def signed_code_dtype(code_max: int, bn_codes) -> type:
 
 
 @functools.lru_cache(maxsize=256)
-def _cds_dtype(code_max: int, bn_offset_codes: int) -> np.dtype:
+def _cds_dtype(code_max: int, preload: int) -> np.dtype:
     # One lookup per counter preload, not one per conversion block.
-    return np.promote_types(np.int16, signed_code_dtype(code_max, bn_offset_codes))
+    return np.promote_types(np.int16, signed_code_dtype(code_max, preload))
 
 
 def quantize(cfg: AdcConfig, v):
@@ -116,16 +115,19 @@ def quantize(cfg: AdcConfig, v):
     return code
 
 
-def cds_signed(cfg: AdcConfig, v_pos, v_neg):
+def cds_signed(cfg: AdcConfig, v_pos, v_neg, preload):
     """Signed CDS result: up-count on the positive-weight sample, down-count
-    on the negative-weight sample, starting from the BN preload.
+    on the negative-weight sample, starting from the integer BN preload.
 
     Counts are int16, or the wider signed_code_dtype when the preload needs
     it; a scalar pair gives an int."""
-    dtype = _cds_dtype(cfg.code_max, cfg.bn_offset_codes)
+    if not isinstance(preload, (int, np.integer)):
+        raise ValidationError(f"the CDS preload must be an integer, got {preload!r}")
+    preload = int(preload)
+    dtype = _cds_dtype(cfg.code_max, preload)
     code = _counts(cfg, v_pos, dtype)
     code -= _counts(cfg, v_neg, dtype)
-    code += cfg.bn_offset_codes
+    code += preload
     if code.ndim == 0:
         return int(code)
     return code

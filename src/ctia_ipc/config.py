@@ -32,9 +32,9 @@ _SECTIONS = {
     "conv": ConvSpec,
     "mismatch": MismatchSpec,
 }
-# Dataclass fields the loader derives rather than reads: the BN offset
-# comes from the weights, the Monte Carlo seed from the top-level seed.
-_DERIVED_FIELDS = {(AdcConfig, "bn_offset_codes"), (MismatchSpec, "seed")}
+# Dataclass fields the loader derives rather than reads: the Monte Carlo
+# seed comes from the top-level seed.
+_DERIVED_FIELDS = {(MismatchSpec, "seed")}
 
 # Every document key: (section, key) -> (kind, bound, RunConfig attribute).
 # Section "" is the top level.  A key of a dataclass section sets a field

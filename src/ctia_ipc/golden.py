@@ -26,23 +26,21 @@ magnitude) capped product is computed once per block by each member
 whose planes use it and added into them, exact for the same reason.  pixel_array.tap_plan
 supplies the slices, the geometry the simulator shares.
 
-The calibration map is always derived, never free-set, so the simulator
-and the oracle cannot drift apart in units.
+This integer arithmetic is the golden model's own part: its set-up and
+its block tail (pooling, ReLU, requantization) are pipeline.LayerRun's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .adc import _BOUNDARY_GUARD, AdcConfig, maxpool, relu_requantize, signed_code_dtype
+from .adc import _BOUNDARY_GUARD, AdcConfig
 from .errors import DimensionError, ValidationError
-from .mapper import ConvSpec, FusedLayer, output_dims
-from .pixel import RAW_MAX, PixelParams
+from .mapper import ConvSpec, FusedLayer
+from .pipeline import CalibrationMap, LayerRun
+from .pixel import RAW_MAX
 from . import parallel
-from .pixel_array import ArrayConfig, photocurrent_channels, tap_grid, tap_plan
-from .wtc import CounterConfig
+from .pixel_array import tap_grid, tap_plan
 
 # float64 holds every integer below 2^53 exactly.
 _EXACT_FLOAT_LIMIT = 1 << 53
@@ -51,65 +49,6 @@ _EXACT_FLOAT_LIMIT = 1 << 53
 # times parallel.ROW_BLOCK_NODES float64 values per team member, 2 MB at
 # the default; at every demo layer the planner's floor takes more.
 _FEATURE_BLOCK_SCALE = 8
-
-
-@dataclass(frozen=True)
-class CalibrationMap:
-    """Bridge between normalized products and ADC codes.
-
-    volts_per_unit_product: ADC-input volts produced by one unit of
-    w_norm * x_norm through pixel integration and the column divider.
-    lsb_per_unit: the same quantity in ADC codes.
-    tap_saturation: the integer tap product magnitude * raw at which one
-    pixel's discharge reaches the headroom clamp.
-    """
-
-    volts_per_unit_product: float
-    lsb_per_unit: float
-    tap_saturation: float
-
-    def __post_init__(self):
-        if min(self.volts_per_unit_product, self.lsb_per_unit, self.tap_saturation) <= 0:
-            raise ValidationError("calibration quantities must be positive")
-
-    @classmethod
-    def derive(
-        cls,
-        pixel: PixelParams,
-        wtc_cfg: CounterConfig,
-        array_cfg: ArrayConfig,
-        adc_cfg: AdcConfig,
-        mag_max: int,
-    ) -> "CalibrationMap":
-        """Compute the map from physical parameters (the only constructor
-        that should be used; a free-set calibration can silently disagree
-        with the simulator)."""
-        t_full = mag_max * wtc_cfg.exposure_multiplier * wtc_cfg.t_step
-        volts = pixel.i_max * t_full / pixel.c_f / array_cfg.divider
-        # A tap discharges i_max * (raw / RAW_MAX) * magnitude * 2^window *
-        # t_step / c_f volts until the pixel clamps it at headroom.
-        charge_per_mag = pixel.i_max * wtc_cfg.exposure_multiplier * wtc_cfg.t_step
-        saturation = pixel.headroom * pixel.c_f * RAW_MAX / charge_per_mag
-        return cls(volts, volts / adc_cfg.lsb, saturation)
-
-
-def offset_codes(fused: FusedLayer, cal: CalibrationMap, adc_cfg: AdcConfig) -> np.ndarray:
-    """Per-channel BN offsets converted to preloaded CDS counter codes.
-
-    The fused offset B lives in the network's accumulator units; one such
-    unit equals volts_per_unit_product / (mag_max * weight_scale) volts.
-    With an all-zero weight tensor there is no voltage scale to map
-    through, so the preload degenerates to zero.  A preload that is not
-    finite, or whose signed counts int64 cannot hold, raises
-    ValidationError naming its channel.
-    """
-    if fused.weight_scale == 0.0:
-        return np.zeros(fused.offsets.shape, dtype=np.int64)
-    volts = fused.offsets * cal.volts_per_unit_product / (fused.mag_max * fused.weight_scale)
-    codes = np.rint(volts / adc_cfg.lsb)
-    # Checked before the cast, which would wrap such a preload silently.
-    signed_code_dtype(adc_cfg.code_max, codes)
-    return codes.astype(np.int64)
 
 
 def polarity_codes(
@@ -122,10 +61,10 @@ def polarity_codes(
     ...); phases are the photocurrent_channels phases of the raw frame, or
     its numpy phase stacks.  Row blocks start at multiples of spec.p_s and
     are shared by a parallel.map_blocks_team team of W members.  Member w
-    first expands bands w, w + W, ... (one per phase and channel, over the
-    block's rows r0 to r1 plus the (k - 1) // s halo) into the block's
-    tap slices, then multiplies a contiguous run of whole channel pairs and
-    hands it to emit(r0, r1, p0, codes) as mac_node_voltages hands a pair:
+    first expands tap_plan bands w, w + W, ... (over the block's rows r0
+    to r1 plus the (k - 1) // s halo) into the block's tap slices, then
+    multiplies a contiguous run of whole channel pairs and hands it to
+    emit(r0, r1, p0, codes) as mac_node_voltages hands a pair:
     int64 codes of planes p0, p0 + 1, ... over rows r0:r1, each plane's
     exact integer tap sum, scaled once to codes and capped at code_max.
     Each tap product magnitude*raw is capped at int(tap_saturation), the
@@ -138,7 +77,7 @@ def polarity_codes(
     if bound >= _EXACT_FLOAT_LIMIT:
         raise ValidationError(f"tap sums up to {bound} are not exact in float64")
     out_r, out_c = tap_grid(phases, k, s)
-    slices, taps = tap_plan(phases, planes, k, s)
+    bands, slices, taps = tap_plan(phases, planes, k, s)
     n_planes, n_slices = len(planes), len(slices)
     mags = np.zeros((n_planes, n_slices))
     clamped = {}  # (slice, magnitude) -> planes, for taps the clamp can reach
@@ -148,10 +87,9 @@ def polarity_codes(
         else:
             mags[p, n] += m
     cap = int(tap_saturation)
-    bands = {}  # (id(stack), channel) -> (stack, channel, its slices' (n, di, dj))
-    for n, (stack, ch, di, dj) in enumerate(slices):
-        bands.setdefault((id(stack), ch), (stack, ch, []))[2].append((n, di, dj))
-    bands = list(bands.values())
+    reads = [(stack, ch, []) for stack, ch in bands]  # each band's slices' (n, di, dj)
+    for n, (b, di, dj) in enumerate(slices.tolist()):
+        reads[b][2].append((n, di, dj))
     extra = (k - 1) // s
     n_pairs = (n_planes + 1) // 2
     # A block's rows of nodes: the features and every plane's codes for the
@@ -170,9 +108,9 @@ def polarity_codes(
 
     def expand(w: int, r0: int, r1: int) -> None:
         features = block_rows(r0, r1)
-        for stack, ch, reads in bands[w::workers]:
+        for stack, ch, band_reads in reads[w::workers]:
             band = stack[ch, r0 : r1 + extra]
-            for n, di, dj in reads:
+            for n, di, dj in band_reads:
                 features[n] = band[di : di + r1 - r0, dj : dj + out_c]
 
     def multiply(w: int, r0: int, r1: int) -> None:
@@ -208,34 +146,26 @@ def golden_layer(
     frame_raw holds integer samples in [0, 65535].  Padding is zero border
     samples, matching the simulator's zero-photocurrent border.
     """
-    planes = fused.polarity_planes(spec)
-    phases = photocurrent_channels(frame_raw, spec.p, spec.s)
-    _, pooled_dims = output_dims(spec, *np.asarray(frame_raw).shape)
+    run = LayerRun(frame_raw, fused, spec, cal, adc_cfg)
     # One unit product is mag_max * RAW_MAX in integer tap units.
     code_scale = cal.lsb_per_unit / (fused.mag_max * RAW_MAX)
-    bn_codes = offset_codes(fused, cal, adc_cfg)
-    activations = np.empty((spec.c_o, *pooled_dims), dtype=np.uint8)
 
-    def requantize(r0: int, r1: int, p0: int, codes: np.ndarray) -> None:
-        # As pipeline.simulate_layer digitizes: planes 2c, 2c + 1 are
-        # channel c's two cycles, and pooling whole windows before the
-        # monotone ReLU and requantization changes no code.
-        channels = slice(p0 // 2, (p0 + len(codes)) // 2)
-        signed = codes[0::2] - codes[1::2] + bn_codes[channels, None, None]
-        pooled = relu_requantize(adc_cfg, maxpool(signed, spec.p_s))
-        q0 = r0 // spec.p_s
-        activations[channels, q0 : q0 + pooled.shape[1]] = pooled
+    def emit(r0: int, r1: int, p0: int, codes: np.ndarray) -> None:
+        # Planes 2c, 2c + 1 are channel c's two cycles.
+        ch0 = p0 // 2
+        preloads = run.preloads[ch0 : ch0 + len(codes) // 2, None, None]
+        run.store(r0, ch0, codes[0::2] - codes[1::2] + preloads)
 
     polarity_codes(
-        phases,
-        planes,
+        run.phases,
+        run.planes,
         spec,
         code_scale,
         adc_cfg.code_max,
         cal.tap_saturation,
-        requantize,
+        emit,
     )
-    return activations
+    return run.activations
 
 
 def _difference_dtype(a: np.dtype, b: np.dtype):

@@ -210,11 +210,12 @@ def tap_plan(phases, planes, k: int, stride: int) -> tuple:
     phases[i % stride][j % stride] at offset (i // stride, j // stride).
     An even stride shares one stack between phases, so a slice is keyed by
     the stack object itself: at k7s2 the 196 tap positions read 64 slices.
-    Returns (slices, taps): slices lists one (stack, channel, row offset,
-    column offset) per distinct slice; taps is an int64 array with one row
-    (j, i, ch, value, plane, slice index) per nonzero tap, in the
-    hardware's summation order of kernel column, then row, then channel,
-    and by plane within a tap position.
+    Returns (bands, slices, taps): bands lists the distinct (stack,
+    channel) pairs read; slices is an int64 array with one row (band
+    index, row offset, column offset) per distinct slice, in band order;
+    taps is an int64 array with one row (j, i, ch, value, plane, slice
+    index) per nonzero tap, in the hardware's summation order of kernel
+    column, then row, then channel, and by plane within a tap position.
     """
     by_column = np.asarray(planes).transpose(3, 2, 1, 0)
     j, i, ch, p = np.nonzero(by_column)
@@ -226,15 +227,13 @@ def tap_plan(phases, planes, k: int, stride: int) -> tuple:
     keys = ((phase_stack[i % stride, j % stride] * N_CHANNELS + ch) * span + i // stride)
     keys = keys * span + j // stride
     unique, slice_of = np.unique(keys, return_inverse=True)
+    band_keys, offsets = np.divmod(unique, span * span)
+    band_keys, band_of = np.unique(band_keys, return_inverse=True)
     by_index = [s for _, s in stacks.values()]
-    slices = []
-    for key in unique.tolist():
-        key, dj = divmod(key, span)
-        key, di = divmod(key, span)
-        index, channel = divmod(key, N_CHANNELS)
-        slices.append((by_index[index], channel, di, dj))
+    bands = [(by_index[key // N_CHANNELS], key % N_CHANNELS) for key in band_keys.tolist()]
+    slices = np.stack([band_of, *np.divmod(offsets, span)], axis=1)
     taps = np.stack([j, i, ch, by_column[j, i, ch, p], p, slice_of], axis=1)
-    return slices, taps.astype(np.int64, copy=False)
+    return bands, slices.astype(np.int64, copy=False), taps.astype(np.int64, copy=False)
 
 
 def tap_grid(phases, k: int, stride: int) -> tuple:
@@ -301,10 +300,10 @@ def run_mac_cycle(
     return float(volts) if volts.ndim == 0 else volts
 
 
-def _shared_plan(slices, taps, n_planes: int, t_step: float, unclamped) -> tuple:
-    """The walk's work list, from tap_plan slices and taps whose values
-    are counter ticks.  Returns (groups, reads, walks):
-    groups: per distinct (stack, channel), (stack, channel, its distinct
+def _shared_plan(bands, slices, taps, n_planes: int, t_step: float, unclamped) -> tuple:
+    """The walk's work list, from tap_plan bands, slices and taps whose
+    values are counter ticks.  Returns (groups, reads, walks):
+    groups: per band (stack, channel), (stack, channel, its distinct
         exposures in ascending order as an (m, 1, 1) array, how many of
         them unclamped(t) holds for; the rest are the last ones, as the
         discharge grows with t);
@@ -313,32 +312,20 @@ def _shared_plan(slices, taps, n_planes: int, t_step: float, unclamped) -> tuple
     walks: per plane, its nonempty kernel columns in order, each the list
         of its taps' reads in (row, channel) order."""
     j, tick, p, n = taps[:, 0], taps[:, 3], taps[:, 4], taps[:, 5]
-    found = {}  # (id(stack), channel) -> (group, stack, channel)
-    slice_group = np.array(
-        [found.setdefault((id(s), ch), (len(found), s, ch))[0] for s, ch, _, _ in slices],
-        dtype=np.int64,
-    )
     n_ticks = int(tick.max(initial=0)) + 1
     # The distinct (group, tick) pairs, by group and then tick.
-    exposures, exposure_of = np.unique(slice_group[n] * n_ticks + tick, return_inverse=True)
+    exposures, exposure_of = np.unique(slices[n, 0] * n_ticks + tick, return_inverse=True)
     exposure_group, exposure_tick = np.divmod(exposures, n_ticks)
     ts = (exposure_tick * t_step)[:, None, None]
-    first = np.searchsorted(exposure_group, np.arange(len(found) + 1))
-    n_safe = np.bincount(exposure_group[unclamped(ts[:, 0, 0])], minlength=len(found))
+    first = np.searchsorted(exposure_group, np.arange(len(bands) + 1))
+    n_safe = np.bincount(exposure_group[unclamped(ts[:, 0, 0])], minlength=len(bands))
     groups = [
         (stack, ch, ts[first[g] : first[g + 1]], int(n_safe[g]))
-        for g, stack, ch in found.values()
+        for g, (stack, ch) in enumerate(bands)
     ]
     _, read_tap, read_of = np.unique(n * n_ticks + tick, return_index=True, return_inverse=True)
     read_group = exposure_group[exposure_of[read_tap]]
-    offsets = np.array([slice_[2:] for slice_ in slices], dtype=np.int64).reshape(-1, 2)
-    read_slice = n[read_tap]
-    reads = (
-        read_group,
-        exposure_of[read_tap] - first[read_group],
-        offsets[read_slice, 0],
-        offsets[read_slice, 1],
-    )
+    reads = (read_group, exposure_of[read_tap] - first[read_group], *slices[n[read_tap], 1:].T)
     # Stable, so each (plane, column) run keeps the taps' (row, channel) order.
     order = np.argsort(p, kind="stable")
     plane, column = p[order], j[order]
@@ -390,7 +377,7 @@ def mac_node_voltages(
         raise ScheduleError(f"weight planes must be (n, 4, {k}, {k}), got {mags.shape}")
     out_r, out_c = tap_grid(phases, k, stride)
     ticks = np.asarray(match_ticks(wtc_cfg, planes), dtype=np.int64)
-    slices, taps = tap_plan(phases, ticks, k, stride)
+    bands, slices, taps = tap_plan(phases, ticks, k, stride)
 
     def currents(samples):
         if samples.dtype.kind in "iu":
@@ -399,10 +386,7 @@ def mac_node_voltages(
 
     # A MosaicPhase's max is its mosaic's, an upper bound: the clamp is
     # then at worst applied where it changes nothing.
-    stacks = {id(entry[0]): entry[0] for entry in slices}
-    x_max = 0.0
-    for stack in stacks.values():
-        x_max = max(x_max, float(currents(stack.max())))
+    x_max = max((float(currents(stack.max())) for stack, _ in bands), default=0.0)
     multiply, divide, add, c_f, headroom = (
         np.multiply, np.divide, np.add, params.c_f, params.headroom
     )
@@ -411,7 +395,7 @@ def mac_node_voltages(
         return x_max * t / c_f <= headroom
 
     n_planes = len(planes)
-    groups, reads, walks = _shared_plan(slices, taps, n_planes, wtc_cfg.t_step, unclamped)
+    groups, reads, walks = _shared_plan(bands, slices, taps, n_planes, wtc_cfg.t_step, unclamped)
     extra = (k - 1) // stride
 
     volts = None

@@ -123,7 +123,7 @@ def test_criterion_6_signed_cds():
                     neg[0, 0, 0] = -w
                 v_pos = run_mac_cycle(array, pixel, wtc, region, pos)
                 v_neg = run_mac_cycle(array, pixel, wtc, region, neg)
-                code = cds_signed(adc, v_pos, v_neg)
+                code = cds_signed(adc, v_pos, v_neg, 0)
                 ideal = (w / 15) * x * lsb_per_unit
                 assert abs(code - ideal) <= 1 + 1e-9, f"w={w} x={x}: {code} vs {ideal}"
 

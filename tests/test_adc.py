@@ -74,25 +74,29 @@ class TestQuantize:
 
 class TestCdsSigned:
     def test_balanced_cancellation(self, adc_cfg):
-        assert cds_signed(adc_cfg, 0.123, 0.123) == 0
+        assert cds_signed(adc_cfg, 0.123, 0.123, 0) == 0
 
     def test_two_quantize_oracle(self):
         cfg = AdcConfig(v_fs=0.64)
-        assert cds_signed(cfg, 0.35, 0.10) == 35 - 10
+        assert cds_signed(cfg, 0.35, 0.10, 0) == 35 - 10
 
     def test_bn_preload(self):
-        cfg = AdcConfig(v_fs=0.64, bn_offset_codes=-5)
-        assert cds_signed(cfg, 0.03, 0.0) == 3 - 5
-        assert relu_requantize(cfg, cds_signed(cfg, 0.03, 0.0)) == 0
+        cfg = AdcConfig(v_fs=0.64)
+        assert cds_signed(cfg, 0.03, 0.0, -5) == 3 - 5
+        assert relu_requantize(cfg, cds_signed(cfg, 0.03, 0.0, np.int64(-5))) == 0
+        # The counter starts from a whole number of codes.
+        for preload in (-5.0, 0.5, None):
+            with pytest.raises(ValidationError, match="CDS preload must be an integer"):
+                cds_signed(cfg, 0.03, 0.0, preload)
 
     @pytest.mark.parametrize(
         "bn, dtype", [(0, np.int16), (-100, np.int16), (1 << 15, np.int32), (-(1 << 40), np.int64)]
     )
     def test_grid_counts_narrow_and_exact(self, bn, dtype):
         # int16 counts, widened only as far as the preload needs.
-        cfg = AdcConfig(bn_offset_codes=bn)
+        cfg = AdcConfig()
         v = np.random.default_rng(3).uniform(0, 0.7, (2, 5, 7))
-        code = cds_signed(cfg, v[0], v[1])
+        code = cds_signed(cfg, v[0], v[1], bn)
         assert code.dtype == dtype
         assert np.array_equal(code, quantize(cfg, v[0]) - quantize(cfg, v[1]) + bn)
 
@@ -103,15 +107,15 @@ class TestCdsSigned:
     )
     @settings(max_examples=200)
     def test_antisymmetry(self, a, b, bn):
-        cfg = AdcConfig(bn_offset_codes=bn)
-        assert cds_signed(cfg, a, b) + cds_signed(cfg, b, a) == 2 * bn
+        cfg = AdcConfig()
+        assert cds_signed(cfg, a, b, bn) + cds_signed(cfg, b, a, bn) == 2 * bn
 
     @given(a=st.floats(0, 0.62), b=st.floats(0, 0.62), bn=st.integers(-16, 16))
     @settings(max_examples=300)
     def test_within_one_lsb_of_ideal(self, a, b, bn):
         # Below saturation the signed code tracks the real difference.
-        cfg = AdcConfig(bn_offset_codes=bn)
-        code = cds_signed(cfg, a, b)
+        cfg = AdcConfig()
+        code = cds_signed(cfg, a, b, bn)
         ideal = (a - b) / cfg.lsb
         assert abs(code - ideal - bn) <= 1.0 + 1e-9
 

@@ -118,6 +118,8 @@ class TestRejectedDocuments:
             ("readout", {"paths": {"frame": "missing.pgm"}}, "paths.frame"),
             ("simulate", "frame only", "paths.weights"),
             ("export-transfer", {"transfer": {"samples_csv": "missing.csv"}}, "transfer.samples_csv"),
+            # Finite and > 0, with an LSB v_fs / 64 that underflows to 0.
+            ("sweep", {"adc": {"v_fs": 5e-324}}, "adc.v_fs"),
         ],
     )
     def test_exits_1_naming_the_key(self, tmp_path, capsys, monkeypatch, mode, document, key):

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from ctia_ipc import parallel
 from ctia_ipc.adc import AdcConfig, maxpool, relu_requantize
 from ctia_ipc.errors import DimensionError, ValidationError
-from ctia_ipc.golden import RAW_MAX, CalibrationMap, compare_runs, golden_layer, offset_codes
+from ctia_ipc.golden import RAW_MAX, compare_runs, golden_layer
 from ctia_ipc.mapper import BnParams, ConvSpec, fuse_and_quantize
-from ctia_ipc.pipeline import ChainConfig, simulate_layer
+from ctia_ipc.pipeline import CalibrationMap, ChainConfig, offset_codes, simulate_layer
 from ctia_ipc.pixel import PixelParams
 from ctia_ipc.pixel_array import N_CHANNELS, ArrayConfig, tap_grid
 from ctia_ipc.wtc import CounterConfig
@@ -126,6 +126,19 @@ class TestCalibration:
     def test_derived_only(self):
         with pytest.raises(ValidationError):
             CalibrationMap(volts_per_unit_product=-1.0, lsb_per_unit=1.0, tap_saturation=1.0)
+        # Every quantity must be finite, and the error names the one that
+        # is not.
+        names = ("volts_per_unit_product", "lsb_per_unit", "tap_saturation")
+        for name in names:
+            for bad in (math.inf, -math.inf, math.nan, 0.0):
+                values = dict.fromkeys(names, 1.0) | {name: bad}
+                with pytest.raises(ValidationError, match=f"calibration {name} must be finite"):
+                    CalibrationMap(**values)
+        # 1e300 A of full-scale photocurrent overflows the volts of one unit
+        # product to inf, which would reach every accumulator.
+        pixel = PixelParams(i_max=1e300)
+        with pytest.raises(ValidationError, match="volts_per_unit_product must be finite"):
+            CalibrationMap.derive(pixel, CounterConfig(), ArrayConfig(), AdcConfig(), 15)
 
     def test_derivation_values(self, chain):
         cal = chain.calibration(15)

@@ -9,10 +9,10 @@ import pytest
 
 from ctia_ipc import parallel
 from ctia_ipc.adc import AdcConfig
-from ctia_ipc.golden import RAW_MAX, CalibrationMap, polarity_codes
+from ctia_ipc.golden import RAW_MAX, polarity_codes
 from ctia_ipc.mapper import ConvSpec
 from ctia_ipc.metrics import MismatchSpec, monte_carlo
-from ctia_ipc.pipeline import photocurrent_channels
+from ctia_ipc.pipeline import CalibrationMap, photocurrent_channels
 from ctia_ipc.pixel import PixelParams, frame_to_photocurrents, integrate
 from ctia_ipc.pixel_array import (
     N_CHANNELS,

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from ctia_ipc import parallel
 from ctia_ipc.adc import ADC_BITS, AdcConfig, maxpool, signed_code_dtype
 from ctia_ipc.errors import ValidationError
-from ctia_ipc.golden import RAW_MAX, offset_codes, polarity_codes
+from ctia_ipc.golden import RAW_MAX, polarity_codes
 from ctia_ipc.mapper import ConvSpec
-from ctia_ipc.pipeline import ChainConfig, simulate_layer
+from ctia_ipc.pipeline import ChainConfig, offset_codes, simulate_layer
 from ctia_ipc.pixel import PixelParams, frame_to_photocurrents
 from ctia_ipc.pixel_array import ArrayConfig, mac_node_voltages, photocurrent_channels
 from ctia_ipc.wtc import CounterConfig

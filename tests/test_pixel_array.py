@@ -391,17 +391,24 @@ class TestTapPlan:
     @pytest.mark.parametrize("stride, n_slices", [(1, 196), (2, 64), (3, 196), (4, 64)])
     def test_slices_shared_between_phases(self, stride, n_slices):
         # An even stride shares one stack between phases a and a ^ 1, so
-        # taps i and i ^ 1 (and j and j ^ 1) of a 7x7 kernel read one slice.
+        # taps i and i ^ 1 (and j and j ^ 1) of a 7x7 kernel read one slice,
+        # and every distinct stack gives 4 bands: 1 stack at strides 1 and 2,
+        # 9 at stride 3, 4 at stride 4.
+        n_bands = {1: 4, 2: 4, 3: 36, 4: 16}[stride]
         phases = reference_phase_stacks(np.zeros((32, 32), dtype=np.uint16), stride)
         planes = np.arange(2 * 4 * 7 * 7).reshape(2, 4, 7, 7) % 3
-        slices, taps = tap_plan(phases, planes, 7, stride)
-        assert len(slices) == n_slices
+        bands, slices, taps = tap_plan(phases, planes, 7, stride)
+        assert len(slices) == n_slices and slices.dtype == np.int64
         assert len(taps) == np.count_nonzero(planes)
+        # The bands are distinct (stack, channel) pairs.
+        assert len(bands) == n_bands
+        assert len({(id(stack), ch) for stack, ch in bands}) == n_bands
         # Summation order: column, row, channel, then plane.
         order = taps[:, [0, 1, 2, 4]].tolist()
         assert order == sorted(order)
         for j, i, ch, value, p, n in taps:
-            stack, channel, di, dj = slices[n]
+            b, di, dj = slices[n]
+            stack, channel = bands[b]
             assert value == planes[p, ch, i, j] != 0
             assert stack is phases[i % stride][j % stride] and channel == ch
             assert (di, dj) == (i // stride, j // stride)
