@@ -10,6 +10,7 @@ metadata (which is context, not a target).
 
 import math
 
+from ctia_ipc.adc import AdcConfig
 from ctia_ipc.mapper import ConvSpec, build_schedule
 from ctia_ipc.metrics import REFERENCE, default_cycle_time, metrics_report
 from ctia_ipc.wtc import CounterConfig
@@ -19,15 +20,15 @@ ROWS, COLS = 1024, 1280
 
 def main() -> int:
     spec = ConvSpec()
-    wtc = CounterConfig()
+    out_bits = AdcConfig().out_bits
     schedule = build_schedule(spec, ROWS, COLS)
     report = metrics_report(
         spec, ROWS, COLS, schedule, REFERENCE["paper_power_per_pixel_w"],
-        default_cycle_time(wtc.t_step, wtc.window),
+        default_cycle_time(CounterConfig()), out_bits,
     )
 
     print(f"frame {COLS}x{ROWS}, k={spec.k} s={spec.s} p={spec.p} "
-          f"c_o={spec.c_o} N_b={spec.n_b} p_s={spec.p_s}")
+          f"c_o={spec.c_o} N_b={out_bits} p_s={spec.p_s}")
     print()
     print(f"bandwidth reduction (bit ratio)    : {report['br_bits']:10.4f}   "
           f"[reference {REFERENCE['paper_br']}]")

@@ -143,6 +143,7 @@ def _run_metrics(cfg: RunConfig, out_dir: str) -> int:
         schedule,
         cfg.power_per_pixel_w,
         cfg.cycle_time(),
+        cfg.adc.out_bits,
     )
     formats.write_json(os.path.join(out_dir, "metrics.json"), report)
     _write_manifest(cfg, "metrics", out_dir, ["metrics.json"])

@@ -20,7 +20,7 @@ from .metrics import MismatchSpec, SWEEP_MODES, default_cycle_time
 from .pipeline import ChainConfig
 from .pixel import PixelParams
 from .pixel_array import ArrayConfig
-from .wtc import CounterConfig
+from .wtc import MAG_MAX, CounterConfig, match_time
 
 # Each of these sections is one dataclass: its fields are its keys, and
 # its __post_init__ checks their ranges.
@@ -97,12 +97,12 @@ class RunConfig:
     def cycle_time(self) -> float:
         if self.cycle_time_s > 0:
             return self.cycle_time_s
-        return default_cycle_time(self.wtc.t_step, self.wtc.window)
+        return default_cycle_time(self.wtc)
 
     def readout_exposure(self) -> float:
         if self.readout_exposure_s > 0:
             return self.readout_exposure_s
-        return 15 * self.wtc.exposure_multiplier * self.wtc.t_step
+        return match_time(self.wtc, MAG_MAX)
 
     def resolved(self) -> dict:
         """Fully-resolved key-value view for the run manifest: every key but
@@ -238,6 +238,10 @@ def load_config(path: str | None, seed_override: int | None = None, out_override
     for name, value in (("cycle_time_s", cfg.cycle_time()), ("readout_exposure_s", cfg.readout_exposure())):
         if not math.isfinite(value):
             problems.append(f"{name} derived from wtc.t_step={cfg.wtc.t_step!r} is not finite")
+    try:
+        cfg.chain().calibration(cfg.conv.mag_max)
+    except ValidationError as exc:
+        problems.append(f"{exc}, derived from sections pixel, wtc, array, adc and conv")
     if out_override is not None:
         cfg.out_dir = out_override
     if problems:

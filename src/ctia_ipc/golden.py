@@ -17,7 +17,7 @@ magnitude matrix (two taps that read the same slice add their
 magnitudes), whose rows each team member multiplies for its planes.
 This is exact.  Every product and every partial sum is a nonnegative
 integer no larger than the plane's accumulator bound
-RAW_MAX * sum(magnitudes) <= 15 * 65535 * 4k^2, which stays below 2^53,
+RAW_MAX * sum(magnitudes) <= MAG_MAX * RAW_MAX * 4k^2, which stays below 2^53,
 so float64 holds each one without rounding.  The sum is then the same
 integer in any order, with or without fused multiply-add, on any number
 of BLAS threads.  polarity_codes checks the bound once per call.  Taps

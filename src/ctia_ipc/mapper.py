@@ -26,11 +26,13 @@ import numpy as np
 
 from .errors import DimensionError, ScheduleError, ValidationError
 from .pixel_array import N_CHANNELS
+from .wtc import MAG_MAX
 
 
 @dataclass(frozen=True)
 class ConvSpec:
-    """First-layer convolution geometry and output precision.
+    """First-layer convolution geometry and weight precision (the
+    activation width is adc.out_bits).
 
     weight_mag_bits selects the stored magnitude range: 4 uses the full
     0..15 comparator range with sign carried by cycle membership; 3 keeps
@@ -41,7 +43,6 @@ class ConvSpec:
     s: int = 2
     p: int = 0
     c_o: int = 16
-    n_b: int = 4
     p_s: int = 2
     weight_mag_bits: int = 4
 
@@ -54,8 +55,6 @@ class ConvSpec:
             raise ValidationError(f"padding must be >= 0, got {self.p}")
         if self.c_o < 1:
             raise ValidationError(f"output channels must be >= 1, got {self.c_o}")
-        if not 1 <= self.n_b <= 16:
-            raise ValidationError(f"output bits must be in [1, 16], got {self.n_b}")
         if self.p_s < 1:
             raise ValidationError(f"pooling stride must be >= 1, got {self.p_s}")
         if self.weight_mag_bits not in (3, 4):
@@ -155,7 +154,7 @@ class FusedLayer:
         return np.stack([self.pos_mags, self.neg_mags], axis=1).reshape(-1, *expected[1:])
 
 
-def quantize_weights(scaled_weights: np.ndarray, offsets: np.ndarray, mag_max: int = 15) -> FusedLayer:
+def quantize_weights(scaled_weights: np.ndarray, offsets: np.ndarray, mag_max: int = MAG_MAX) -> FusedLayer:
     """Symmetric sign-magnitude quantization into positive/negative planes.
 
     weight_scale = max|w| / mag_max; magnitudes round to [0, mag_max] and
@@ -198,7 +197,7 @@ def quantize_weights(scaled_weights: np.ndarray, offsets: np.ndarray, mag_max: i
     )
 
 
-def fuse_and_quantize(weights: np.ndarray, bn: BnParams, mag_max: int = 15) -> FusedLayer:
+def fuse_and_quantize(weights: np.ndarray, bn: BnParams, mag_max: int = MAG_MAX) -> FusedLayer:
     scaled, offsets = fuse_bn(weights, bn)
     return quantize_weights(scaled, offsets, mag_max)
 

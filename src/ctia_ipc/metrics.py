@@ -8,11 +8,11 @@ evaluates the closed-form estimate
 
 literally, with I the raw element count (rows * cols * 4 channels) and O
 the pre-pooling conv output element count.  br_bits is the data-volume
-ratio of 12-bit input samples to N_b-bit post-pooling activations, which
-is the reading that lands at 12.08x for the default configuration.  The
-two do not agree -- the closed form's 3/4 and 1/p_s^2 factors shrink it
-well below the bit-ratio -- so both are emitted rather than hiding the
-discrepancy.
+ratio of 12-bit input samples to N_b-bit post-pooling activations, the
+reading that lands at 12.08x for the default configuration; N_b is
+adc.out_bits, the width the requantizer emits.  The two do not agree --
+the closed form's 3/4 and 1/p_s^2 factors shrink it well below the
+bit-ratio -- so both are emitted rather than hiding the discrepancy.
 
 Throughput and efficiency outputs are contextualized against measured
 reference figures carried as metadata; they are not desk-reproducible
@@ -31,11 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .adc import ADC_BITS
 from .errors import ValidationError
 from .mapper import ConvSpec, Schedule, output_dims
 from .parallel import row_blocks
 from .pipeline import ChainConfig, sweep_window_chain
 from .pixel_array import N_CHANNELS, charge_share_divider
+from .wtc import MAG_MAX, CounterConfig, match_ticks, match_time
 
 INPUT_SAMPLE_BITS = 12
 
@@ -52,14 +54,14 @@ MULTIWINDOW_KERNELS = (3, 5, 7)
 MC_HIST_BINS = 30
 
 
-def bandwidth_reduction(spec: ConvSpec, rows: int, cols: int):
-    """Return (br_printed, br_bits) for the given frame size."""
+def bandwidth_reduction(spec: ConvSpec, rows: int, cols: int, out_bits: int):
+    """Return (br_printed, br_bits) for the given frame size and N_b = out_bits."""
     (out_r, out_c), (pool_r, pool_c) = output_dims(spec, rows, cols)
     i_elems = rows * cols * N_CHANNELS
     o_conv = out_r * out_c * spec.c_o
     o_pool = pool_r * pool_c * spec.c_o
-    br_printed = (i_elems / o_conv) * 0.75 * (INPUT_SAMPLE_BITS / spec.n_b) / (spec.p_s ** 2)
-    br_bits = (i_elems * INPUT_SAMPLE_BITS) / (o_pool * spec.n_b)
+    br_printed = (i_elems / o_conv) * 0.75 * (INPUT_SAMPLE_BITS / out_bits) / (spec.p_s ** 2)
+    br_bits = (i_elems * INPUT_SAMPLE_BITS) / (o_pool * out_bits)
     return br_printed, br_bits
 
 
@@ -69,9 +71,9 @@ def op_count(spec: ConvSpec, rows: int, cols: int) -> int:
     return out_r * out_c * spec.c_o * 2 * spec.k * spec.k * N_CHANNELS
 
 
-def default_cycle_time(wtc_t_step: float, window: int, adc_ticks: int = 64) -> float:
+def default_cycle_time(wtc_cfg: CounterConfig) -> float:
     """Worst-case cycle: longest exposure plus one full ADC conversion."""
-    return (15 * (1 << window) + adc_ticks) * wtc_t_step
+    return (match_ticks(wtc_cfg, MAG_MAX) + (1 << ADC_BITS)) * wtc_cfg.t_step
 
 
 def energy_estimate(
@@ -111,12 +113,13 @@ def metrics_report(
     schedule: Schedule,
     power_per_pixel: float,
     cycle_time: float,
+    out_bits: int,
 ) -> dict:
-    """The metrics.json document of one frame.  Raises ValidationError,
-    naming the settings, when a figure leaves the float range, which JSON
-    cannot hold."""
+    """The metrics.json document of one frame of out_bits-bit activations.
+    Raises ValidationError, naming the settings, when a figure leaves the
+    float range, which JSON cannot hold."""
     try:
-        br_printed, br_bits = bandwidth_reduction(spec, rows, cols)
+        br_printed, br_bits = bandwidth_reduction(spec, rows, cols, out_bits)
         estimate = energy_estimate(spec, rows, cols, power_per_pixel, schedule, cycle_time)
     except OverflowError:
         raise ValidationError(
@@ -297,7 +300,7 @@ def _mc_trials(
     dv, cap, vrst_off = maps
 
     pixel = chain.pixel
-    exposure = magnitude * chain.wtc.exposure_multiplier * chain.wtc.t_step
+    exposure = match_time(chain.wtc, magnitude)
     # The gain slice becomes the discharge.
     dv *= mm.sigma_gain
     dv += 1.0
@@ -400,9 +403,9 @@ SWEEP_HEADER = ("mode", "k", "w_norm", "x_norm", "v_cbl", "v_adc_in", "code")
 def _sweep_order(mode: str, x_points: int):
     """(magnitude, x index) order of a sweep mode's rows."""
     if mode == "vs_current":
-        return [(m, i) for i in range(x_points) for m in range(16)]
+        return [(m, i) for i in range(x_points) for m in range(MAG_MAX + 1)]
     if mode in ("vs_weight", "vs_product"):
-        return [(m, i) for m in range(16) for i in range(x_points)]
+        return [(m, i) for m in range(MAG_MAX + 1) for i in range(x_points)]
     raise ValidationError(f"unknown sweep mode {mode!r}")
 
 
@@ -419,10 +422,9 @@ def linearity_sweep(
     call, which the single-unit modes share.  Returns the sweep.csv rows,
     tuples in SWEEP_HEADER order.
     """
-    mag_max = 15
     x_grid = np.linspace(0.0, 1.0, x_points)
     x_norms = x_grid.tolist()
-    levels = np.arange(mag_max + 1)
+    levels = np.arange(MAG_MAX + 1)
     # outputs[k] = (v_cbl, v_adc_in, code) nested lists, [level][x index].
     outputs = {}
     rows = []
@@ -438,7 +440,7 @@ def linearity_sweep(
                 outputs[k] = [a.tolist() for a in sweep_window_chain(chain, k, levels, x_grid)]
             v_cbl, v_adc_in, code = outputs[k]
             rows.extend(
-                (mode, k, m / mag_max, x_norms[i], v_cbl[m][i], v_adc_in[m][i], code[m][i])
+                (mode, k, m / MAG_MAX, x_norms[i], v_cbl[m][i], v_adc_in[m][i], code[m][i])
                 for m, i in order
             )
     return rows

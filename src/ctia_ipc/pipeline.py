@@ -34,7 +34,7 @@ from .errors import ValidationError
 from .mapper import ConvSpec, FusedLayer, output_dims
 from .pixel import RAW_MAX, PixelParams
 from .pixel_array import ArrayConfig, mac_node_voltages, photocurrent_channels, run_mac_cycle
-from .wtc import CounterConfig
+from .wtc import CounterConfig, match_time
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,13 @@ class CalibrationMap:
         """Compute the map from physical parameters (the only constructor
         that should be used; a free-set calibration can silently disagree
         with the simulator)."""
-        t_full = mag_max * wtc_cfg.exposure_multiplier * wtc_cfg.t_step
+        t_full = match_time(wtc_cfg, mag_max)
         volts = pixel.i_max * t_full / pixel.c_f / array_cfg.divider
-        # A tap discharges i_max * (raw / RAW_MAX) * magnitude * 2^window *
-        # t_step / c_f volts until the pixel clamps it at headroom.
-        charge_per_mag = pixel.i_max * wtc_cfg.exposure_multiplier * wtc_cfg.t_step
-        saturation = pixel.headroom * pixel.c_f * RAW_MAX / charge_per_mag
+        # A tap discharges i_max * (raw / RAW_MAX) * match_time(magnitude) /
+        # c_f volts until the pixel clamps it at headroom.
+        charge_per_mag = pixel.i_max * match_time(wtc_cfg, 1)
+        # An underflowed charge leaves the saturation infinite, rejected below.
+        saturation = pixel.headroom * pixel.c_f * RAW_MAX / charge_per_mag if charge_per_mag else math.inf
         return cls(volts, volts / adc_cfg.lsb, saturation)
 
 

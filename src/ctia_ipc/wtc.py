@@ -45,10 +45,6 @@ class CounterConfig:
         if not (math.isfinite(self.t_step) and self.t_step > 0):
             raise ValidationError(f"counter t_step must be finite and > 0, got {self.t_step}")
 
-    @property
-    def exposure_multiplier(self) -> int:
-        return 1 << self.window
-
 
 def _check_magnitude(magnitude) -> None:
     m = np.asarray(magnitude)
@@ -72,9 +68,5 @@ def match_ticks(cfg: CounterConfig, magnitude):
 
 
 def match_time(cfg: CounterConfig, magnitude):
-    """Exposure duration in seconds before the weighted reset fires."""
-    ticks = match_ticks(cfg, magnitude)
-    t = np.asarray(ticks, dtype=float) * cfg.t_step
-    if t.ndim == 0:
-        return float(t)
-    return t
+    """Exposure in seconds before the weighted reset fires: ticks * t_step."""
+    return match_ticks(cfg, magnitude) * cfg.t_step

@@ -41,8 +41,8 @@ def criterion(number, name, limit_s):
 
 def test_criterion_1_bandwidth_reduction():
     with criterion(1, "bandwidth reduction 12.08x", 1.0):
-        spec = ConvSpec(k=7, s=2, p=0, c_o=16, n_b=4, p_s=2)
-        br_printed, br_bits = bandwidth_reduction(spec, 1024, 1280)
+        spec = ConvSpec(k=7, s=2, p=0, c_o=16, p_s=2)
+        br_printed, br_bits = bandwidth_reduction(spec, 1024, 1280, 4)
         # Long-form bit-ratio oracle.
         assert br_bits == pytest.approx((1280 * 1024 * 4 * 12) / (319 * 255 * 16 * 4), rel=1e-12)
         assert abs(br_bits - 12.08) <= 0.01

@@ -335,6 +335,17 @@ class TestModes:
         assert abs(report["br_bits"] - 12.08) <= 0.01
         assert report["reference"]["paper_gops"] == 1.98e9
 
+    def test_metrics_follow_adc_out_bits(self, tmp_path):
+        # adc.out_bits is the activation width of both bandwidth figures.
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"adc": {"out_bits": 2}}))
+        assert main(["metrics", "--out", str(tmp_path / "d")]) == 0
+        assert main(["metrics", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+        default = json.loads((tmp_path / "d" / "metrics.json").read_text())
+        report = json.loads((tmp_path / "o" / "metrics.json").read_text())
+        assert report["br_bits"] == 2 * default["br_bits"] and abs(report["br_bits"] - 24.17) <= 0.01
+        assert report["br_printed"] == 2 * default["br_printed"]
+
     def test_export_transfer(self, tmp_path):
         config_path = make_inputs(tmp_path)
         out = tmp_path / "out"

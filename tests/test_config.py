@@ -32,7 +32,7 @@ EVERY_KEY = {
     "wtc": {"t_step": 2e-6, "window": 1},
     "array": {"rows": 512, "cols": 640, "c1": 2e-14, "c2": 1e-14, "c_f_acc": 3e-14},
     "adc": {"v_fs": 0.32, "out_bits": 5},
-    "conv": {"k": 5, "s": 1, "p": 1, "c_o": 8, "n_b": 5, "p_s": 2, "weight_mag_bits": 3},
+    "conv": {"k": 5, "s": 1, "p": 1, "c_o": 8, "p_s": 2, "weight_mag_bits": 3},
     "mismatch": {"sigma_cap": 0.01, "sigma_vrst": 0.002, "sigma_gain": 0.02, "trials": 50},
     "sweep": {"modes": ["vs_weight", "multiwindow"], "x_points": 5},
     "transfer": {"degree": 2, "grid_points": 8, "samples_csv": "measured.csv"},
@@ -74,12 +74,13 @@ def test_readme_block_names_every_key(tmp_path):
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        ([], "b6f3ddeaa7727791f98c6e24329359ae1238bb4e36175fe45a3b18f25dbf4e23"),
-        (["--seed", "99"], "fa2a4b6c0dbd579c9497ada19dd3b54773747cf27f5cb2a961f6b2422a0744c9"),
+        ([], "bd96c89d48803c44af6f6815999a7557361f407a3315a3790ad84a4dc485c6e7"),
+        (["--seed", "99"], "88209584afb0be4102c6cd42204f4e5988ba57e32aa6e16f08a0d4f2eecd1e10"),
     ],
 )
 def test_manifest_of_every_key_unchanged(tmp_path, argv, digest):
-    # The digests come from the loader that wrote each section by hand.
+    # The digests come from the loader that wrote each section by hand,
+    # re-pinned when conv.n_b left (its "n_b": 5 line was the one change).
     config = tmp_path / "config.json"
     config.write_text(json.dumps(EVERY_KEY))
     out = tmp_path / "out"
@@ -120,6 +121,20 @@ class TestRejectedDocuments:
             ("export-transfer", {"transfer": {"samples_csv": "missing.csv"}}, "transfer.samples_csv"),
             # Finite and > 0, with an LSB v_fs / 64 that underflows to 0.
             ("sweep", {"adc": {"v_fs": 5e-324}}, "adc.v_fs"),
+            # Every mode derives the calibration map at load, so the chain
+            # modes reject a map quantity that overflows, as the layer
+            # modes do, naming it.
+            *[
+                (mode, document, quantity)
+                for mode in ("sweep", "montecarlo", "export-transfer", "metrics", "readout")
+                for document, quantity in (
+                    ({"pixel": {"i_max": 1e300}}, "volts_per_unit_product"),
+                    ({"adc": {"v_fs": 1e-310}}, "lsb_per_unit"),
+                )
+            ],
+            # i_max * t_step underflows to 0 while i_max * 15 * t_step does
+            # not: the clamp's tap product is infinite.
+            ("sweep", {"pixel": {"i_max": 1e-162}, "wtc": {"t_step": 2e-162}}, "tap_saturation"),
         ],
     )
     def test_exits_1_naming_the_key(self, tmp_path, capsys, monkeypatch, mode, document, key):

@@ -278,7 +278,7 @@ class TestSimulatorEquivalence:
         # requantizer from masking small codes).  The signed codes come from
         # the per-channel loop, whose activations equal simulate_layer's.
         rng = np.random.default_rng(51)
-        spec = ConvSpec(k=3, s=2, c_o=4, n_b=6, p_s=1)
+        spec = ConvSpec(k=3, s=2, c_o=4, p_s=1)
         chain = ChainConfig(
             pixel=PixelParams(),
             wtc=CounterConfig(),

@@ -3,6 +3,7 @@ that sum in the same order: per column in (row, channel) order, then the
 columns in order.  Results must be bit-identical, not merely close."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from ctia_ipc.adc import AdcConfig
 from ctia_ipc.golden import RAW_MAX, polarity_codes
 from ctia_ipc.mapper import ConvSpec
 from ctia_ipc.metrics import MismatchSpec, monte_carlo
-from ctia_ipc.pipeline import CalibrationMap, photocurrent_channels
+from ctia_ipc.pipeline import CalibrationMap, photocurrent_channels, sweep_window_chain
 from ctia_ipc.pixel import PixelParams, frame_to_photocurrents, integrate
 from ctia_ipc.pixel_array import (
     N_CHANNELS,
@@ -20,7 +21,7 @@ from ctia_ipc.pixel_array import (
     mac_node_voltages,
     run_mac_cycle,
 )
-from ctia_ipc.wtc import CounterConfig, match_ticks
+from ctia_ipc.wtc import CounterConfig, match_ticks, match_time
 
 from conftest import random_frame, reference_channels, reference_phase_stacks, small_chain
 
@@ -80,7 +81,7 @@ def reference_mc_trial(chain, k, magnitude, x_norm, mm, trial):
     cap = 1.0 + mm.sigma_cap * rng.standard_normal(n_pix)
     vrst_off = mm.sigma_vrst * rng.standard_normal(n_pix)
     pixel = chain.pixel
-    exposure = magnitude * chain.wtc.exposure_multiplier * chain.wtc.t_step
+    exposure = (magnitude << chain.wtc.window) * chain.wtc.t_step
     current = pixel.i_max * x_norm * gain
     dv = np.minimum(current * exposure / (pixel.c_f * cap), pixel.headroom) + vrst_off
     dv = np.maximum(dv, 0.0)
@@ -184,6 +185,31 @@ def test_monte_carlo_bit_exact(k, monkeypatch):
     assert np.array_equal(samples, expected)
     nominal = reference_mc_trial(chain, k, 11, 0.7, MismatchSpec(trials=1, seed=k), 0)
     assert summary["nominal_v"] == nominal
+
+
+# The default chain, window 3, unequal network caps, and a pixel whose
+# headroom clamp engages at full scale.
+NOMINAL_CHAINS = {
+    "default": small_chain(),
+    "window3": replace(small_chain(), wtc=CounterConfig(window=3)),
+    "caps": replace(small_chain(), array=ArrayConfig(c1=2e-14, c2=7e-15, c_f_acc=3e-14)),
+    "clamped": replace(small_chain(), pixel=PixelParams(c_f=1e-15), wtc=CounterConfig(window=3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOMINAL_CHAINS))
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_monte_carlo_nominal_is_the_kernel(k, name):
+    # _mc_trials computes the window apart from the MAC kernel; at zero
+    # sigma its value must be the kernel's, bit for bit.
+    chain = NOMINAL_CHAINS[name]
+    pixel = chain.pixel
+    if name == "clamped":
+        assert pixel.i_max * match_time(chain.wtc, 15) / pixel.c_f > pixel.headroom
+    for magnitude, x_norm in ((11, 0.7), (15, 1.0), (1, 0.05), (8, 0.5), (0, 0.3)):
+        _, summary = monte_carlo(chain, MismatchSpec(trials=1), k=k, magnitude=magnitude, x_norm=x_norm)
+        _, v_adc_in, _ = sweep_window_chain(chain, k, magnitude, [x_norm])
+        assert summary["nominal_v"] == v_adc_in[0]
 
 
 @pytest.mark.parametrize("p", PADDINGS)

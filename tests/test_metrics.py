@@ -28,6 +28,7 @@ from ctia_ipc.metrics import (
 )
 from ctia_ipc.pixel import fit_transfer
 from ctia_ipc.pixel_array import N_CHANNELS
+from ctia_ipc.wtc import CounterConfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -58,7 +59,7 @@ def readme_keys(artifact):
 
 def test_readme_lists_every_report_key(chain):
     spec = ConvSpec()
-    report = metrics_report(spec, 64, 64, build_schedule(spec, 64, 64), 3.26e-6, 79e-6)
+    report = metrics_report(spec, 64, 64, build_schedule(spec, 64, 64), 3.26e-6, 79e-6, 4)
     _, summary = monte_carlo(chain, MismatchSpec(trials=2))
     grid = np.zeros((2, 3), dtype=np.uint8)
     assert readme_keys("verify_report.json") == list(compare_runs(grid, grid))
@@ -80,7 +81,7 @@ def test_headline_script_output_unchanged():
 class TestBandwidthReduction:
     def test_default_config_reproduces_headline_figure(self):
         spec = ConvSpec()
-        br_printed, br_bits = bandwidth_reduction(spec, 1024, 1280)
+        br_printed, br_bits = bandwidth_reduction(spec, 1024, 1280, 4)
         # Long-form oracle: (1280*1024*4 elements * 12 bits) over
         # (319*255 pooled nodes * 16 channels * 4 bits).
         expected_bits = (1280 * 1024 * 4 * 12) / (319 * 255 * 16 * 4)
@@ -92,19 +93,19 @@ class TestBandwidthReduction:
         assert br_printed == pytest.approx(expected_printed, rel=1e-12)
 
     def test_passthrough_config(self):
-        spec = ConvSpec(k=1, s=1, p=0, c_o=4, n_b=12, p_s=1)
-        _, br_bits = bandwidth_reduction(spec, 16, 16)
+        spec = ConvSpec(k=1, s=1, p=0, c_o=4, p_s=1)
+        _, br_bits = bandwidth_reduction(spec, 16, 16, 12)
         assert br_bits == pytest.approx(1.0)
 
     def test_scale_consistency(self):
         spec = ConvSpec()
-        _, base = bandwidth_reduction(spec, 1024, 1280)
-        _, doubled = bandwidth_reduction(spec, 2048, 2560)
+        _, base = bandwidth_reduction(spec, 1024, 1280, 4)
+        _, doubled = bandwidth_reduction(spec, 2048, 2560, 4)
         assert abs(doubled - base) / base < 0.01
 
     def test_too_small_rejected(self):
         with pytest.raises(ValidationError):
-            bandwidth_reduction(ConvSpec(), 4, 4)
+            bandwidth_reduction(ConvSpec(), 4, 4, 4)
 
 
 class TestOpCount:
@@ -153,19 +154,19 @@ class TestEnergyEstimate:
         assert b["ops_per_s"] == pytest.approx(a["ops_per_s"] / 2, rel=1e-12)
 
     def test_default_cycle_time(self):
-        assert default_cycle_time(1e-6, 0) == pytest.approx(79e-6)
-        assert default_cycle_time(1e-6, 3) == pytest.approx((120 + 64) * 1e-6)
+        assert default_cycle_time(CounterConfig()) == pytest.approx(79e-6)
+        assert default_cycle_time(CounterConfig(window=3)) == pytest.approx((120 + 64) * 1e-6)
 
     def test_report_carries_reference_metadata(self):
         spec = ConvSpec()
         sched = build_schedule(spec, 64, 64)
-        report = metrics_report(spec, 64, 64, sched, 3.26e-6, 79e-6)
+        report = metrics_report(spec, 64, 64, sched, 3.26e-6, 79e-6, 4)
         assert report["reference"]["paper_br"] == 12.08
         assert report["reference"]["paper_gops"] == 1.98e9
         assert report["reference"]["paper_gops_w"] == 3.39e9
         # Byte-for-byte deterministic serialization.
         a = json.dumps(report, sort_keys=True)
-        b = json.dumps(metrics_report(spec, 64, 64, sched, 3.26e-6, 79e-6), sort_keys=True)
+        b = json.dumps(metrics_report(spec, 64, 64, sched, 3.26e-6, 79e-6, 4), sort_keys=True)
         assert a == b
 
 

@@ -79,4 +79,4 @@ class TestCounterConfig:
             CounterConfig(t_step=0.0)
 
     def test_multipliers(self):
-        assert [CounterConfig(window=w).exposure_multiplier for w in range(4)] == [1, 2, 4, 8]
+        assert [match_ticks(CounterConfig(window=w), 1) for w in range(4)] == [1, 2, 4, 8]
