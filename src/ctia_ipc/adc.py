@@ -59,8 +59,13 @@ class AdcConfig:
 
 
 def _counts(cfg: AdcConfig, v, dtype) -> np.ndarray:
-    """min(floor(v / lsb), code_max) of every voltage, as a dtype array."""
-    arr = np.asarray(v, dtype=float)
+    """min(floor(v / lsb), code_max) of every voltage, as a dtype array.
+    float32 volts are read as they are, with no float64 copy: the divide
+    runs in float64 (lsb is a float64 scalar, so NEP 50 picks that loop)
+    and each gets the code of its exact float64 widening."""
+    arr = np.asarray(v)
+    if arr.dtype != np.float32:
+        arr = np.asarray(arr, dtype=float)
     if arr.size:
         # min and max are NaN when any element is, so one pair checks all.
         lo, hi = arr.min(), arr.max()
@@ -68,7 +73,7 @@ def _counts(cfg: AdcConfig, v, dtype) -> np.ndarray:
             raise StateError("quantize: voltage must be finite")
         if lo < 0:
             raise StateError("quantize: negative voltage on the ADC input")
-    code = np.divide(arr, cfg.lsb, out=np.empty(arr.shape))
+    code = np.divide(arr, np.float64(cfg.lsb), out=np.empty(arr.shape))
     code += _BOUNDARY_GUARD
     np.minimum(code, cfg.code_max, out=code)
     # Every count is now finite and >= 0, where truncation is floor.

@@ -31,16 +31,21 @@ lock; every call takes it back, and a thread waiting for it loses more
 than the call's work when the call is short.  On a 2-vCPU host, np.add
 over 4,096 float64 elements ran 2x slower on 2 threads than on one, and
 over 16,384 elements no faster; at 32,768 elements 2 threads were 1.4x
-faster, at 65,536 1.8x.  So plan_blocks sizes the blocks to keep the
-kernels' calls long: the simulator's MAC makes one add per plane and tap
-over the whole block.  Halving its budget, to blocks of about 11k nodes
-at k7s2 and k3s1, made 2-thread simulate_layer runs on the full demo
-frame slower than 1-thread ones on that host (k7s2 0.65 s against
-0.51 s, k3s1 0.92 s against 0.83 s), where the full budget gives 0.43 s
-and 0.69 s on 2 threads.  A team holds the shared discharges once, not
-once per thread, so in the same memory its blocks are about twice as
-long at 2 threads: there k3s1 took 0.56-0.63 s against 0.75-0.82 s (best
-of 5) with one block per thread.  Where many shared values would cut the
+faster, at 65,536 1.8x.  The layer MAC adds float32 (see pixel_array),
+which on that host takes about half the time of a float64 add over the
+same elements and gains no sooner: over 4,096 float32 elements 2 threads
+ran 2.6x slower than one, over 16,384 2x slower; at 32,768 they were
+1.4x faster, at 65,536 1.6x and at 131,072 1.8x.  So plan_blocks sizes
+the blocks in nodes, whatever the dtype, to keep the kernels' calls
+long: the simulator's MAC makes one add per plane and tap over the whole
+block.  In float64, halving its budget, to blocks of about 11k nodes at
+k7s2 and k3s1, made 2-thread simulate_layer runs on the full demo frame
+slower than 1-thread ones on that host (k7s2 0.65 s against 0.51 s,
+k3s1 0.92 s against 0.83 s), where the full budget gave 0.43 s and
+0.69 s on 2 threads.  A team holds the shared discharges once, not once
+per thread, so in the same memory its blocks are about twice as long at
+2 threads: there k3s1 took 0.56-0.63 s against 0.75-0.82 s (best of 5)
+with one block per thread.  Where many shared values would cut the
 blocks short, as the MAC's discharges at odd strides or the golden
 model's features, blocks keep at least ROW_BLOCK_NODES // 4 nodes per
 team member.

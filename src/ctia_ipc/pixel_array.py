@@ -53,10 +53,37 @@ offsets, so the shared discharges number in the hundreds (364 at k7s3)
 and the planner's floor of ROW_BLOCK_NODES // 4 nodes per member sets
 the blocks, to keep each add, one numpy call over the block, long (see
 parallel).  A run_mac_cycle batch, fewer than ROW_BLOCK_NODES nodes, is
-walked by a team of one.  The headroom min is skipped for an exposure t
-when fl(fl(x_max*t)/c_f) <= headroom, with x_max the brightest
-photocurrent: rounding is monotone, so no pixel of the frame can then
-reach the clamp, and min(dv, headroom) == dv.
+walked by a team of one.
+
+The kernel works in float32 when every phase is a MosaicPhase (the
+layer's raw samples) and the layer's range is normal float32.  That is,
+the smallest nonzero product, i_max / RAW_MAX times the shortest tap
+exposure, the volts it gives (over c_f, then over the divider), c_f and
+headroom are at least np.finfo(np.float32).tiny, float32's smallest
+normal; and the largest product x_max * t_max (x_max the brightest
+photocurrent), its discharge times the 4k^2 taps of a plane, and the
+divider are at most float32's max.  Otherwise it works in float64: on
+numpy stacks, such as run_mac_cycle's fields for the sweeps and Monte
+Carlo's nominal check, on raw samples whose c_f or products float32
+cannot hold, and on planes without a tap.  The calls are the same in
+both, and so is the rounding order: the product t * x is formed in
+float64 and rounded once to the working dtype as np.multiply stores it
+in the team buffer; the divide by c_f, the min with headroom, the CBL
+and accumulator adds and the divide by the divider run in the working
+dtype, on c_f, headroom and the divider rounded to it.  The team
+buffer and the grid returned without emit hold the working dtype, and
+emit gets its volts; the ADC counts float32 volts as their exact float64
+widening.  In float32 a node's volts are within about (N + 4) * 2^-24 of
+float64's, relatively, for a plane of N <= 4k^2 nonzero taps, so a code
+moves, by 1, only where its count lies that close to an integer.
+
+The headroom min is skipped for an exposure t when the discharge's own
+operations on x_max, the working dtype's fl(fl(x_max * t) / c_f), give at
+most headroom.  Every step is monotone, so no pixel of the frame can then
+reach the clamp, and min(dv, headroom) == dv.  The check runs in the
+working dtype because one in float64 is not exact for float32
+discharges: a discharge at most headroom in float64 can exceed the
+float32 headroom once rounded.
 
 Bayer geometry: the mosaic is interpreted as four channels (R, G1, G2, B
 at even/even, even/odd, odd/even, odd/odd parities) held constant over
@@ -94,8 +121,9 @@ BAYER_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 N_CHANNELS = 4
 
 # A block's accumulators, CBL buffers and discharges hold about this many
-# times parallel.ROW_BLOCK_NODES float64 values per team member, 10 MiB at
-# the default, or more where the planner's floor binds.
+# times parallel.ROW_BLOCK_NODES values of the working dtype per team
+# member: 5 MiB at the default in float32, 10 MiB in float64, or more
+# where the planner's floor binds.
 _CBL_BLOCK_SCALE = 40
 
 
@@ -338,6 +366,30 @@ def _shared_plan(bands, slices, taps, n_planes: int, t_step: float, unclamped) -
     return groups, reads, walks
 
 
+_FLOAT32 = np.finfo(np.float32)
+
+
+def _working_dtype(phases, taps, params: PixelParams, t_step: float, divider: float, k: int,
+                   x_max: float):
+    """The MAC's working dtype, by the rule of the module docstring.  taps
+    are tap_plan's, whose values are counter ticks; x_max is the
+    brightest photocurrent."""
+    if not len(taps) or not all(isinstance(stack, MosaicPhase) for row in phases for stack in row):
+        return np.float64
+    tiny, top = float(_FLOAT32.tiny), float(_FLOAT32.max)
+    t = taps[:, 3] * t_step
+    low = float(frame_to_photocurrents(1, params.i_max)) * float(t.min())
+    high = x_max * float(t.max())
+    # Each value is in float32's range before it is rounded to float32.
+    if not (tiny <= min(params.c_f, params.headroom, low)
+            and max(params.c_f, params.headroom, low, high, divider) <= top):
+        return np.float64
+    c_f = float(np.float32(params.c_f))
+    low_volts = float(np.float32(low)) / c_f / float(np.float32(divider))
+    high_sum = float(np.float32(high)) / c_f * (N_CHANNELS * k * k)
+    return np.float32 if tiny <= low_volts and high_sum <= top else np.float64
+
+
 def mac_node_voltages(
     cfg: ArrayConfig,
     params: PixelParams,
@@ -369,7 +421,9 @@ def mac_node_voltages(
     which emit must consume before it returns, writing only rows r0:r1 of
     its outputs for planes p0, p0 + 1: two threads may emit for one block
     at once.  Nothing is returned.  Without emit, returns the (n, out_r,
-    out_c) grid, or (out_r, out_c) for one plane.
+    out_c) grid, or (out_r, out_c) for one plane.  Volts are in the
+    working dtype of the module docstring: float32 on raw-sample phases
+    whose range float32 holds, float64 otherwise.
     """
     mags = np.asarray(magnitudes)
     planes = mags if mags.ndim == 4 else mags[None]
@@ -387,12 +441,13 @@ def mac_node_voltages(
     # A MosaicPhase's max is its mosaic's, an upper bound: the clamp is
     # then at worst applied where it changes nothing.
     x_max = max((float(currents(stack.max())) for stack, _ in bands), default=0.0)
-    multiply, divide, add, c_f, headroom = (
-        np.multiply, np.divide, np.add, params.c_f, params.headroom
-    )
+    dtype = _working_dtype(phases, taps, params, wtc_cfg.t_step, cfg.divider, k, x_max)
+    multiply, divide, add = np.multiply, np.divide, np.add
+    c_f, headroom, divider = (dtype(v) for v in (params.c_f, params.headroom, cfg.divider))
 
     def unclamped(t):
-        return x_max * t / c_f <= headroom
+        # The discharge's own operations, on the brightest photocurrent.
+        return (x_max * t).astype(dtype) / c_f <= headroom
 
     n_planes = len(planes)
     groups, reads, walks = _shared_plan(bands, slices, taps, n_planes, wtc_cfg.t_step, unclamped)
@@ -400,7 +455,7 @@ def mac_node_voltages(
 
     volts = None
     if emit is None:
-        volts = np.empty((n_planes, out_r, out_c))
+        volts = np.empty((n_planes, out_r, out_c), dtype)
 
         def emit(r0, r1, p0, block_volts):
             volts[p0 : p0 + len(block_volts), r0:r1] = block_volts
@@ -430,7 +485,7 @@ def mac_node_voltages(
         firsts = np.cumsum([n_walker] + [len(g[2]) * size for g, size in zip(groups, sizes)])
         nonlocal team_buffer
         if team_buffer.size < firsts[-1]:
-            team_buffer = np.empty(firsts[-1])
+            team_buffer = np.empty(firsts[-1], dtype)
         walkers = team_buffer[:n_walker].reshape(workers, private, nodes)
         discharges = []
         for start, h, size, (stack, _, ts, _) in zip(firsts.tolist(), heights, sizes, groups):
@@ -447,7 +502,7 @@ def mac_node_voltages(
         return walkers, discharges, views
 
     # The first block is the largest, so its layout sizes the buffer.
-    team_buffer = np.empty(0)
+    team_buffer = np.empty(0, dtype)
     shapes, layouts = {}, {}
     for r0, r1 in blocks:
         # Rows of each group's band, r0 : r1 + extra cut at its stack: from
@@ -491,7 +546,7 @@ def mac_node_voltages(
                     if target is cbl:
                         add(acc, cbl, acc)
                     target = cbl
-            divide(pair, cfg.divider, pair)
+            divide(pair, divider, pair)
             emit(r0, r1, p0, pair.reshape(len(pair), r1 - r0, pitch)[:, :, :out_c])
 
     parallel.map_blocks_team((discharge, walk), blocks, workers)

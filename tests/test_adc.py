@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +120,35 @@ class TestCdsSigned:
         code = cds_signed(cfg, a, b, bn)
         ideal = (a - b) / cfg.lsb
         assert abs(code - ideal - bn) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("v_fs", [0.64, 0.05, 1.28e6])
+    def test_float32_volts_count_as_their_float64_widening(self, v_fs):
+        # Every boundary n * lsb rounded to float32, and the float32 values
+        # one ulp below and above it, on both inputs of the counter.
+        cfg = AdcConfig(v_fs=v_fs)
+        edges = (np.arange(70) * cfg.lsb).astype(np.float32)
+        v = np.concatenate([
+            np.nextafter(edges, np.float32(0)), edges, np.nextafter(edges, np.float32(np.inf))
+        ])
+        for v_pos, v_neg in ((v, v[::-1]), (v, np.zeros_like(v)), (np.zeros_like(v), v)):
+            code = cds_signed(cfg, v_pos, v_neg, 3)
+            wide = cds_signed(cfg, v_pos.astype(np.float64), v_neg.astype(np.float64), 3)
+            assert code.dtype == wide.dtype
+            assert np.array_equal(code, wide)
+
+    def test_float32_pair_is_not_widened(self):
+        # One float64 quotient buffer per conversion and the int16 counts:
+        # a float64 copy of either input would add 8 B per node.
+        cfg = AdcConfig()
+        v = np.random.default_rng(4).uniform(0, 0.7, (2, 1, 24, 1280)).astype(np.float32)
+        cds_signed(cfg, v[0, :, :1], v[1, :, :1], 0)
+        tracemalloc.start()
+        try:
+            cds_signed(cfg, v[0], v[1], 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13 * v[0].size
 
 
 class TestReluRequantize:

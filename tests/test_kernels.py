@@ -7,9 +7,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctia_ipc import parallel
-from ctia_ipc.adc import AdcConfig
+from ctia_ipc.adc import AdcConfig, quantize
 from ctia_ipc.golden import RAW_MAX, polarity_codes
 from ctia_ipc.mapper import ConvSpec
 from ctia_ipc.metrics import MismatchSpec, monte_carlo
@@ -30,17 +32,22 @@ STRIDES = [1, 2, 3, 4]
 PADDINGS = [0, 1, 3]
 
 
-def reference_mac_node_voltages(cfg, params, wtc_cfg, channels, magnitudes, k, stride):
-    """Strided tap loop over a (4, rows, cols) channel stack, one CBL per
-    kernel column."""
+def reference_mac_node_voltages(cfg, params, wtc_cfg, channels, magnitudes, k, stride,
+                                dtype=np.float64):
+    """Strided tap loop over a (4, rows, cols) float64 channel stack, one
+    CBL per kernel column, in a working dtype: each product t * x is formed
+    in float64 and rounded once to dtype; the divide by c_f, the headroom
+    min, the CBL and accumulator adds and the divide by the divider run in
+    dtype."""
     mags = np.asarray(magnitudes)
     rows, cols = channels.shape[1:]
     out_r = (rows - k) // stride + 1
     out_c = (cols - k) // stride + 1
     ticks = np.asarray(match_ticks(wtc_cfg, mags), dtype=np.int64)
-    acc = np.zeros((out_r, out_c))
+    c_f, headroom, divider = (dtype(v) for v in (params.c_f, params.headroom, cfg.divider))
+    acc = np.zeros((out_r, out_c), dtype)
     for j in range(k):
-        cbl = np.zeros((out_r, out_c))
+        cbl = np.zeros((out_r, out_c), dtype)
         for i in range(k):
             for ch in range(N_CHANNELS):
                 t = float(ticks[ch, i, j]) * wtc_cfg.t_step
@@ -51,9 +58,20 @@ def reference_mac_node_voltages(cfg, params, wtc_cfg, channels, magnitudes, k, s
                     i : i + stride * (out_r - 1) + 1 : stride,
                     j : j + stride * (out_c - 1) + 1 : stride,
                 ]
-                cbl += np.minimum(patch * t / params.c_f, params.headroom)
+                cbl += np.minimum((patch * t).astype(dtype) / c_f, headroom)
         acc += cbl
-    return acc / cfg.divider
+    return acc / divider
+
+
+def working_dtype_runs(raw, p, s, i_max):
+    """(phases, dtype) of both working dtypes on one raw frame: its
+    raw-sample phases, which the MAC runs in float32, and the phase stacks
+    of its float64 photocurrents, which it runs in float64."""
+    currents = np.pad(frame_to_photocurrents(raw, i_max), p)
+    return (
+        (photocurrent_channels(raw, p, s), np.float32),
+        (reference_phase_stacks(currents, s), np.float64),
+    )
 
 
 def reference_run_mac_cycle(cfg, params, wtc_cfg, region, magnitudes):
@@ -151,10 +169,74 @@ def test_mac_node_voltages_bit_exact(k, s, p, pixel_config):
     channels = reference_channels(np.pad(frame_to_photocurrents(raw, pixel.i_max), p))
     if pixel_config == "clamped":
         assert channels.max() * 15 * (1 << wtc.window) * wtc.t_step / pixel.c_f > pixel.headroom
-    expected = reference_mac_node_voltages(cfg, pixel, wtc, channels, mags, k, s)
-    got = mac_node_voltages(cfg, pixel, wtc, photocurrent_channels(raw, p, s), mags, k, s)
-    assert got.shape == expected.shape
-    assert np.array_equal(got, expected)
+    # Each working dtype equals its reference bit for bit.
+    for phases, dtype in working_dtype_runs(raw, p, s, pixel.i_max):
+        expected = reference_mac_node_voltages(cfg, pixel, wtc, channels, mags, k, s, dtype)
+        got = mac_node_voltages(cfg, pixel, wtc, phases, mags, k, s)
+        assert got.shape == expected.shape and got.dtype == dtype
+        assert np.array_equal(got, expected)
+
+
+def test_clamp_skip_checked_in_the_working_dtype():
+    # At this c_f the brightest float32 discharge, fl(fl(x * t) / c_f),
+    # rounds one ulp above the float32 headroom, though the float64
+    # discharge equals headroom: a check in float64 would skip the clamp
+    # that the float32 reference applies.
+    wtc = CounterConfig()
+    x_t = float(frame_to_photocurrents(RAW_MAX, PixelParams().i_max)) * match_time(wtc, 15)
+    c_f = 1.0000018e-14
+    pixel = PixelParams(c_f=c_f, headroom=x_t / c_f)
+    assert np.float32(np.float32(x_t) / np.float32(c_f)) > np.float32(pixel.headroom)
+    rng = np.random.default_rng(5)
+    raw = random_frame(rng, 20, 26)
+    raw[::3, ::4] = RAW_MAX
+    mags = rng.integers(0, 16, (N_CHANNELS, 5, 5))
+    mags[:, 2, 2] = 15
+    cfg = ArrayConfig(rows=20, cols=26)
+    channels = reference_channels(frame_to_photocurrents(raw, pixel.i_max))
+    expected = reference_mac_node_voltages(cfg, pixel, wtc, channels, mags, 5, 2, np.float32)
+    got = mac_node_voltages(cfg, pixel, wtc, photocurrent_channels(raw, 0, 2), mags, 5, 2)
+    assert got.dtype == np.float32 and np.array_equal(got, expected)
+
+
+@given(
+    half_rows=st.integers(4, 10),
+    half_cols=st.integers(4, 10),
+    k=st.sampled_from([3, 5, 7]),
+    s=st.sampled_from([1, 2, 3]),
+    full_scale=st.booleans(),
+    pixel_config=st.sampled_from(sorted(PIXEL_CONFIGS)),
+    v_fs=st.sampled_from([0.64]) | st.floats(0.05, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_float32_moves_only_codes_on_a_boundary(
+    half_rows, half_cols, k, s, full_scale, pixel_config, v_fs, seed
+):
+    # The float32 MAC on raw samples against the float64 MAC on the same
+    # photocurrents, converted to per-polarity codes.  A code may move by 1
+    # only where the float64 count y = v / lsb + guard lies within the
+    # float32 kernel's relative error, (4k^2 + 8) * 2^-24, of an integer.
+    # With samples of 0 or full scale and the default pixel and v_fs, the
+    # count is a sum of magnitudes over 14, so about one node in 14 lies
+    # on a boundary.
+    rows, cols = 2 * half_rows, 2 * half_cols
+    rng = np.random.default_rng(seed)
+    raw = random_frame(rng, rows, cols)
+    if full_scale:
+        raw = np.where(rng.random(raw.shape) < 0.5, RAW_MAX, 0).astype(np.uint16)
+    mags = rng.integers(0, 16, (4, N_CHANNELS, k, k))
+    pixel, wtc = PIXEL_CONFIGS[pixel_config]
+    cfg, adc = ArrayConfig(rows=rows, cols=cols), AdcConfig(v_fs=v_fs)
+    single, double = (
+        mac_node_voltages(cfg, pixel, wtc, phases, mags, k, s)
+        for phases, _ in working_dtype_runs(raw, 0, s, pixel.i_max)
+    )
+    assert single.dtype == np.float32 and double.dtype == np.float64
+    delta = quantize(adc, single) - quantize(adc, double)
+    assert np.abs(delta).max() <= 1
+    y = double[delta != 0] / adc.lsb + 1e-9
+    assert (np.abs(y - np.rint(y)) <= (4 * k * k + 8) * 2.0**-24 * y).all()
 
 
 @pytest.mark.parametrize("pixel_config", sorted(PIXEL_CONFIGS))
@@ -285,16 +367,20 @@ def test_both_walks_bit_exact(k, s, p, levels, budget, block_scale, pixel_config
 
     monkeypatch.setattr(parallel, "row_blocks", recording)
     monkeypatch.setattr(parallel, "ROW_BLOCK_NODES", block_scale)
-    got = mac_node_voltages(cfg, pixel, wtc, photocurrent_channels(raw, p, s), mags, k, s,
-                            row_multiple=2)
-    [(size, blocks)] = plans
-    assert (size == 3 * (block_scale // 4)) != budget
-    # More blocks than threads, of 4 rows but for a ragged last one.
-    assert len(blocks) > 3
-    assert {r1 - r0 for r0, r1 in blocks[:-1]} == {4} and blocks[-1][1] - blocks[-1][0] < 4
-    for plane, plane_mags in zip(got, mags):
-        expected = reference_mac_node_voltages(cfg, pixel, wtc, channels, plane_mags, k, s)
-        assert np.array_equal(plane, expected)
+    # Both working dtypes walk the same tap plan on the same blocks.
+    for phases, dtype in working_dtype_runs(raw, p, s, pixel.i_max):
+        got = mac_node_voltages(cfg, pixel, wtc, phases, mags, k, s, row_multiple=2)
+        size, blocks = plans.pop()
+        assert not plans and got.dtype == dtype
+        assert (size == 3 * (block_scale // 4)) != budget
+        # More blocks than threads, of 4 rows but for a ragged last one.
+        assert len(blocks) > 3
+        assert {r1 - r0 for r0, r1 in blocks[:-1]} == {4} and blocks[-1][1] - blocks[-1][0] < 4
+        for plane, plane_mags in zip(got, mags):
+            expected = reference_mac_node_voltages(
+                cfg, pixel, wtc, channels, plane_mags, k, s, dtype
+            )
+            assert np.array_equal(plane, expected)
     # The golden model on the same planes: its features leave a budget
     # below the floor in every case, so the floor sets its blocks.
     cal = CalibrationMap.derive(pixel, wtc, cfg, AdcConfig(), 15)
@@ -306,7 +392,7 @@ def test_both_walks_bit_exact(k, s, p, levels, budget, block_scale, pixel_config
         codes.update(((r0, p0 + i), plane) for i, plane in enumerate(block))
 
     polarity_codes(photocurrent_channels(raw, p, s), mags, spec, *limits, emit)
-    size, blocks = plans[1]
+    [(size, blocks)] = plans
     assert size == 3 * (block_scale // 4) and len(blocks) > 3
     channels_raw = reference_channels(np.pad(raw, p).astype(np.int64))
     for plane, plane_mags in enumerate(mags):

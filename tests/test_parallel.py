@@ -19,7 +19,7 @@ from ctia_ipc.pixel_array import (
 from ctia_ipc.wtc import CounterConfig
 
 from conftest import call_within, random_frame, random_layer, reference_channels, small_chain
-from test_kernels import reference_mac_node_voltages
+from test_kernels import reference_mac_node_voltages, working_dtype_runs
 from test_pipeline import loop_simulate_layer
 
 
@@ -168,23 +168,30 @@ class TestTeam:
         # Up to 3 members on fewer cores, switching threads every
         # microsecond: a member that reads a block before it is whole, or
         # writes into one still being read, changes the voltages.
+        runs = working_dtype_runs(raw, 0, s, pixel.i_max)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = call_within(
-                30, mac_node_voltages, cfg, pixel, wtc, photocurrent_channels(raw, 0, s),
-                mags, k, s, None, 4,
-            )
+            results = [
+                call_within(30, mac_node_voltages, cfg, pixel, wtc, phases, mags, k, s, None, 4)
+                for phases, _ in runs
+            ]
         finally:
             sys.setswitchinterval(interval)
-        [(workers, blocks)] = teams
-        assert workers == int(threads)
-        assert len(blocks) > workers
-        assert {r1 - r0 for r0, r1 in blocks[:-1]} == {4} and blocks[-1][1] - blocks[-1][0] < 4
+        assert len(teams) == len(runs)
+        for workers, blocks in teams:
+            assert workers == int(threads)
+            assert len(blocks) > workers
+            assert {r1 - r0 for r0, r1 in blocks[:-1]} == {4}
+            assert blocks[-1][1] - blocks[-1][0] < 4
         channels = reference_channels(frame_to_photocurrents(raw, pixel.i_max))
-        for plane, plane_mags in zip(got, mags):
-            expected = reference_mac_node_voltages(cfg, pixel, wtc, channels, plane_mags, k, s)
-            assert np.array_equal(plane, expected)
+        for got, (_, dtype) in zip(results, runs):
+            assert got.dtype == dtype
+            for plane, plane_mags in zip(got, mags):
+                expected = reference_mac_node_voltages(
+                    cfg, pixel, wtc, channels, plane_mags, k, s, dtype
+                )
+                assert np.array_equal(plane, expected)
 
     # Both layer kernels, on 4-row blocks.  The MAC's member w walks pairs
     # w, w + 3, ..., the golden model's member w the pairs w * 4 // 3 to

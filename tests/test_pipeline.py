@@ -3,6 +3,7 @@ channel and one polarity at a time, as two full-grid tap loops per
 channel followed by the ADC periphery.  Codes and activations must be
 equal, not merely close."""
 
+import json
 import threading
 
 import numpy as np
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 
 from ctia_ipc import parallel
 from ctia_ipc.adc import ADC_BITS, AdcConfig, maxpool, signed_code_dtype
+from ctia_ipc.cli import main
 from ctia_ipc.errors import ValidationError
+from ctia_ipc.formats import save_pgm16, save_weights
 from ctia_ipc.golden import RAW_MAX, polarity_codes
 from ctia_ipc.mapper import ConvSpec
 from ctia_ipc.pipeline import ChainConfig, offset_codes, simulate_layer
@@ -25,13 +28,16 @@ from test_kernels import WALK_IDS, WALKS, reference_mac_node_voltages, reference
 
 
 def loop_quantize(adc_cfg, v):
-    codes = np.floor(v / adc_cfg.lsb + 1e-9).astype(np.int64)
+    # The ADC divides every voltage's float64 widening.
+    codes = np.floor(np.asarray(v, dtype=float) / adc_cfg.lsb + 1e-9).astype(np.int64)
     return np.minimum(codes, adc_cfg.code_max)
 
 
-def loop_simulate_layer(frame, fused, spec, chain):
-    """Per output channel: both polarity cycles over the whole grid, then
-    quantize, signed CDS from the BN preload, ReLU, requantize and pool."""
+def loop_simulate_layer(frame, fused, spec, chain, dtype=np.float32):
+    """Per output channel: both polarity cycles over the whole grid in the
+    MAC's working dtype (float32 on a raw frame whose range it holds),
+    then quantize, signed CDS from the BN preload, ReLU, requantize and
+    pool."""
     channels = reference_channels(
         np.pad(frame_to_photocurrents(frame, chain.pixel.i_max), spec.p)
     )
@@ -41,7 +47,7 @@ def loop_simulate_layer(frame, fused, spec, chain):
     for ch_out in range(spec.c_o):
         volts = [
             reference_mac_node_voltages(
-                chain.array, chain.pixel, chain.wtc, channels, mags[ch_out], spec.k, spec.s
+                chain.array, chain.pixel, chain.wtc, channels, mags[ch_out], spec.k, spec.s, dtype
             )
             for mags in (fused.pos_mags, fused.neg_mags)
         ]
@@ -111,6 +117,60 @@ def test_block_pass_matches_per_channel_loop(
     assert activations.dtype == np.uint8
     assert activations.shape == expected[0].shape
     assert np.array_equal(activations, expected[0])
+
+
+# Two configs the loader accepts that leave float32's normal range: c_f
+# 1e-46 is 0 in float32, and at c_f 1e-40 it and the smallest products are
+# subnormal.  The MAC runs both in float64, as on a float64 stack.
+OUT_OF_FLOAT32 = {
+    "c_f_zero": {"i_max": 1e-36, "c_f": 1e-46},
+    "c_f_subnormal": {"i_max": 1e-30, "c_f": 1e-40},
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_FLOAT32))
+def test_out_of_float32_range_runs_in_float64(tmp_path, capsys, name):
+    pixel = dict(OUT_OF_FLOAT32[name], headroom=1.6e6, v_rst=1.6e6)
+    rng = np.random.default_rng(21)
+    spec = ConvSpec(k=7, s=2, c_o=4)
+    weights, bn, fused = random_layer(rng, spec, beta_bias=0.5)
+    frame = random_frame(rng, 64, 64)
+    chain = ChainConfig(
+        pixel=PixelParams(**pixel),
+        wtc=CounterConfig(),
+        array=ArrayConfig(rows=64, cols=64),
+        adc=AdcConfig(v_fs=1.28e6),
+    )
+    planes = fused.polarity_planes(spec)
+    volts = mac_node_voltages(
+        chain.array, chain.pixel, chain.wtc, photocurrent_channels(frame, 0, 2), planes, 7, 2
+    )
+    channels = reference_channels(frame_to_photocurrents(frame, chain.pixel.i_max))
+    assert volts.dtype == np.float64
+    for plane, plane_volts in zip(planes, volts):
+        expected = reference_mac_node_voltages(
+            chain.array, chain.pixel, chain.wtc, channels, plane, 7, 2
+        )
+        assert np.array_equal(plane_volts, expected)
+    activations = simulate_layer(frame, fused, spec, chain)
+    expected = loop_simulate_layer(frame, fused, spec, chain, np.float64)[0]
+    assert activations.any() and np.array_equal(activations, expected)
+    # verify on the same inputs matches the oracle at every node.
+    save_pgm16(tmp_path / "frame.pgm", frame)
+    save_weights(tmp_path / "weights.json", weights, bn)
+    config = {
+        "pixel": pixel,
+        "adc": {"v_fs": 1.28e6},
+        "array": {"rows": 64, "cols": 64},
+        "conv": {"k": 7, "s": 2, "c_o": 4},
+        "paths": {"frame": "frame.pgm", "weights": "weights.json"},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    argv = ["verify", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+    assert report["max_abs_delta"] == 0 and report["passed"] is True
+    assert "PASS" in capsys.readouterr().out
 
 
 def test_rejects_non_integer_frames():
